@@ -3,7 +3,8 @@
 Every case first verifies the separable fusion path against the dense path
 run on the expanded (outer-product) kernels; no timing is reported unless
 the relative residual is below 1e-5. Timings are wall-clock per fused
-pyramid (one frame), median and min over the repetitions after warmup. The
+pyramid (one frame), median and min over the repetitions after warmup;
+peak bytes are the tracemalloc peak of one more fused pyramid. The
 quantity the harness is really about is the per-pixel kernel parameter
 count: n*n stored values per pixel for dense fields versus 2n for
 separable ones.
@@ -12,6 +13,7 @@ separable ones.
 from __future__ import annotations
 
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -138,12 +140,6 @@ def run_case(case: BenchCase, seed: int = 0, pool=None) -> BenchResult:
     counts = fusion.kernel_param_count(
         case.kernel_size, case.scales, case.mode, case.resolutions
     )
-    # padded content + kernel values + windowed patches + output, float32
-    n = case.kernel_size
-    peak = sum(
-        4 * (case.channels * (r + n - 1) ** 2 + case.channels * r * r * (1 + n * n))
-        for r in case.resolutions
-    ) + 4 * counts["total"]
     return BenchResult(
         case=case,
         descriptor=case.descriptor() + ("-par" if pool is not None else ""),
@@ -152,8 +148,24 @@ def run_case(case: BenchCase, seed: int = 0, pool=None) -> BenchResult:
         median_ns=int(np.median(samples)),
         min_ns=int(np.min(samples)),
         residual=residual,
-        peak_bytes=peak,
+        peak_bytes=_peak_bytes(pyramid, kernels, masks, pool),
     )
+
+
+def _peak_bytes(pyramid, kernels, masks, pool=None) -> int:
+    """Peak bytes allocated above the starting level during one fused
+    pyramid, as tracemalloc measures it (numpy reports its buffers)."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        _fuse_once(pyramid, kernels, masks, pool)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 def run_bench(cases, seed: int = 0, parallel: bool = False) -> list[BenchResult]:

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import model, ops
+from .tensor import SeededRng
 
 _MAGIC = b"TSVC"
 _VERSION = 1
@@ -46,25 +47,75 @@ def save_param_sets(path, param_sets: dict[str, ops.ParamSet]):
 
 
 def load_param_sets(path) -> dict[str, ops.ParamSet]:
+    """Read every parameter set of a TSVC file. A file whose length differs
+    from what its manifest describes (truncated, or with trailing bytes) is
+    rejected with a ValueError naming it."""
     raw = Path(path).read_bytes()
     if raw[:4] != _MAGIC:
         raise ValueError(f"{path}: not a TSVC checkpoint")
+    start = 4 + _HEAD.size
+    if len(raw) < start:
+        raise ValueError(f"{path}: {len(raw)} bytes, shorter than the {start}-byte TSVC header")
     version, mlen = _HEAD.unpack_from(raw, 4)
     if version != _VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    start = 4 + _HEAD.size
-    manifest = json.loads(raw[start : start + mlen].decode())
     blob_start = start + mlen
+    try:
+        if len(raw) < blob_start:
+            raise ValueError(f"manifest of {mlen} bytes runs past the end")
+        manifest = json.loads(raw[start:blob_start].decode())
+        entries = [(e["name"].split("/", 1), tuple(e["shape"]), e["offset"]) for e in manifest]
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"{path}: unreadable TSVC manifest ({exc})") from exc
+    offset = 0
+    for _, shape, at in entries:
+        if at != offset:
+            raise ValueError(f"{path}: blob offset {at} where {offset} was expected")
+        offset += 4 * int(np.prod(shape))
+    if len(raw) != blob_start + offset:
+        raise ValueError(
+            f"{path}: {len(raw)} bytes, but its manifest describes {blob_start + offset}"
+        )
     sets: dict[str, ops.ParamSet] = {}
-    for entry in manifest:
-        sname, pname = entry["name"].split("/", 1)
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        value = np.frombuffer(
-            raw, dtype="<f4", count=count, offset=blob_start + entry["offset"]
-        ).reshape(shape)
-        sets.setdefault(sname, ops.ParamSet()).add(pname, value.copy())
+    for (sname, pname), shape, at in entries:
+        count = int(np.prod(shape))
+        value = np.frombuffer(raw, dtype="<f4", count=count, offset=blob_start + at)
+        sets.setdefault(sname, ops.ParamSet()).add(pname, value.reshape(shape).copy())
     return sets
+
+
+def _layout(param_sets) -> dict:
+    """{set: {parameter: shape}} of a dict of ParamSets."""
+    return {sname: {n: v.shape for n, v in ps.items()} for sname, ps in param_sets.items()}
+
+
+def _check_layout(path, sets, expected):
+    """Every set, parameter name and shape of the loaded `sets` must match
+    the `expected` layout, the one the config sidecar builds."""
+    got = _layout(sets)
+    if set(got) != set(expected):
+        raise ValueError(f"{path}: parameter sets {sorted(got)} != {sorted(expected)}")
+    for sname, need in expected.items():
+        have = got[sname]
+        if have != need:
+            wrong = sorted(n for n in have.keys() | need.keys() if have.get(n) != need.get(n))
+            detail = ", ".join(f"{n}: {have.get(n)} vs {need.get(n)}" for n in wrong[:3])
+            raise ValueError(
+                f"{path}: set {sname!r} does not match its config sidecar "
+                f"(file vs config: {detail})"
+            )
+
+
+def _read_sidecar(path) -> model.ModelConfig:
+    sidecar = config_sidecar(path)
+    if not sidecar.exists():
+        raise ValueError(f"{path}: missing config sidecar {sidecar}")
+    try:
+        meta = json.loads(sidecar.read_text())
+        meta.pop("kind", None)
+        return model.ModelConfig(**meta)
+    except (ValueError, TypeError, AttributeError) as exc:
+        raise ValueError(f"{path}: bad config sidecar {sidecar} ({exc})") from exc
 
 
 def config_sidecar(path) -> Path:
@@ -93,14 +144,10 @@ def save_model(path, bundle: model.ModelBundle):
 
 
 def load_model(path) -> model.ModelBundle:
-    sidecar = config_sidecar(path)
-    if not sidecar.exists():
-        raise ValueError(f"{path}: missing config sidecar {sidecar}")
-    cfg = model.ModelConfig(**json.loads(sidecar.read_text()))
+    cfg = _read_sidecar(path)
+    expected = _layout(model.build_model(cfg, SeededRng(0)).param_sets())
     sets = load_param_sets(path)
-    expected = {"enc_c", "gen_c", "enc_m", "gen_m", "lstm"}
-    if set(sets) != expected:
-        raise ValueError(f"{path}: parameter sets {sorted(sets)} != {sorted(expected)}")
+    _check_layout(path, sets, expected)
     return model.ModelBundle(config=cfg, **sets)
 
 
@@ -125,15 +172,12 @@ def save_classifier(path, params: ops.ParamSet, cfg: model.ModelConfig):
 
 
 def load_classifier(path):
-    sidecar = config_sidecar(path)
-    if not sidecar.exists():
-        raise ValueError(f"{path}: missing config sidecar {sidecar}")
-    meta = json.loads(sidecar.read_text())
-    meta.pop("kind", None)
-    cfg = model.ModelConfig(**meta)
+    cfg = _read_sidecar(path)
+    expected = _layout({"cls": model.build_classifier(cfg, SeededRng(0))})
     sets = load_param_sets(path)
     if set(sets) != {"cls"}:
         raise ValueError(f"{path}: expected a classifier checkpoint")
+    _check_layout(path, sets, expected)
     return sets["cls"], cfg
 
 

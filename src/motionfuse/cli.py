@@ -142,13 +142,8 @@ def _cmd_train(args, cfg_doc):
     if args.out is None:
         raise ValueError("train requires --out")
     dataset = synthdata.load_dataset(args.data)
-    spec = dataset.spec
-    mcfg = _model_config(
-        cfg_doc,
-        classes=len(dataset.classes),
-        size=spec.size,
-        channels=spec.channels,
-    )
+    _, _, channels, size, _ = dataset.clips.shape
+    mcfg = _model_config(cfg_doc, classes=len(dataset.classes), size=size, channels=channels)
     if args.classifier:
         defaults = training.ClassifierConfig()
         ccfg = training.ClassifierConfig(

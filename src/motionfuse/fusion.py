@@ -11,6 +11,16 @@ preserves the input exactly. Kernels come in two layouts:
   outer product recovers the dense kernel at a per-pixel storage cost of
   2n instead of n*n.
 
+Both layouts run the same tap loop. The field becomes one (B, H, W) weight
+map per tap (u, v) -- for a separable field the product wv[u] * wh[v] --
+and the output is the sum over the n*n taps of that map times the padded
+content shifted by (u, v): a broadcast multiply-add over the whole batch
+per tap, with no copy of the n x n windows. The backward runs the same
+loop: each tap's weight gradient is the channel sum of the shifted content
+times the upstream gradient, and the content gradient (skipped when the
+caller does not need it) scatters the weighted upstream gradient back
+through the same shifts onto the padded map.
+
 Content maps are (C, H, W) or batched (B, C, H, W); kernel fields follow
 with (H, W, n)/(H, W, n*n) plus an optional leading batch axis; masks are
 (H, W) or (B, H, W). Forward functions return (output, cache) and the
@@ -195,6 +205,31 @@ def _check_field(h4, f, n, what):
         )
 
 
+def _tap_weights(h4, kernels):
+    """Per-tap weight maps (n*n, B, H, W), taps row-major over (u, v), plus
+    the separable factors (n, B, H, W) each, or None for a dense field.
+    An unbatched field gets a batch axis of 1, which broadcasts."""
+    n = kernels.n
+    if isinstance(kernels, SeparableKernelField):
+        _check_field(h4, kernels.wv, n, "separable kernel field")
+        wv = np.ascontiguousarray(np.moveaxis(_lift(kernels.wv, 4)[0], 3, 0))
+        wh = np.ascontiguousarray(np.moveaxis(_lift(kernels.wh, 4)[0], 3, 0))
+        return (wv[:, None] * wh[None]).reshape((n * n,) + wv.shape[1:]), (wv, wh)
+    if isinstance(kernels, DenseKernelField):
+        _check_field(h4, kernels.w, n, "dense kernel field")
+        return np.ascontiguousarray(np.moveaxis(_lift(kernels.w, 4)[0], 3, 0)), None
+    raise TypeError(f"unsupported kernel field type {type(kernels).__name__}")
+
+
+def _taps(n, hh, ww):
+    """(tap index, slice of the padded map that tap reads) for each tap."""
+    return [
+        (u * n + v, (slice(None), slice(None), slice(u, u + hh), slice(v, v + ww)))
+        for u in range(n)
+        for v in range(n)
+    ]
+
+
 def adaptive_conv_forward(h, kernels):
     """Convolve each location's replicate-padded patch with its own kernel.
 
@@ -202,70 +237,55 @@ def adaptive_conv_forward(h, kernels):
     kernel is shared across all content channels.
     """
     h4, lifted = _lift(h, 4)
-    bsz, c, hh, ww = h4.shape
+    k, factors = _tap_weights(h4, kernels)
     n = kernels.n
-    r = n // 2
-    hp = _replicate_pad(h4, r)
-    win = np.lib.stride_tricks.sliding_window_view(hp, (n, n), axis=(2, 3))
-    if isinstance(kernels, SeparableKernelField):
-        _check_field(h4, kernels.wv, n, "separable kernel field")
-        wv, _ = _lift(kernels.wv, 4)
-        wh, _ = _lift(kernels.wh, 4)
-        t = np.einsum("bchwuv,bhwu->bchwv", win, wv, optimize=True)
-        out = np.einsum("bchwv,bhwv->bchw", t, wh, optimize=True)
-        cache = ("sep", h4.shape, win, wv, wh, t, lifted, kernels.wv.ndim == 3)
-    elif isinstance(kernels, DenseKernelField):
-        _check_field(h4, kernels.w, n, "dense kernel field")
-        w, _ = _lift(kernels.w, 4)
-        kern = w.reshape(w.shape[:3] + (n, n))
-        out = np.einsum("bchwuv,bhwuv->bchw", win, kern, optimize=True)
-        cache = ("dense", h4.shape, win, kern, lifted, kernels.w.ndim == 3)
-    else:
-        raise TypeError(f"unsupported kernel field type {type(kernels).__name__}")
-    out = np.ascontiguousarray(out)
+    hh, ww = h4.shape[2:]
+    hp = _replicate_pad(h4, n // 2)
+    out = np.zeros(h4.shape, dtype=np.result_type(h4, k))
+    prod = np.empty_like(out)
+    for t, window in _taps(n, hh, ww):
+        out += np.multiply(k[t][:, None], hp[window], out=prod)
+    field = kernels.wv if factors is not None else kernels.w
+    cache = (hp, k, factors, lifted, field.ndim == 3)
     return (out[0] if lifted else out), cache
 
 
-def adaptive_conv_backward(dy, cache):
+def adaptive_conv_backward(dy, cache, content=True):
     """Gradients w.r.t. the content map and the kernel field.
 
     Returns (dh, dkernels) where dkernels mirrors the forward field type:
-    a SeparableKernelField of (dwv, dwh) or a DenseKernelField of dw.
+    a SeparableKernelField of (dwv, dwh) or a DenseKernelField of dw. With
+    `content` False the content gradient is not computed and dh is None.
     """
-    kind = cache[0]
-    if kind == "sep":
-        _, h_shape, win, wv, wh, t, lifted, field_unbatched = cache
-        dy4 = dy[None] if lifted else dy
-        bsz, c, hh, ww = h_shape
-        n = wv.shape[-1]
-        r = n // 2
-        dwh = np.einsum("bchwv,bchw->bhwv", t, dy4, optimize=True)
-        dt = np.einsum("bhwv,bchw->bchwv", wh, dy4, optimize=True)
-        dwv = np.einsum("bchwuv,bchwv->bhwu", win, dt, optimize=True)
-        dp = np.zeros((bsz, c, hh + 2 * r, ww + 2 * r), dtype=dy4.dtype)
-        for u in range(n):
-            for v in range(n):
-                dp[:, :, u : u + hh, v : v + ww] += wv[:, None, :, :, u] * dt[..., v]
-        dh = _replicate_pad_backward(dp, r, hh, ww)
-        if field_unbatched:
-            dwv, dwh = dwv.sum(axis=0), dwh.sum(axis=0)
-        dk = SeparableKernelField(wv=dwv, wh=dwh)
+    hp, k, factors, lifted, field_unbatched = cache
+    dy4 = dy[None] if lifted else dy
+    hh, ww = dy4.shape[2:]
+    n = hp.shape[2] - hh + 1
+    taps = _taps(n, hh, ww)
+    dk = np.empty((n * n,) + dy4.shape[:1] + dy4.shape[2:], dtype=np.result_type(hp, dy4))
+    for t, window in taps:
+        np.einsum("bchw,bchw->bhw", hp[window], dy4, out=dk[t])
+    if field_unbatched:
+        dk = dk.sum(axis=1, keepdims=True)
+    if factors is None:
+        dw = np.moveaxis(dk, 0, 3)
+        dkern = DenseKernelField(w=np.ascontiguousarray(dw[0] if field_unbatched else dw))
     else:
-        _, h_shape, win, kern, lifted, field_unbatched = cache
-        dy4 = dy[None] if lifted else dy
-        bsz, c, hh, ww = h_shape
-        n = kern.shape[-1]
-        r = n // 2
-        dkern = np.einsum("bchwuv,bchw->bhwuv", win, dy4, optimize=True)
-        dp = np.zeros((bsz, c, hh + 2 * r, ww + 2 * r), dtype=dy4.dtype)
-        for u in range(n):
-            for v in range(n):
-                dp[:, :, u : u + hh, v : v + ww] += kern[:, None, :, :, u, v] * dy4
-        dh = _replicate_pad_backward(dp, r, hh, ww)
+        wv, wh = factors
+        dk = dk.reshape((n, n) + dk.shape[1:])
+        dwv = np.moveaxis((dk * wh[None]).sum(axis=1), 0, 3)
+        dwh = np.moveaxis((dk * wv[:, None]).sum(axis=0), 0, 3)
         if field_unbatched:
-            dkern = dkern.sum(axis=0)
-        dk = DenseKernelField(w=dkern.reshape(dkern.shape[:-2] + (n * n,)))
-    return (dh[0] if lifted else dh), dk
+            dwv, dwh = dwv[0], dwh[0]
+        dkern = SeparableKernelField(wv=np.ascontiguousarray(dwv), wh=np.ascontiguousarray(dwh))
+    if not content:
+        return None, dkern
+    dp = np.zeros(hp.shape, dtype=np.result_type(k, dy4))
+    prod = np.empty(dy4.shape, dtype=dp.dtype)
+    for t, window in taps:
+        dp[window] += np.multiply(k[t][:, None], dy4, out=prod)
+    dh = _replicate_pad_backward(dp, n // 2, hh, ww)
+    return (dh[0] if lifted else dh), dkern
 
 
 def mask_blend_forward(h, h_tilde, m):
@@ -292,16 +312,20 @@ def mask_blend_forward(h, h_tilde, m):
     return (out[0] if lifted else out), cache
 
 
-def mask_blend_backward(dy, cache):
+def mask_blend_backward(dy, cache, content=True):
+    """(dh, dh_tilde, dm); with `content` False dh is not computed (None)."""
     h4, ht4, m4, lifted, mask_unbatched = cache
     dy4 = dy[None] if lifted else dy
     mb = m4[:, None]
-    dh = (1.0 - mb) * dy4
     dht = mb * dy4
     dm = np.einsum("bchw->bhw", (ht4 - h4) * dy4)
     if mask_unbatched:
         dm = dm.sum(axis=0)
-    return (dh[0] if lifted else dh), (dht[0] if lifted else dht), dm
+    dh = None
+    if content:
+        dh = (1.0 - mb) * dy4
+        dh = dh[0] if lifted else dh
+    return dh, (dht[0] if lifted else dht), dm
 
 
 def mask_activation_forward(raw):
@@ -337,16 +361,21 @@ def fuse_pyramid_forward(pyramid, kernels, masks):
     return refined, caches
 
 
-def fuse_pyramid_backward(d_refined, caches):
-    """Per-scale gradients: (d_pyramid, d_kernels, d_masks) lists."""
+def fuse_pyramid_backward(d_refined, caches, content=True):
+    """Per-scale gradients: (d_pyramid, d_kernels, d_masks) lists.
+
+    With `content` False (the content pyramid is frozen) no pyramid
+    gradient is built and d_pyramid is None.
+    """
     d_pyramid, d_kernels, d_masks = [], [], []
     for dy, (conv_cache, blend_cache) in zip(d_refined, caches):
-        dh_direct, dht, dm = mask_blend_backward(dy, blend_cache)
-        dh_conv, dk = adaptive_conv_backward(dht, conv_cache)
-        d_pyramid.append(dh_direct + dh_conv)
+        dh_direct, dht, dm = mask_blend_backward(dy, blend_cache, content)
+        dh_conv, dk = adaptive_conv_backward(dht, conv_cache, content)
+        if content:
+            d_pyramid.append(dh_direct + dh_conv)
         d_kernels.append(dk)
         d_masks.append(dm)
-    return d_pyramid, d_kernels, d_masks
+    return (d_pyramid if content else None), d_kernels, d_masks
 
 
 def kernel_param_count(n: int, scales: int, mode: str, resolutions) -> dict:

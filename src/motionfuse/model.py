@@ -670,7 +670,9 @@ def backward_next_frame(
         d_ref = [
             np.zeros_like(r) if g is None else g for g, r in zip(d_ref, result.refined)
         ]
-        d_pyramid, d_kernels, d_masks = fusion.fuse_pyramid_backward(d_ref, cache["fuse"])
+        d_pyramid, d_kernels, d_masks = fusion.fuse_pyramid_backward(
+            d_ref, cache["fuse"], content
+        )
         if motion:
             if cache["mask_zero"]:
                 d_masks = [np.zeros_like(m) for m in d_masks]

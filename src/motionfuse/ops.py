@@ -117,7 +117,9 @@ def init_linear(rng, f_in, f_out, dtype=np.float32):
 # Convolutions run their GEMMs over a channel-major layout: activations
 # move to (C, B, H, W), so every copy, gather and scatter walks whole rows
 # of contiguous memory, and a single transpose per call restores
-# (B, C, H, W). Stride-1 convs need no im2col at all (see conv2d_forward).
+# (B, C, H, W). Stride-1 convs and every stride phase of a transpose conv
+# are shifted GEMMs with no im2col (see `_shifted_gemms`); only strided
+# convs build a column matrix.
 
 
 def _channel_major_padded(x, pad):
@@ -167,6 +169,34 @@ def _matmul(a, b):
     return a * b if a.shape[-1] == 1 else a @ b
 
 
+def _shifted_gemms(mats, flat, offs, y_flat):
+    """Stride-1 correlation as one GEMM per tap, with no im2col copy.
+
+    `flat` is a zero-padded (C_in, B, Hp, Wp) map flattened to
+    (C_in, B*Hp*Wp); the output at flat index i gathers input i + off for
+    each tap, so tap t adds mats[t] (C_out, C_in) times a shifted view of
+    `flat` into `y_flat` (C_out, B*Hp*Wp). Outputs land on the padded grid:
+    the caller reads the valid (rows, cols) corner of each image and
+    discards the rest, whose reads wrapped across a row or an image."""
+    n = flat.shape[1] - max(offs)
+    y_mat = y_flat[:, :n]
+    for m, off in zip(mats, offs):
+        y_mat += _matmul(m, flat[:, off : off + n])
+
+
+def _shifted_gemms_backward(mats, flat, offs, dy_flat, dflat):
+    """Adjoint of `_shifted_gemms`: returns the per-tap weight gradients
+    and adds the input gradient into `dflat`. Grid positions of `dy_flat`
+    outside the valid outputs must be zero."""
+    n = flat.shape[1] - max(offs)
+    dy_mat = dy_flat[:, :n]
+    dmats = []
+    for m, off in zip(mats, offs):
+        dmats.append(dy_mat @ flat[:, off : off + n].T)
+        dflat[:, off : off + n] += _matmul(m.T, dy_mat)
+    return dmats
+
+
 def _tap_offsets(k, wp):
     """Flat offsets of the k*k kernel taps in a row-major (Hp, Wp) map."""
     return [u * wp + v for u in range(k) for v in range(k)]
@@ -186,21 +216,12 @@ def conv2d_forward(x, w, b=None, stride=1, pad=0):
         raise ShapeError(f"conv2d output collapses for input {x.shape}, k={k}")
     xp = _channel_major_padded(x, pad)
     if stride == 1:
-        # shifted GEMMs: with the padded maps flattened, tap (u, v) of the
-        # output at flat index i reads input i + u*Wp + v, so each tap is
-        # one GEMM on a strided view and no im2col copy is made. Outputs
-        # land on the padded grid; the rows and columns past (Ho, Wo) are
-        # discarded.
         flat = xp.reshape(cin, -1)
-        offs = _tap_offsets(k, xp.shape[3])
-        n = flat.shape[1] - offs[-1]
         taps = w.transpose(2, 3, 0, 1).reshape(k * k, cout, cin)
         y_flat = np.zeros((cout, flat.shape[1]), dtype=x.dtype)
-        y_mat = y_flat[:, :n]
-        for t, off in enumerate(offs):
-            y_mat += _matmul(taps[t], flat[:, off : off + n])
+        _shifted_gemms(taps, flat, _tap_offsets(k, xp.shape[3]), y_flat)
         if b is not None:
-            y_mat += b[:, None]
+            y_flat += b[:, None]
         y_grid = y_flat.reshape(cout, bsz, xp.shape[2], xp.shape[3])[:, :, :ho, :wo]
         y = np.ascontiguousarray(y_grid.transpose(1, 0, 2, 3))
         cache = (x.shape, flat, w, stride, pad, b is not None, ho, wo)
@@ -221,18 +242,14 @@ def conv2d_backward(dy, cache):
     db = dy.sum(axis=(0, 2, 3)) if has_bias else None
     if stride == 1:
         flat = cols  # at stride 1 the cache holds the flattened padded input
-        offs = _tap_offsets(k, wp)
-        n = flat.shape[1] - offs[-1]
         dy_flat = np.zeros((cout, bsz, hp, wp), dtype=dy.dtype)
         dy_flat[:, :, :ho, :wo] = dy.transpose(1, 0, 2, 3)
-        dy_mat = dy_flat.reshape(cout, -1)[:, :n]
         taps = w.transpose(2, 3, 0, 1).reshape(k * k, cout, cin)
-        dtaps = np.empty_like(taps)
         dxp = np.zeros((cin, bsz * hp * wp), dtype=dy.dtype)
-        for t, off in enumerate(offs):
-            dtaps[t] = dy_mat @ flat[:, off : off + n].T
-            dxp[:, off : off + n] += _matmul(taps[t].T, dy_mat)
-        dw = np.ascontiguousarray(dtaps.reshape(k, k, cout, cin).transpose(2, 3, 0, 1))
+        dtaps = _shifted_gemms_backward(
+            taps, flat, _tap_offsets(k, wp), dy_flat.reshape(cout, -1), dxp
+        )
+        dw = np.ascontiguousarray(np.reshape(dtaps, (k, k, cout, cin)).transpose(2, 3, 0, 1))
         dxp = dxp.reshape(cin, bsz, hp, wp)
     else:
         dy_mat = _channel_major(dy)
@@ -241,6 +258,39 @@ def conv2d_backward(dy, cache):
         dxp = _col2im(dcols, (cin, bsz, hp, wp), k, stride, ho, wo)
     dx = np.ascontiguousarray(dxp[:, :, pad : pad + h, pad : pad + wd].transpose(1, 0, 2, 3))
     return dx, dw, db
+
+
+def _stride_phases(k, stride, pad, size, out_size):
+    """Split one axis of a transpose conv into its stride phases.
+
+    Output o = p + stride*m of phase p (cropped coordinates) receives the
+    taps u = u0, u0 + stride, ... with u0 = (p + pad) % stride, tap t from
+    input m + d - t, d = (p + pad - u0) // stride: a stride-1 correlation
+    with the phase's taps in reverse. Returns (lead, extent, phases): the
+    input sits `lead` zeros into a zero-padded axis of length `extent`, and
+    each phase is (p, outputs, [(u, offset)]), where output m of the phase
+    reads padded position m + offset through tap u."""
+    plans = []
+    for p in range(min(stride, out_size)):
+        u0 = (p + pad) % stride
+        outputs = len(range(p, out_size, stride))
+        plans.append((p, outputs, (p + pad - u0) // stride, range(u0, k, stride)))
+    lead = max([len(us) - 1 - d for _, _, d, us in plans] + [0])
+    extent = max([lead + size] + [m + d + lead for _, m, d, us in plans if us])
+    phases = [(p, m, [(u, d - t + lead) for t, u in enumerate(us)]) for p, m, d, us in plans]
+    return lead, extent, phases
+
+
+def _transpose_plan(x_shape, k, stride, pad, ho, wo):
+    """Row and column stride phases of a transpose conv, and the padded
+    channel-major grid (lead_h, lead_w, Hp, Wp) both run on."""
+    lead_h, hp, rows = _stride_phases(k, stride, pad, x_shape[2], ho)
+    lead_w, wp, cols = _stride_phases(k, stride, pad, x_shape[3], wo)
+    return (lead_h, lead_w, hp, wp), [
+        (pr, pc, mr, mc, [(u, v, ro * wp + co) for u, ro in rtaps for v, co in ctaps])
+        for pr, mr, rtaps in rows
+        for pc, mc, ctaps in cols
+    ]
 
 
 def conv_transpose2d_forward(x, w, b=None, stride=1, pad=0):
@@ -255,30 +305,50 @@ def conv_transpose2d_forward(x, w, b=None, stride=1, pad=0):
     wo = (wd - 1) * stride - 2 * pad + k
     if ho < 1 or wo < 1:
         raise ShapeError(f"conv_transpose2d output collapses for input {x.shape}")
-    # adjoint of conv2d: one GEMM into per-pixel kernel stacks, then the
-    # col2im scatter onto the full (unpadded) output
-    x_mat = _channel_major(x)
-    cols = w.reshape(cin, -1).T @ x_mat
-    full_h, full_w = (h - 1) * stride + k, (wd - 1) * stride + k
-    y_full = _col2im(cols, (cout, bsz, full_h, full_w), k, stride, h, wd)
-    y = y_full[:, :, pad : pad + ho, pad : pad + wo]
+    # the adjoint of a strided conv, computed per output stride phase: each
+    # phase is a stride-1 correlation with a subset of the taps, so no
+    # (C_out*k*k, B*H*W) column matrix and no col2im scatter are needed
+    grid, phases = _transpose_plan(x.shape, k, stride, pad, ho, wo)
+    lead_h, lead_w, hp, wp = grid
+    xp = np.zeros((cin, bsz, hp, wp), dtype=x.dtype)
+    xp[:, :, lead_h : lead_h + h, lead_w : lead_w + wd] = x.transpose(1, 0, 2, 3)
+    flat = xp.reshape(cin, -1)
+    y = np.empty((bsz, cout, ho, wo), dtype=np.result_type(x, w))
+    y_flat = np.empty((cout, flat.shape[1]), dtype=y.dtype)
+    for pr, pc, mr, mc, taps in phases:
+        y_flat[...] = 0.0
+        if taps:
+            mats = [w[:, :, u, v].T for u, v, _ in taps]
+            _shifted_gemms(mats, flat, [off for _, _, off in taps], y_flat)
+        y_grid = y_flat.reshape(cout, bsz, hp, wp)[:, :, :mr, :mc]
+        y[:, :, pr::stride, pc::stride] = y_grid.transpose(1, 0, 2, 3)
     if b is not None:
-        y = y + b[:, None, None, None]
-    y = np.ascontiguousarray(y.transpose(1, 0, 2, 3))
-    cache = (x_mat, x.shape, w, stride, pad, (full_h, full_w), b is not None)
+        y += b[:, None, None]
+    cache = (flat, x.shape, w, stride, pad, grid, phases, b is not None)
     return y, cache
 
 
 def conv_transpose2d_backward(dy, cache):
-    x_mat, x_shape, w, stride, pad, (full_h, full_w), has_bias = cache
+    flat, x_shape, w, stride, pad, grid, phases, has_bias = cache
     bsz, cin, h, wd = x_shape
-    cout, k = w.shape[1], w.shape[2]
+    cout = w.shape[1]
+    lead_h, lead_w, hp, wp = grid
     db = dy.sum(axis=(0, 2, 3)) if has_bias else None
-    dy_full = np.zeros((cout, bsz, full_h, full_w), dtype=dy.dtype)
-    dy_full[:, :, pad : pad + dy.shape[2], pad : pad + dy.shape[3]] = dy.transpose(1, 0, 2, 3)
-    dcols = _im2col(dy_full, k, stride, h, wd)  # gather the scattered positions
-    dx = _batch_major(w.reshape(cin, -1) @ dcols, bsz, h, wd)
-    dw = (x_mat @ dcols.T).reshape(w.shape)
+    dw = np.zeros(w.shape, dtype=np.result_type(w, dy))
+    dflat = np.zeros(flat.shape, dtype=np.result_type(w, dy))
+    dy_flat = np.empty((cout, flat.shape[1]), dtype=dy.dtype)
+    for pr, pc, mr, mc, taps in phases:
+        if not taps:
+            continue
+        dy_flat[...] = 0.0
+        dy_grid = dy_flat.reshape(cout, bsz, hp, wp)
+        dy_grid[:, :, :mr, :mc] = dy[:, :, pr::stride, pc::stride].transpose(1, 0, 2, 3)
+        mats = [w[:, :, u, v].T for u, v, _ in taps]
+        dmats = _shifted_gemms_backward(mats, flat, [off for _, _, off in taps], dy_flat, dflat)
+        for (u, v, _), dm in zip(taps, dmats):
+            dw[:, :, u, v] = dm.T
+    dxp = dflat.reshape(cin, bsz, hp, wp)[:, :, lead_h : lead_h + h, lead_w : lead_w + wd]
+    dx = np.ascontiguousarray(dxp.transpose(1, 0, 2, 3))
     return dx, dw, db
 
 

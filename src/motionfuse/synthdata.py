@@ -45,9 +45,29 @@ ROTATING_SHAPES = (0, 2, 3)
 # ids: 0-2 flat levels, 3 horizontal ramp, 4 vertical ramp, 5 diagonal ramp
 BACKGROUND_COUNT = 6
 
+# a shape keeps this many pixels clear of the frame edge on every frame
+MARGIN = 1.5
+
+# speed range of the two translation classes, pixels per frame
+TRANSLATE_SPEED = (1.0, 1.5)
+
+
+def _half_extent(size, k):
+    """Shape half-extent of palette entry k in 0..2, in pixels."""
+    return size * (0.16 + 0.03 * k)
+
+
 _MAGIC = b"SMV1"
 _HEADER = struct.Struct("<7I")
 _CLIP_HEADER = struct.Struct("<HQ")
+
+
+def max_frames(size: int) -> int:
+    """Most frames a `size` px clip can hold: the slowest translation must
+    still fit beside the largest shape and the margins. Faster drawn speeds
+    that would not fit are slowed to the room there is (see `_motion_track`)."""
+    room = size - 2 * (MARGIN + _half_extent(size, 2))
+    return int(np.floor(room / TRANSLATE_SPEED[0])) + 1
 
 
 @dataclass(frozen=True)
@@ -63,6 +83,12 @@ class ClipSpec:
             raise ValueError(f"frame size must be even and >= 16, got {self.size}")
         if self.channels not in (1, 3):
             raise ValueError(f"channels must be 1 or 3, got {self.channels}")
+        if self.frames > max_frames(self.size):
+            raise ValueError(
+                f"{self.frames} frames do not fit a {self.size} px frame: translation at "
+                f"{TRANSLATE_SPEED[0]:g} px per frame would carry a shape out of it; at "
+                f"most {max_frames(self.size)} frames fit at {self.size} px"
+            )
 
 
 @dataclass
@@ -147,7 +173,6 @@ def _motion_track(name, rng, spec, half, overrides):
     """Per-frame (cx, cy, angle, scale) arrays for one motion class."""
     t_idx = np.arange(spec.frames, dtype=np.float64)
     size = spec.size
-    margin = 1.5
     pitch = 1.0 / SUPERSAMPLE  # spacing of the coverage samples, in pixels
     zeros = np.zeros(spec.frames)
     ones = np.ones(spec.frames)
@@ -156,8 +181,15 @@ def _motion_track(name, rng, spec, half, overrides):
     def pick(key, draw):
         return float(overrides[key]) if key in overrides else float(draw())
 
+    def within(v):
+        # a drawn speed whose travel would leave the frame slows to just
+        # inside it; speeds that fit are kept as drawn
+        room = size - 2 * (MARGIN + half)
+        steps = spec.frames - 1
+        return v if abs(v) * steps <= room else float(np.copysign(0.999 * room / steps, v))
+
     def start_inside(travel_x=0.0, travel_y=0.0, pad=0.0):
-        reach = margin + half + pad
+        reach = MARGIN + half + pad
         lo_x = reach + max(0.0, -travel_x)
         hi_x = size - reach - max(0.0, travel_x)
         lo_y = reach + max(0.0, -travel_y)
@@ -172,16 +204,16 @@ def _motion_track(name, rng, spec, half, overrides):
         return cx, cy
 
     if name == "translate-horizontal":
-        vx = pick("vx", lambda: _signed(rng, 1.0, 1.5))
+        vx = pick("vx", lambda: within(_signed(rng, *TRANSLATE_SPEED)))
         cx, cy = start_inside(travel_x=vx * (spec.frames - 1))
         return cx + vx * t_idx, cy + zeros, zeros, ones
     if name == "translate-vertical":
-        vy = pick("vy", lambda: _signed(rng, 1.0, 1.5))
+        vy = pick("vy", lambda: within(_signed(rng, *TRANSLATE_SPEED)))
         cx, cy = start_inside(travel_y=vy * (spec.frames - 1))
         return cx + zeros, cy + vy * t_idx, zeros, ones
     if name == "diagonal":
-        vx = pick("vx", lambda: _signed(rng, 0.7, 1.1))
-        vy = pick("vy", lambda: _signed(rng, 0.7, 1.1))
+        vx = pick("vx", lambda: within(_signed(rng, 0.7, 1.1)))
+        vy = pick("vy", lambda: within(_signed(rng, 0.7, 1.1)))
         cx, cy = start_inside(vx * (spec.frames - 1), vy * (spec.frames - 1))
         return cx + vx * t_idx, cy + vy * t_idx, zeros, ones
     if name == "rotate":
@@ -264,7 +296,7 @@ def gen_clip(
     )
     # appearance factors come from small fixed palettes so held-out clips
     # recombine values already seen in training rather than novel ones
-    half = spec.size * (0.16 + 0.03 * rng.integers(0, 3))
+    half = _half_extent(spec.size, rng.integers(0, 3))
     aspect = (0.75, 1.0, 1.25)[rng.integers(0, 3)]
     fg = (0.5, 0.7, 0.9)[rng.integers(0, 3)]
 
@@ -314,11 +346,6 @@ class Dataset:
     classes: list[str]
     train_ids: list[int]
     test_ids: list[int]
-
-    @property
-    def spec(self) -> ClipSpec:
-        _, t, c, h, _ = self.clips.shape
-        return ClipSpec(frames=t, size=h, channels=c)
 
 
 def manifest_path(path) -> Path:
@@ -377,9 +404,18 @@ def load_dataset(path) -> Dataset:
     raw = path.read_bytes()
     if raw[:4] != _MAGIC:
         raise ValueError(f"{path}: not an SMV1 container")
+    head = len(_MAGIC) + _HEADER.size
+    if len(raw) < head:
+        raise ValueError(f"{path}: {len(raw)} bytes, shorter than the {head}-byte SMV1 header")
     version, n, t, c, h, w, dtype = _HEADER.unpack_from(raw, 4)
     if version != 1 or dtype != 0:
         raise ValueError(f"{path}: unsupported SMV1 version {version} / dtype {dtype}")
+    expected = head + n * (_CLIP_HEADER.size + 4 * t * c * h * w)
+    if len(raw) != expected:
+        raise ValueError(
+            f"{path}: {len(raw)} bytes, but its header describes {n} clips of "
+            f"{t}x{c}x{h}x{w} in {expected} bytes"
+        )
     clips = np.empty((n, t, c, h, w), dtype=np.float32)
     labels = np.empty(n, dtype=np.int64)
     seeds = np.empty(n, dtype=np.uint64)
@@ -392,8 +428,6 @@ def load_dataset(path) -> Dataset:
             t, c, h, w
         )
         offset += frame_bytes
-    if offset != len(raw):
-        raise ValueError(f"{path}: trailing bytes ({len(raw) - offset})")
 
     mpath = manifest_path(path)
     if mpath.exists():

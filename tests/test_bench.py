@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,15 @@ class TestRunCase:
         assert res.residual < 1e-5
         assert 0 < res.min_ns <= res.median_ns
         assert res.peak_bytes > 0
+
+    def test_peak_bytes_is_the_measured_tracemalloc_peak(self):
+        small = bench.run_case(small_case(resolutions=(8,)), seed=1)
+        large = bench.run_case(small_case(resolutions=(32,)), seed=1)
+        # at least the refined output (channels x 32 x 32 float32) is live,
+        # and the working set grows with the frame area
+        assert large.peak_bytes >= 2 * 32 * 32 * 4
+        assert large.peak_bytes > 4 * small.peak_bytes > 0
+        assert not tracemalloc.is_tracing()
 
     def test_dense_counts(self):
         res = bench.run_case(small_case(mode="dense", n=5, resolutions=(8,)), seed=1)

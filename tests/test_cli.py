@@ -117,6 +117,12 @@ class TestGenData:
     def test_missing_out_is_validation_error(self):
         assert cli.main(["gen-data", "--classes", "2"]) == 1
 
+    def test_too_many_frames_for_the_size_is_rejected_up_front(self, tmp_path, capsys):
+        out = tmp_path / "d.smv"
+        assert cli.main(["gen-data", "--size", "16", "--out", str(out)]) == 1
+        assert "at most 6 frames fit at 16 px" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrainRolloutEval:
     def test_checkpoint_sidecar_written(self, workspace):
@@ -258,6 +264,14 @@ class TestExportFrames:
         files = sorted(out_dir.glob("*.pgm"))
         assert len(files) == 10
         assert files[0].read_bytes().startswith(b"P5\n16 16\n255\n")
+
+    def test_truncated_header_is_a_one_line_error(self, tmp_path, capsys):
+        data = tmp_path / "f.smv"
+        data.write_bytes(b"SMV1\x01\x00")
+        rc = cli.main(["export-frames", "--data", str(data), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err.strip()
+        assert "\n" not in err and str(data) in err and "6 bytes" in err
 
     def test_bad_index(self, workspace, tmp_path):
         rc = cli.main(

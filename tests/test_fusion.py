@@ -27,6 +27,128 @@ def adaptive_conv_oracle(h, kern):
     return out
 
 
+def einsum_adaptive_conv(h, kernels, dy):
+    """The window-copying einsum implementation this module's tap loops
+    replaced, kept as an oracle: (output, dh, dkernels) for upstream `dy`.
+
+    h is (B, C, H, W); fields are batched (B, ...) or unbatched (H, W, ...).
+    """
+    n = kernels.n
+    r = n // 2
+    bsz, c, hh, ww = h.shape
+    hp = np.pad(h, ((0, 0), (0, 0), (r, r), (r, r)), mode="edge")
+    win = np.lib.stride_tricks.sliding_window_view(hp, (n, n), axis=(2, 3))
+    dp = np.zeros(hp.shape, dtype=np.result_type(h, dy))
+    if isinstance(kernels, fusion.SeparableKernelField):
+        unbatched = kernels.wv.ndim == 3
+        wv = np.broadcast_to(kernels.wv, (bsz, hh, ww, n))
+        wh = np.broadcast_to(kernels.wh, (bsz, hh, ww, n))
+        t = np.einsum("bchwuv,bhwu->bchwv", win, wv, optimize=True)
+        out = np.einsum("bchwv,bhwv->bchw", t, wh, optimize=True)
+        dwh = np.einsum("bchwv,bchw->bhwv", t, dy, optimize=True)
+        dt = np.einsum("bhwv,bchw->bchwv", wh, dy, optimize=True)
+        dwv = np.einsum("bchwuv,bchwv->bhwu", win, dt, optimize=True)
+        for u in range(n):
+            for v in range(n):
+                dp[:, :, u : u + hh, v : v + ww] += wv[:, None, :, :, u] * dt[..., v]
+        if unbatched:
+            dwv, dwh = dwv.sum(axis=0), dwh.sum(axis=0)
+        dk = fusion.SeparableKernelField(wv=dwv, wh=dwh)
+    else:
+        unbatched = kernels.w.ndim == 3
+        kern = np.broadcast_to(kernels.w, (bsz, hh, ww, n * n)).reshape(bsz, hh, ww, n, n)
+        out = np.einsum("bchwuv,bhwuv->bchw", win, kern, optimize=True)
+        dkern = np.einsum("bchwuv,bchw->bhwuv", win, dy, optimize=True)
+        for u in range(n):
+            for v in range(n):
+                dp[:, :, u : u + hh, v : v + ww] += kern[:, None, :, :, u, v] * dy
+        if unbatched:
+            dkern = dkern.sum(axis=0)
+        dk = fusion.DenseKernelField(w=dkern.reshape(dkern.shape[:-2] + (n * n,)))
+    rows = dp[:, :, r : r + hh, :].copy()
+    rows[:, :, 0, :] += dp[:, :, :r, :].sum(axis=2)
+    rows[:, :, hh - 1, :] += dp[:, :, r + hh :, :].sum(axis=2)
+    dh = rows[:, :, :, r : r + ww].copy()
+    dh[:, :, :, 0] += rows[:, :, :, :r].sum(axis=3)
+    dh[:, :, :, ww - 1] += rows[:, :, :, r + ww :].sum(axis=3)
+    return out, dh, dk
+
+
+def _rel(a, b):
+    return float(np.linalg.norm(a - b)) / max(float(np.linalg.norm(b)), 1e-30)
+
+
+def _field(rng, mode, shape, n, dtype):
+    if mode == "separable":
+        return fusion.SeparableKernelField(
+            rng.normals(shape + (n,), dtype=dtype), rng.normals(shape + (n,), dtype=dtype)
+        )
+    return fusion.DenseKernelField(rng.normals(shape + (n * n,), dtype=dtype))
+
+
+def _kernel_arrays(k):
+    return (k.wv, k.wh) if isinstance(k, fusion.SeparableKernelField) else (k.w,)
+
+
+class TestAgainstEinsumOracle:
+    """The tap loops against the einsum implementation they replaced."""
+
+    @pytest.mark.parametrize("mode", ["separable", "dense"])
+    @pytest.mark.parametrize(
+        "bsz,size,n",
+        [(64, 16, 3), (64, 32, 3), (1, 16, 3), (64, 16, 5), (1, 9, 5)],
+    )
+    def test_batched_float32(self, mode, bsz, size, n):
+        rng = SeededRng(40 + bsz + size + n)
+        h = rng.normals((bsz, 8, size, size), dtype=np.float32)
+        kernels = _field(rng, mode, (bsz, size, size), n, np.float32)
+        dy = rng.normals(h.shape, dtype=np.float32)
+        out, cache = fusion.adaptive_conv_forward(h, kernels)
+        dh, dk = fusion.adaptive_conv_backward(dy, cache)
+        ref_out, ref_dh, ref_dk = einsum_adaptive_conv(h, kernels, dy)
+        assert out.dtype == np.float32 and out.shape == ref_out.shape
+        assert _rel(out, ref_out) < 1e-6
+        assert _rel(dh, ref_dh) < 1e-6
+        for got, ref in zip(_kernel_arrays(dk), _kernel_arrays(ref_dk)):
+            assert got.shape == ref.shape and got.dtype == np.float32
+            assert _rel(got, ref) < 1e-6
+
+    @pytest.mark.parametrize("mode", ["separable", "dense"])
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_unbatched_fields(self, mode, n):
+        rng = SeededRng(50 + n)
+        kernels = _field(rng, mode, (7, 7), n, np.float64)
+        for h in (rng.normals((3, 3, 7, 7)), rng.normals((3, 7, 7))):
+            dy = rng.normals(h.shape)
+            out, cache = fusion.adaptive_conv_forward(h, kernels)
+            dh, dk = fusion.adaptive_conv_backward(dy, cache)
+            lift = h.ndim == 3
+            ref_out, ref_dh, ref_dk = einsum_adaptive_conv(
+                h[None] if lift else h, kernels, dy[None] if lift else dy
+            )
+            if lift:
+                ref_out, ref_dh = ref_out[0], ref_dh[0]
+            assert out.shape == h.shape and dh.shape == h.shape
+            assert np.max(np.abs(out - ref_out)) < 1e-12
+            assert np.max(np.abs(dh - ref_dh)) < 1e-12
+            for got, ref in zip(_kernel_arrays(dk), _kernel_arrays(ref_dk)):
+                assert got.shape == ref.shape
+                assert np.max(np.abs(got - ref)) < 1e-12
+
+    @pytest.mark.parametrize("mode", ["separable", "dense"])
+    def test_skipping_the_content_gradient_keeps_kernel_gradients(self, mode):
+        rng = SeededRng(60)
+        h = rng.normals((4, 3, 8, 8), dtype=np.float32)
+        kernels = _field(rng, mode, (4, 8, 8), 3, np.float32)
+        dy = rng.normals(h.shape, dtype=np.float32)
+        _, cache = fusion.adaptive_conv_forward(h, kernels)
+        dh, dk = fusion.adaptive_conv_backward(dy, cache, content=False)
+        _, dk_full = fusion.adaptive_conv_backward(dy, cache)
+        assert dh is None
+        for got, ref in zip(_kernel_arrays(dk), _kernel_arrays(dk_full)):
+            assert np.array_equal(got, ref)
+
+
 class TestExpandKernel:
     def test_outer_product(self):
         k = fusion.expand_kernel(np.array([1.0, 2.0]), np.array([3.0, 4.0]))
@@ -240,6 +362,19 @@ class TestFusePyramid:
         pyr, kernels, masks = self._pyramid(SeededRng(17))
         with pytest.raises(ValueError):
             fusion.fuse_pyramid_forward(pyr, kernels[:1], masks)
+
+    def test_frozen_content_builds_no_pyramid_gradient(self):
+        pyr, kernels, masks = self._pyramid(SeededRng(18))
+        refined, caches = fusion.fuse_pyramid_forward(pyr, kernels, masks)
+        rng = SeededRng(19)
+        d_refined = [rng.normals(r.shape, dtype=np.float32) for r in refined]
+        d_pyr, d_k, d_m = fusion.fuse_pyramid_backward(d_refined, caches, content=False)
+        full_pyr, full_k, full_m = fusion.fuse_pyramid_backward(d_refined, caches)
+        assert d_pyr is None and [p.shape for p in full_pyr] == [p.shape for p in pyr]
+        for a, b in zip(d_k, full_k):
+            assert np.array_equal(a.wv, b.wv) and np.array_equal(a.wh, b.wh)
+        for a, b in zip(d_m, full_m):
+            assert np.array_equal(a, b)
 
 
 class TestKernelParamCount:

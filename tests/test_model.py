@@ -199,6 +199,36 @@ class TestPhaseGating:
         assert all(np.all(bundle.gen_c.grad(n) == 0) for n in stem_and_stage)
         assert any(np.any(bundle.enc_m.grad(n) != 0) for n in bundle.enc_m.names())
 
+    def test_frozen_content_leaves_motion_grads_bit_equal(self):
+        # the motion phase skips the pyramid gradient of the frozen content
+        # stream; what the motion sets receive must not change by a bit
+        bundle = micro_bundle(dtype=np.float32)
+        x, dx, eta_c, eta_m, labels = micro_batch(dtype=np.float32, bsz=3)
+        res = model.forward_next_frame(bundle, x, dx, labels, eta_c=eta_c, eta_m=eta_m)
+        rng = SeededRng(8)
+        d_refined = [rng.normals(r.shape, dtype=np.float32) for r in res.refined]
+        d_q_m = tuple(rng.normals(res.q_m.mean.shape, dtype=np.float32) for _ in range(2))
+        grads = {}
+        for content in (True, False):
+            bundle.zero_grads()
+            model.backward_next_frame(
+                bundle,
+                res,
+                d_x_next=losses.l2_loss_grad(res.x_next, np.zeros_like(res.x_next)),
+                d_refined=d_refined,
+                d_q_m=d_q_m,
+                content=content,
+                motion=True,
+            )
+            grads[content] = {
+                (sn, n): ps.grad(n).copy()
+                for sn, ps in bundle.motion_sets().items()
+                for n in ps.names()
+            }
+        assert any(np.any(g != 0) for g in grads[False].values())
+        for key, g in grads[True].items():
+            assert np.array_equal(g, grads[False][key]), key
+
     def test_content_only_backward_leaves_motion_grads_zero(self):
         bundle = micro_bundle()
         x, dx, eta_c, eta_m, labels = micro_batch()

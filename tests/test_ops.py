@@ -79,7 +79,71 @@ class TestConv2d:
             ops.conv2d_forward(np.ones((1, 1, 2, 2)), np.ones((1, 1, 5, 5)))
 
 
+def im2col_conv_transpose2d(x, w, b, stride, pad, dy):
+    """The column-matrix implementation that the stride-phase transpose
+    conv replaced, kept as an oracle: (y, dx, dw, db) for upstream `dy`.
+    One GEMM builds the (C_out*k*k, B*H*W) per-pixel kernel stacks, which
+    are scattered onto the full output and cropped; the backward gathers
+    them back."""
+    bsz, cin, h, wd = x.shape
+    cout, k = w.shape[1], w.shape[2]
+    full_h, full_w = (h - 1) * stride + k, (wd - 1) * stride + k
+    x_mat = x.transpose(1, 0, 2, 3).reshape(cin, -1)
+    cols = (w.reshape(cin, -1).T @ x_mat).reshape(cout, k, k, bsz, h, wd)
+    y_full = np.zeros((cout, bsz, full_h, full_w))
+    for u in range(k):
+        for v in range(k):
+            y_full[:, :, u : u + h * stride : stride, v : v + wd * stride : stride] += cols[:, u, v]
+    ho, wo = full_h - 2 * pad, full_w - 2 * pad
+    y = y_full[:, :, pad : pad + ho, pad : pad + wo].transpose(1, 0, 2, 3) + b[:, None, None]
+    dy_full = np.zeros((cout, bsz, full_h, full_w))
+    dy_full[:, :, pad : pad + ho, pad : pad + wo] = dy.transpose(1, 0, 2, 3)
+    win = np.lib.stride_tricks.sliding_window_view(dy_full, (k, k), axis=(2, 3))
+    dcols = win[:, :, ::stride, ::stride].transpose(0, 4, 5, 1, 2, 3).reshape(cout * k * k, -1)
+    dx = (w.reshape(cin, -1) @ dcols).reshape(cin, bsz, h, wd).transpose(1, 0, 2, 3)
+    dw = (x_mat @ dcols.T).reshape(w.shape)
+    return y, dx, dw, dy.sum(axis=(0, 2, 3))
+
+
 class TestConvTranspose2d:
+    @pytest.mark.parametrize(
+        "k,stride,pad",
+        [
+            (3, 1, 0), (3, 1, 1), (4, 2, 1), (3, 2, 1), (5, 2, 2),
+            (4, 3, 1), (5, 3, 0), (2, 3, 0), (1, 2, 0),
+        ],
+    )
+    @pytest.mark.parametrize("cin,cout", [(3, 4), (1, 2), (2, 1)])
+    def test_matches_im2col_oracle(self, k, stride, pad, cin, cout):
+        # stride phases against the column-matrix transpose conv, forward
+        # and backward, over a batch of non-square maps; k need not divide
+        # by the stride, and k < stride leaves phases that no tap reaches
+        rng = SeededRng(20 + k + 3 * stride + pad)
+        x = rng.normals((3, cin, 4, 5))
+        w = rng.normals((cin, cout, k, k))
+        b = rng.normals((cout,))
+        y, cache = ops.conv_transpose2d_forward(x, w, b, stride, pad)
+        dy = rng.normals(y.shape)
+        dx, dw, db = ops.conv_transpose2d_backward(dy, cache)
+        ref = im2col_conv_transpose2d(x, w, b, stride, pad, dy)
+        for got, want in zip((y, dx, dw, db), ref):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_float32_default_decoder_stage(self):
+        # the decoder's 16 -> 32 upsample at batch 64, in float32
+        rng = SeededRng(30)
+        x = rng.normals((64, 8, 16, 16), dtype=np.float32)
+        w = rng.normals((8, 8, 4, 4), dtype=np.float32) * 0.2
+        b = rng.normals((8,), dtype=np.float32)
+        y, cache = ops.conv_transpose2d_forward(x, w, b, 2, 1)
+        dy = rng.normals(y.shape, dtype=np.float32)
+        got = (y,) + ops.conv_transpose2d_backward(dy, cache)
+        ref = im2col_conv_transpose2d(x, w, b, 2, 1, dy)
+        for g, want in zip(got, ref):
+            assert g.dtype == np.float32
+            assert np.linalg.norm(g - want) / np.linalg.norm(want) < 1e-6
+
     def test_one_by_one_identity(self):
         x = SeededRng(1).normals((2, 3, 4, 4))
         w = np.zeros((3, 3, 1, 1))

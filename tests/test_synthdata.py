@@ -155,6 +155,35 @@ class TestDataset:
         assert doc["clips"][0].keys() == {"id", "action", "seed"}
         assert doc["clips"][0]["seed"] == synthdata.split_seed(1, 0)
 
+    # sha256 of gen_dataset(8 classes, 3 clips per class, seed, spec) files as
+    # rendered before ClipSpec bounded the frame count; a change to rendering
+    # or to the seed draws shows here
+    @pytest.mark.parametrize(
+        "frames,size,seed,digest",
+        [
+            (3, 16, 1, "e131b0774aabfcdcfda9be2982a915d9dc63cce3391f6ea1d21371f243c37382"),
+            (4, 16, 99, "f3f57e96f28cb972e39b7c006114043add512b8ce052d67d46d1588900377069"),
+            (5, 16, 5, "556c67f4a93b85a04eb73b58f8ddd3b601c084ea30c0a17648bd24271beca74f"),
+            (5, 24, 2, "42c12d73572c4ba843105af7d0c3f000039a74edd149798c038cd0582846e6ff"),
+            (10, 32, 7, "b600512c402ef98527ba86eb4af5d695be5af44842bb552d161b87543ea89132"),
+        ],
+    )
+    def test_pinned_bytes(self, tmp_path, frames, size, seed, digest):
+        path = tmp_path / "d.smv"
+        gen_dataset(8, 3, seed, ClipSpec(frames=frames, size=size), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    def test_truncated_files_name_the_file_and_length(self, tmp_path):
+        path = tmp_path / "d.smv"
+        gen_dataset(2, 1, 3, ClipSpec(frames=3, size=16), path)
+        raw = path.read_bytes()
+        for cut in (raw[:6], raw[:40], raw[:-1], raw + b"\x00"):
+            bad = tmp_path / "bad.smv"
+            bad.write_bytes(cut)
+            with pytest.raises(ValueError) as err:
+                load_dataset(bad)
+            assert str(bad) in str(err.value) and f"{len(cut)} bytes" in str(err.value)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.smv"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
@@ -184,6 +213,29 @@ class TestClipSpecValidation:
             ClipSpec(size=8)
         with pytest.raises(ValueError):
             ClipSpec(channels=2)
+
+    def test_frame_count_bounded_by_translation_room(self):
+        assert synthdata.max_frames(16) == 6 and synthdata.max_frames(32) == 15
+        with pytest.raises(ValueError) as err:
+            ClipSpec(frames=10, size=16)
+        assert "at most 6 frames fit at 16 px" in str(err.value)
+        for size in (16, 20, 32):
+            ClipSpec(frames=synthdata.max_frames(size), size=size)
+            with pytest.raises(ValueError):
+                ClipSpec(frames=synthdata.max_frames(size) + 1, size=size)
+
+    @pytest.mark.parametrize("size", [16, 32])
+    def test_every_seed_renders_at_the_largest_frame_count(self, size):
+        # drawn speeds too fast for the room beside a large shape slow down
+        # to fit instead of failing the clip
+        spec = ClipSpec(frames=synthdata.max_frames(size), size=size)
+        for name in ("translate-horizontal", "translate-vertical", "diagonal", "parabolic-bounce"):
+            for seed in range(40):
+                frames = gen_clip(name, seed, spec).frames
+                assert frames.shape == (spec.frames, 1, size, size)
+                assert all(
+                    np.any(frames[t] != frames[t - 1]) for t in range(1, spec.frames)
+                )
 
 
 def clip_motion_features(frames):

@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -292,6 +293,46 @@ class TestCheckpoint:
         bad.write_bytes(b"TSVC" + struct.pack("<IQ", 9, 2) + b"[]")
         with pytest.raises(ValueError):
             checkpoint.load_param_sets(bad)
+
+    def test_damaged_files_rejected_naming_the_file(self, tiny_dataset, tmp_path):
+        bundle, _ = make_trainer(tiny_dataset)
+        good = tmp_path / "good.tsvc"
+        checkpoint.save_model(good, bundle)
+        raw = good.read_bytes()
+        sidecar = checkpoint.config_sidecar(good).read_text()
+        damaged = {"trailing": raw + bytes(8), "truncated": raw[:-4], "headless": raw[:10]}
+        for name, blob in damaged.items():
+            bad = tmp_path / f"{name}.tsvc"
+            bad.write_bytes(blob)
+            checkpoint.config_sidecar(bad).write_text(sidecar)
+            with pytest.raises(ValueError) as err:
+                checkpoint.load_model(bad)
+            assert str(bad) in str(err.value) and f"{len(blob)} bytes" in str(err.value)
+
+    def test_sidecar_must_match_the_weights(self, tiny_dataset, tmp_path):
+        bundle, _ = make_trainer(tiny_dataset)
+        path = tmp_path / "m.tsvc"
+        checkpoint.save_model(path, bundle)
+        sidecar = checkpoint.config_sidecar(path)
+        meta = json.loads(sidecar.read_text())
+        for key, value in (("ngf", 8), ("kernel_size", 5), ("classes", 3)):
+            sidecar.write_text(json.dumps(dict(meta, **{key: value})))
+            with pytest.raises(ValueError) as err:
+                checkpoint.load_model(path)
+            assert str(path) in str(err.value)
+        sidecar.write_text(json.dumps(dict(meta, colour="red")))
+        with pytest.raises(ValueError) as err:
+            checkpoint.load_model(path)
+        assert str(path) in str(err.value)
+
+    def test_classifier_shapes_checked(self, tmp_path):
+        path = tmp_path / "cls.tsvc"
+        checkpoint.save_classifier(path, model.build_classifier(MCFG, SeededRng(2)), MCFG)
+        meta = json.loads(checkpoint.config_sidecar(path).read_text())
+        checkpoint.config_sidecar(path).write_text(json.dumps(dict(meta, classes=5)))
+        with pytest.raises(ValueError) as err:
+            checkpoint.load_classifier(path)
+        assert str(path) in str(err.value)
 
     def test_classifier_round_trip(self, tmp_path):
         params = model.build_classifier(MCFG, SeededRng(2))
