@@ -119,7 +119,20 @@ def init_linear(rng, f_in, f_out, dtype=np.float32):
 # of contiguous memory, and a single transpose per call restores
 # (B, C, H, W). Stride-1 convs and every stride phase of a transpose conv
 # are shifted GEMMs with no im2col (see `_shifted_gemms`); only strided
-# convs build a column matrix.
+# convs build a column matrix. The shifted GEMMs walk the flattened padded
+# grid in column blocks and run every kernel tap on one block before the
+# next, so a block's slices of the input, output and gradient are read
+# from cache k*k times instead of streaming the whole map from memory once
+# per tap. A block is as wide as `_BLOCK_BYTES` allows for those four
+# slices (2 C_in + 2 C_out values per column), rounded down to a multiple
+# of 64 columns; a batch-1 map at 32x32 fits in one block. Blocking
+# reorders no float32 sum, and training turns on the low bits (ROADMAP.md,
+# item 1): each output column adds its taps in tap order, the input
+# gradient is gathered per block in the same order, each weight gradient
+# stays one product over the whole grid, and only the grid's last block
+# ends in a part of a 64-column tile, as one product over the grid would.
+
+_BLOCK_BYTES = 1 << 20
 
 
 def _channel_major_padded(x, pad):
@@ -163,10 +176,17 @@ def _col2im(dcols, padded_shape, k, stride, ho, wo):
     return out
 
 
-def _matmul(a, b):
-    """a @ b; a one-wide inner dimension is a plain outer product, which
-    numpy's matmul runs an order of magnitude slower than broadcasting."""
-    return a * b if a.shape[-1] == 1 else a @ b
+def _blocks(n, rows, inner, itemsize):
+    """Column ranges [j0, j1) covering n grid positions for per-tap products
+    of `rows` x `inner` weights: blocks whose input, output and gradient
+    slices fit `_BLOCK_BYTES` together, 64 columns wide or a multiple of
+    that. A one-row product is one block, because numpy rounds a one-row
+    product with a strided weight row differently at different widths."""
+    if rows == 1:
+        return [(0, n)]
+    width = _BLOCK_BYTES // ((2 * rows + 2 * inner) * itemsize)
+    width = max(64, width - width % 64)
+    return [(j0, min(j0 + width, n)) for j0 in range(0, n, width)]
 
 
 def _shifted_gemms(mats, flat, offs, y_flat):
@@ -177,23 +197,44 @@ def _shifted_gemms(mats, flat, offs, y_flat):
     each tap, so tap t adds mats[t] (C_out, C_in) times a shifted view of
     `flat` into `y_flat` (C_out, B*Hp*Wp). Outputs land on the padded grid:
     the caller reads the valid (rows, cols) corner of each image and
-    discards the rest, whose reads wrapped across a row or an image."""
+    discards the rest, whose reads wrapped across a row or an image. Each
+    column block runs all taps, every product landing in one reused block
+    buffer; a one-wide inner dimension is a broadcast product, which
+    numpy's matmul runs an order of magnitude slower."""
     n = flat.shape[1] - max(offs)
-    y_mat = y_flat[:, :n]
-    for m, off in zip(mats, offs):
-        y_mat += _matmul(m, flat[:, off : off + n])
+    cout, cin = mats[0].shape
+    blocks = _blocks(n, cout, cin, y_flat.itemsize)
+    buf = np.empty(cout * (blocks[0][1] - blocks[0][0]), dtype=y_flat.dtype)
+    product = np.multiply if cin == 1 else np.matmul
+    for j0, j1 in blocks:
+        tmp = buf[: cout * (j1 - j0)].reshape(cout, j1 - j0)
+        y_blk = y_flat[:, j0:j1]
+        for m, off in zip(mats, offs):
+            product(m, flat[:, j0 + off : j1 + off], out=tmp)
+            y_blk += tmp
 
 
 def _shifted_gemms_backward(mats, flat, offs, dy_flat, dflat):
     """Adjoint of `_shifted_gemms`: returns the per-tap weight gradients
     and adds the input gradient into `dflat`. Grid positions of `dy_flat`
-    outside the valid outputs must be zero."""
+    outside the valid outputs must be zero. The input gradient is gathered
+    per column block of `dflat`, all taps in order while the block stays in
+    cache; each weight gradient is one GEMM over the whole grid."""
     n = flat.shape[1] - max(offs)
     dy_mat = dy_flat[:, :n]
-    dmats = []
-    for m, off in zip(mats, offs):
-        dmats.append(dy_mat @ flat[:, off : off + n].T)
-        dflat[:, off : off + n] += _matmul(m.T, dy_mat)
+    dmats = [dy_mat @ flat[:, off : off + n].T for off in offs]
+    cout, cin = mats[0].shape
+    blocks = _blocks(flat.shape[1], cin, cout, dflat.itemsize)
+    buf = np.empty(cin * (blocks[0][1] - blocks[0][0]), dtype=dflat.dtype)
+    product = np.multiply if cout == 1 else np.matmul
+    for j0, j1 in blocks:
+        for m, off in zip(mats, offs):
+            # dflat columns [a, b) of this block that tap `off` reaches
+            a, b = max(j0, off), min(j1, off + n)
+            if a < b:
+                tmp = buf[: cin * (b - a)].reshape(cin, b - a)
+                product(m.T, dy_mat[:, a - off : b - off], out=tmp)
+                dflat[:, a:b] += tmp
     return dmats
 
 

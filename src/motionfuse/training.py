@@ -45,14 +45,12 @@ def random_shift(rng: SeededRng, shift: int, *stacks):
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Adam settings; `alpha` is the initial learning rate and, when
-    `alpha_final` is set, the trainer anneals cosine-style toward it."""
+    """Adam settings; `alpha` is the learning rate of every step."""
 
     alpha: float = 2e-4
     beta1: float = 0.5
     beta2: float = 0.999
     eps: float = 1e-8
-    alpha_final: float = None
 
     def __post_init__(self):
         # alpha == 0 is allowed as a diagnostic no-op configuration
@@ -60,8 +58,6 @@ class OptimizerConfig:
             raise ValueError("learning rate must be nonnegative")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ValueError("decay rates must lie in [0, 1)")
-        if self.alpha_final is not None and self.alpha_final < 0:
-            raise ValueError("final learning rate must be nonnegative")
 
 
 class Adam:

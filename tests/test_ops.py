@@ -181,6 +181,151 @@ class TestConvTranspose2d:
         assert np.max(np.abs(dx - via_transpose)) < 1e-12
 
 
+def _matmul(a, b):
+    return a * b if a.shape[-1] == 1 else a @ b
+
+
+def unblocked_shifted_gemms(mats, flat, offs, y_flat):
+    """The tap loop that the column-blocked `ops._shifted_gemms` replaced,
+    kept as an oracle: each tap's GEMM streams the whole padded grid."""
+    n = flat.shape[1] - max(offs)
+    y_mat = y_flat[:, :n]
+    for m, off in zip(mats, offs):
+        y_mat += _matmul(m, flat[:, off : off + n])
+
+
+def unblocked_shifted_gemms_backward(mats, flat, offs, dy_flat, dflat):
+    """The unblocked adjoint, kept as an oracle for
+    `ops._shifted_gemms_backward`."""
+    n = flat.shape[1] - max(offs)
+    dy_mat = dy_flat[:, :n]
+    dmats = []
+    for m, off in zip(mats, offs):
+        dmats.append(dy_mat @ flat[:, off : off + n].T)
+        dflat[:, off : off + n] += _matmul(m.T, dy_mat)
+    return dmats
+
+
+def _run_conv(transpose, x, w, b, stride, pad, dy_rng):
+    fwd, bwd = (
+        (ops.conv_transpose2d_forward, ops.conv_transpose2d_backward)
+        if transpose
+        else (ops.conv2d_forward, ops.conv2d_backward)
+    )
+    y, cache = fwd(x, w, b, stride, pad)
+    dy = SeededRng(dy_rng).normals(y.shape, dtype=x.dtype)
+    return (y,) + bwd(dy, cache)
+
+
+class TestBlockedShiftedGemms:
+    """Column-blocked shifted GEMMs against the unblocked tap loop they
+    replaced: y, dx, dw and db of stride-1 convs and of the stride phases
+    of transpose convs. Blocking reorders no sum: every output column adds
+    its taps in tap order, and each weight gradient is still one product
+    over the whole grid. In float32, the training precision, the results
+    are bit for bit the unblocked ones; the desk-scale training run depends
+    on that, since its outcome turns on the low bits (ROADMAP.md, item 1).
+    float64 products of 16 or more channels go through BLAS, which rounds
+    the last columns of a short block differently, so float64 agrees to
+    1e-12, relative."""
+
+    CASES = [
+        # transpose, batch, c_in, c_out, size, k, stride, pad
+        (False, 40, 8, 8, 16, 3, 1, 1),
+        (False, 40, 16, 8, 16, 3, 1, 1),
+        (False, 40, 1, 8, 16, 3, 1, 1),
+        (False, 40, 8, 1, 16, 3, 1, 1),
+        (False, 40, 8, 7, 16, 3, 1, 0),
+        (False, 120, 3, 5, 13, 5, 1, 2),
+        (True, 64, 32, 16, 4, 4, 2, 1),
+        (True, 64, 16, 8, 8, 4, 2, 1),
+        (True, 180, 8, 1, 8, 3, 2, 1),
+        (True, 180, 1, 8, 8, 4, 2, 1),
+    ]
+
+    @staticmethod
+    def _spy_blocks(monkeypatch):
+        seen = []
+        real = ops._blocks
+
+        def spy(*args):
+            blocks = real(*args)
+            seen.append(blocks)
+            return blocks
+
+        monkeypatch.setattr(ops, "_blocks", spy)
+        return seen
+
+    def _both(self, monkeypatch, transpose, bsz, cin, cout, size, k, stride, pad, dtype):
+        rng = SeededRng(bsz + 7 * cin + 3 * cout + k)
+        x = rng.normals((bsz, cin, size, size + 3), dtype=dtype)
+        wshape = (cin, cout, k, k) if transpose else (cout, cin, k, k)
+        w = rng.normals(wshape, dtype=dtype)
+        b = rng.normals((cout,), dtype=dtype)
+        with monkeypatch.context() as m:
+            m.setattr(ops, "_shifted_gemms", unblocked_shifted_gemms)
+            m.setattr(ops, "_shifted_gemms_backward", unblocked_shifted_gemms_backward)
+            want = _run_conv(transpose, x, w, b, stride, pad, 1)
+        seen = self._spy_blocks(monkeypatch)
+        got = _run_conv(transpose, x, w, b, stride, pad, 1)
+        return got, want, seen
+
+    @staticmethod
+    def _assert_match(got, want, dtype):
+        for g, ref in zip(got, want):
+            assert g.dtype == dtype and g.shape == ref.shape
+            if dtype == np.float32:
+                assert np.array_equal(g, ref)
+            else:
+                assert np.linalg.norm(g - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("case", CASES)
+    def test_several_blocks_match_unblocked(self, monkeypatch, case, dtype):
+        got, want, seen = self._both(monkeypatch, *case, dtype)
+        # the grid spans several blocks, the last one ragged
+        assert any(len(bl) >= 2 and bl[-1][1] - bl[-1][0] < bl[0][1] - bl[0][0] for bl in seen)
+        self._assert_match(got, want, dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("case", CASES)
+    def test_batch_of_one_is_one_block_and_bit_equal(self, monkeypatch, case, dtype):
+        got, want, seen = self._both(monkeypatch, case[0], 1, *case[2:], dtype)
+        assert seen and all(len(bl) == 1 for bl in seen)
+        for g, ref in zip(got, want):
+            assert np.array_equal(g, ref)
+
+    def test_training_steps_bit_equal(self, tmp_path, monkeypatch):
+        # three content and two motion steps of the default model at batch
+        # 64 leave every parameter exactly where the unblocked loop does
+        from motionfuse import model, training
+        from motionfuse.synthdata import ClipSpec, gen_dataset, load_dataset
+
+        path = tmp_path / "d.smv"
+        gen_dataset(4, 8, 7, ClipSpec(frames=10, size=32), path)
+        data = load_dataset(path)
+
+        def train():
+            bundle = model.build_model(model.ModelConfig(), SeededRng(7))
+            cfg = training.TrainConfig(iterations=10, seed=7)
+            trainer = training.Trainer(bundle, data, cfg)
+            phases = [trainer.train_step()["phase"] for _ in range(5)]
+            assert phases == ["content"] * 3 + ["motion"] * 2
+            return {
+                (name, key): ps.value(key).copy()
+                for name, ps in bundle.param_sets().items()
+                for key in ps.names()
+            }
+
+        got = train()
+        with monkeypatch.context() as m:
+            m.setattr(ops, "_shifted_gemms", unblocked_shifted_gemms)
+            m.setattr(ops, "_shifted_gemms_backward", unblocked_shifted_gemms_backward)
+            want = train()
+        assert got.keys() == want.keys()
+        assert all(np.array_equal(got[k], want[k]) for k in want)
+
+
 class TestSimpleOps:
     def test_relu(self):
         y, _ = ops.relu_forward(np.array([-1.0, 2.0]))

@@ -128,6 +128,11 @@ class TestOptimizer:
         with pytest.raises(ValueError):
             training.OptimizerConfig(beta1=1.0)
 
+    def test_no_annealing_field(self):
+        # Adam uses one learning rate throughout; a final rate would do nothing
+        with pytest.raises(TypeError):
+            training.OptimizerConfig(alpha_final=1e-5)
+
     def test_adam_minimizes_quadratic(self):
         from motionfuse import ops
 
