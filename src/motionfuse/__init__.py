@@ -18,8 +18,6 @@ The package is organized around small, independently testable layers:
 
 from .fusion import (
     DenseKernelField,
-    FusionConfig,
-    MaskField,
     SeparableKernelField,
     adaptive_conv_forward,
     expand_kernel,
@@ -27,13 +25,12 @@ from .fusion import (
     kernel_param_count,
     mask_activation_forward,
     mask_blend_forward,
-    recover_dense,
 )
 from .losses import GaussianParams, LossWeights
 from .metrics import MetricsReport, inception_score, inter_entropy, mean_intra_entropy
 from .model import ModelBundle, ModelConfig, build_model, forward_next_frame
 from .synthdata import ClipSpec, VideoClip, difference_map, gen_clip, gen_dataset, load_dataset
-from .tensor import SeededRng, randn, split_seed
+from .tensor import SeededRng, split_seed
 from .training import (
     OptimizerConfig,
     Schedule,

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import time
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,50 +108,35 @@ def _residual(pyramid, separable, dense, masks) -> float:
     return worst
 
 
-def _fuse_once(pyramid, kernels, masks, pool=None):
-    if pool is None:
-        return fusion.fuse_pyramid_forward(pyramid, kernels, masks)
-    jobs = [
-        pool.submit(fusion.adaptive_conv_forward, h, k)
-        for h, k in zip(pyramid, kernels)
-    ]
-    refined = []
-    for h, m, job in zip(pyramid, masks, jobs):
-        ht, _ = job.result()
-        out, _ = fusion.mask_blend_forward(h, ht, m)
-        refined.append(out)
-    return refined, None
-
-
-def run_case(case: BenchCase, seed: int = 0, pool=None) -> BenchResult:
+def run_case(case: BenchCase, seed: int = 0) -> BenchResult:
     pyramid, separable, dense, masks = _case_inputs(case, seed)
     residual = _residual(pyramid, separable, dense, masks)
     if residual >= 1e-5:
         raise BenchCorrectnessError(case, residual)
     kernels = separable if case.mode == "separable" else dense
     for _ in range(case.warmup):
-        _fuse_once(pyramid, kernels, masks, pool)
+        fusion.fuse_pyramid_forward(pyramid, kernels, masks)
     samples = []
     for _ in range(case.repetitions):
         t0 = time.perf_counter_ns()
-        _fuse_once(pyramid, kernels, masks, pool)
+        fusion.fuse_pyramid_forward(pyramid, kernels, masks)
         samples.append(time.perf_counter_ns() - t0)
     counts = fusion.kernel_param_count(
         case.kernel_size, case.scales, case.mode, case.resolutions
     )
     return BenchResult(
         case=case,
-        descriptor=case.descriptor() + ("-par" if pool is not None else ""),
+        descriptor=case.descriptor(),
         params_per_pixel=counts["per_pixel"],
         total_kernel_values=counts["total"],
         median_ns=int(np.median(samples)),
         min_ns=int(np.min(samples)),
         residual=residual,
-        peak_bytes=_peak_bytes(pyramid, kernels, masks, pool),
+        peak_bytes=_peak_bytes(pyramid, kernels, masks),
     )
 
 
-def _peak_bytes(pyramid, kernels, masks, pool=None) -> int:
+def _peak_bytes(pyramid, kernels, masks) -> int:
     """Peak bytes allocated above the starting level during one fused
     pyramid, as tracemalloc measures it (numpy reports its buffers)."""
     tracing = tracemalloc.is_tracing()
@@ -161,21 +145,16 @@ def _peak_bytes(pyramid, kernels, masks, pool=None) -> int:
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        _fuse_once(pyramid, kernels, masks, pool)
+        fusion.fuse_pyramid_forward(pyramid, kernels, masks)
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         if not tracing:
             tracemalloc.stop()
 
 
-def run_bench(cases, seed: int = 0, parallel: bool = False) -> list[BenchResult]:
-    """Verify then time every case; with `parallel` also time a threaded
-    per-scale variant of each case."""
-    results = [run_case(case, seed) for case in cases]
-    if parallel:
-        with ThreadPoolExecutor() as pool:
-            results.extend(run_case(case, seed, pool) for case in cases)
-    return results
+def run_bench(cases, seed: int = 0) -> list[BenchResult]:
+    """Verify then time every case."""
+    return [run_case(case, seed) for case in cases]
 
 
 def results_to_csv(results) -> str:

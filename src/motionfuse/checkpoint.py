@@ -11,6 +11,7 @@ Frames export as binary PGM (P5) for grayscale and PPM (P6) for RGB, with
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import struct
 from pathlib import Path
@@ -122,25 +123,16 @@ def config_sidecar(path) -> Path:
     return Path(str(path) + ".config.json")
 
 
+def _write_sidecar(path, cfg: model.ModelConfig, **extra):
+    """Every ModelConfig field, plus `extra`, as the checkpoint's sidecar."""
+    meta = dict(dataclasses.asdict(cfg), **extra)
+    config_sidecar(path).write_text(json.dumps(meta, sort_keys=True))
+
+
 def save_model(path, bundle: model.ModelBundle):
     """Checkpoint + JSON config sidecar, enough to rebuild the bundle."""
     save_param_sets(path, bundle.param_sets())
-    cfg = bundle.config
-    config_sidecar(path).write_text(
-        json.dumps(
-            {
-                "ngf": cfg.ngf,
-                "latent_c": cfg.latent_c,
-                "latent_m": cfg.latent_m,
-                "scales": cfg.scales,
-                "kernel_size": cfg.kernel_size,
-                "classes": cfg.classes,
-                "size": cfg.size,
-                "channels": cfg.channels,
-            },
-            sort_keys=True,
-        )
-    )
+    _write_sidecar(path, bundle.config)
 
 
 def load_model(path) -> model.ModelBundle:
@@ -153,22 +145,7 @@ def load_model(path) -> model.ModelBundle:
 
 def save_classifier(path, params: ops.ParamSet, cfg: model.ModelConfig):
     save_param_sets(path, {"cls": params})
-    config_sidecar(path).write_text(
-        json.dumps(
-            {
-                "ngf": cfg.ngf,
-                "latent_c": cfg.latent_c,
-                "latent_m": cfg.latent_m,
-                "scales": cfg.scales,
-                "kernel_size": cfg.kernel_size,
-                "classes": cfg.classes,
-                "size": cfg.size,
-                "channels": cfg.channels,
-                "kind": "classifier",
-            },
-            sort_keys=True,
-        )
-    )
+    _write_sidecar(path, cfg, kind="classifier")
 
 
 def load_classifier(path):

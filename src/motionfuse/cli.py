@@ -111,7 +111,6 @@ def build_parser() -> _Parser:
     p.add_argument("--channels", type=int, default=4)
     p.add_argument("--reps", type=int, default=5)
     p.add_argument("--warmup", type=int, default=1)
-    p.add_argument("--parallel", action="store_true")
     p.add_argument("--csv", default=None, help="CSV output path (alias for --out)")
 
     p = sub.add_parser("export-frames", help="write clip frames as PGM/PPM files")
@@ -243,7 +242,7 @@ def _cmd_bench(args, cfg_doc):
         for mode in args.modes.split(",")
         for n in args.n.split(",")
     ]
-    results = bench.run_bench(cases, seed=args.seed, parallel=args.parallel)
+    results = bench.run_bench(cases, seed=args.seed)
     csv = bench.results_to_csv(results)
     out = args.csv or args.out
     if out:

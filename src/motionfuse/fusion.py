@@ -36,13 +36,10 @@ import numpy as np
 from .tensor import ShapeError
 
 __all__ = [
-    "FusionConfig",
     "SeparableKernelField",
     "DenseKernelField",
-    "MaskField",
     "expand_kernel",
     "flatten_kernel",
-    "recover_dense",
     "identity_separable",
     "adaptive_conv_forward",
     "adaptive_conv_backward",
@@ -54,29 +51,6 @@ __all__ = [
     "fuse_pyramid_backward",
     "kernel_param_count",
 ]
-
-
-@dataclass(frozen=True)
-class FusionConfig:
-    """Static description of a multi-scale fusion stack, coarsest scale first."""
-
-    scales: int
-    kernel_size: int
-    resolutions: tuple[int, ...]
-    channels: tuple[int, ...]
-    padding_mode: str = "replicate"
-
-    def __post_init__(self):
-        if self.scales < 1:
-            raise ValueError("scales must be >= 1")
-        if self.kernel_size < 3 or self.kernel_size % 2 == 0:
-            raise ValueError(f"kernel_size must be odd and >= 3, got {self.kernel_size}")
-        if len(self.resolutions) != self.scales or len(self.channels) != self.scales:
-            raise ValueError("resolutions/channels must list one entry per scale")
-        if any(b <= a for a, b in zip(self.resolutions, self.resolutions[1:])):
-            raise ValueError(f"resolutions must strictly increase: {self.resolutions}")
-        if self.padding_mode != "replicate":
-            raise ValueError(f"unsupported padding mode {self.padding_mode!r}")
 
 
 @dataclass
@@ -117,16 +91,6 @@ class DenseKernelField:
         return int(round(np.sqrt(self.w.shape[-1])))
 
 
-@dataclass
-class MaskField:
-    """Per-pixel blend weights in [0, 1], (H, W) or (B, H, W)."""
-
-    m: np.ndarray
-
-    def __post_init__(self):
-        _check_mask_range(self.m)
-
-
 def _check_mask_range(m):
     if m.size and (float(np.min(m)) < 0.0 or float(np.max(m)) > 1.0):
         raise ValueError(
@@ -148,19 +112,6 @@ def expand_kernel(wv: np.ndarray, wh: np.ndarray) -> np.ndarray:
 def flatten_kernel(kern: np.ndarray) -> np.ndarray:
     """Row-major flattening of (..., n, n) kernels to (..., n*n)."""
     return np.ascontiguousarray(kern).reshape(kern.shape[:-2] + (-1,))
-
-
-def recover_dense(w: np.ndarray, a: int, b: int) -> np.ndarray:
-    """Row-major unflattening of the kernel stored at location (a, b)."""
-    if w.ndim != 3:
-        raise ShapeError(f"expected (H, W, n*n) field, got {w.shape}", (w.shape,))
-    h, wd, nn = w.shape
-    if not (0 <= a < h and 0 <= b < wd):
-        raise IndexError(f"location ({a}, {b}) outside {h}x{wd} field")
-    n = int(round(np.sqrt(nn)))
-    if n * n != nn:
-        raise ShapeError(f"flat length {nn} is not a perfect square", (w.shape,))
-    return w[a, b].reshape(n, n)
 
 
 def identity_separable(h: int, w: int, n: int, dtype=np.float32) -> SeparableKernelField:
@@ -290,8 +241,6 @@ def adaptive_conv_backward(dy, cache, content=True):
 
 def mask_blend_forward(h, h_tilde, m):
     """out = m * h_tilde + (1 - m) * h, per channel; m validated to [0, 1]."""
-    if isinstance(m, MaskField):
-        m = m.m
     if h.shape != h_tilde.shape:
         raise ShapeError(
             f"content {h.shape} and refined {h_tilde.shape} must match",
@@ -342,7 +291,7 @@ def fuse_pyramid_forward(pyramid, kernels, masks):
     """Refine every scale of a content pyramid independently.
 
     pyramid: list of content maps, coarsest first; kernels: matching list of
-    kernel fields; masks: matching list of mask arrays (or MaskFields).
+    kernel fields; masks: matching list of mask arrays.
     """
     if not (len(pyramid) == len(kernels) == len(masks)):
         raise ValueError(

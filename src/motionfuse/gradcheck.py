@@ -55,15 +55,6 @@ def _spread_from_zero(x, margin=0.2):
     return x + np.where(x >= 0, margin, -margin)
 
 
-def _distinct_windows(x, k=2):
-    """Separate pool-window entries so the argmax is FD-stable."""
-    x = np.round(x, 2)
-    b, c, h, w = x.shape
-    offs = (np.arange(k * k, dtype=np.float64) * 1e-3).reshape(k, k)
-    x += np.tile(offs, (h // k, w // k))[None, None]
-    return x
-
-
 def _check_conv2d(seed, case):
     bsz, cin, h, w, cout, k, stride, pad = case
     rng = SeededRng(seed)
@@ -128,32 +119,6 @@ def _activation_check(fwd, bwd, kinked=False):
         return compare_grads(loss, {"x": x}, {"x": dx})
 
     return check
-
-
-def _check_maxpool(seed, shape):
-    rng = SeededRng(seed)
-    x = _distinct_windows(rng.normals(shape))
-    out, cache = ops.maxpool2d_forward(x)
-    r = rng.normals(out.shape)
-    dx = ops.maxpool2d_backward(r, cache)
-
-    def loss():
-        return float(np.sum(ops.maxpool2d_forward(x)[0] * r))
-
-    return compare_grads(loss, {"x": x}, {"x": dx})
-
-
-def _check_softmax(seed, shape):
-    rng = SeededRng(seed)
-    x = rng.normals(shape)
-    p = ops.softmax_logits(x)
-    r = rng.normals(p.shape)
-    dx = ops.softmax_backward(r, p)
-
-    def loss():
-        return float(np.sum(ops.softmax_logits(x) * r))
-
-    return compare_grads(loss, {"x": x}, {"x": dx})
 
 
 def _check_convlstm(seed, case):
@@ -347,14 +312,6 @@ OP_CHECKS = {
         _activation_check(ops.relu_forward, ops.relu_backward, kinked=True),
         [(2, 3, 4, 4), (5, 7), (1, 2, 3, 3)],
     ),
-    "leaky_relu": (
-        _activation_check(
-            lambda x: ops.leaky_relu_forward(x, 0.2),
-            ops.leaky_relu_backward,
-            kinked=True,
-        ),
-        [(2, 3, 4, 4), (5, 7), (1, 2, 3, 3)],
-    ),
     "tanh": (
         _activation_check(ops.tanh_forward, ops.tanh_backward),
         [(2, 3, 4, 4), (5, 7), (1, 2, 3, 3)],
@@ -363,8 +320,6 @@ OP_CHECKS = {
         _activation_check(ops.sigmoid_forward, ops.sigmoid_backward),
         [(2, 3, 4, 4), (5, 7), (1, 2, 3, 3)],
     ),
-    "maxpool2d": (_check_maxpool, [(1, 2, 4, 4), (2, 1, 6, 6), (2, 3, 2, 2)]),
-    "softmax": (_check_softmax, [(2, 4), (1, 7), (3, 3)]),
     "convlstm_step": (
         _check_convlstm,
         [(1, 2, 2, 4, 4, 3), (2, 1, 3, 4, 4, 3), (1, 3, 2, 3, 3, 3)],

@@ -11,15 +11,17 @@ embedding enters both its 4x4 decoder seed and, upsampled, every scale's
 kernel subnet. Fusing the pyramid with those fields and re-decoding the
 finest map predicts the next frame.
 
-Networks are built from a tiny sequential-chain description so forward and
-backward stay mechanical; `forward_next_frame` / `backward_next_frame` wire
-the chains together and expose per-phase gradient propagation (content,
+Every network is a plain list of layer objects, built once per
+`ModelConfig`; `forward_next_frame` / `backward_next_frame` wire the
+networks together and expose per-phase gradient propagation (content,
 motion, or both for the end-to-end gradient check).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -28,112 +30,152 @@ from .losses import GaussianParams
 from .tensor import SeededRng, ShapeError
 
 # ---------------------------------------------------------------------------
-# sequential chains
+# layers
+#
+# A layer holds no arrays: it reads its parameters by their full names from
+# the ParamSet passed to each call, so one layer list serves every bundle of
+# a config (float32, a float64 copy, a loaded checkpoint), and it looks up
+# its `ops` function on the module at call time, so a tracer that swaps
+# module attributes sees every call. `forward(params, x, taps)` returns
+# (y, cache); `backward(params, dy, cache, tap_grads)` accumulates the
+# parameter gradients and returns dx. Only `_Tap` reads the tap arguments.
 
 
-def _spec(cin, cout, k, stride, pad):
-    return ops.ConvSpec(cin, cout, k, stride, pad)
+class _Layer:
+    def init(self, params, rng, dtype):
+        pass
 
 
-def chain_init(params: ops.ParamSet, rng: SeededRng, prefix: str, layers, dtype):
+class _Weighted(_Layer):
+    def __init__(self, name):
+        self.w, self.b = f"{name}.w", f"{name}.b"
+
+    def _add(self, params, w, b):
+        params.add(self.w, w)
+        params.add(self.b, b)
+
+    def _accumulate(self, params, dx, dw, db):
+        params.accumulate(self.w, dw)
+        params.accumulate(self.b, db)
+        return dx
+
+
+class _Conv(_Weighted):
+    def __init__(self, name, spec: ops.ConvSpec):
+        super().__init__(name)
+        self.spec = spec
+
+    def init(self, params, rng, dtype):
+        s = self.spec
+        self._add(params, *ops.init_conv(rng, s.out_channels, s.in_channels, s.kernel_size, dtype))
+
+    def forward(self, params, x, taps):
+        w, b = params.value(self.w), params.value(self.b)
+        return ops.conv2d_forward(x, w, b, self.spec.stride, self.spec.padding)
+
+    def backward(self, params, dy, cache, tap_grads):
+        return self._accumulate(params, *ops.conv2d_backward(dy, cache))
+
+
+class _Deconv(_Conv):
+    def init(self, params, rng, dtype):
+        s = self.spec
+        self._add(params, *ops.init_deconv(rng, s.in_channels, s.out_channels, s.kernel_size, dtype))
+
+    def forward(self, params, x, taps):
+        w, b = params.value(self.w), params.value(self.b)
+        return ops.conv_transpose2d_forward(x, w, b, self.spec.stride, self.spec.padding)
+
+    def backward(self, params, dy, cache, tap_grads):
+        return self._accumulate(params, *ops.conv_transpose2d_backward(dy, cache))
+
+
+class _Linear(_Weighted):
+    def __init__(self, name, fan_in, fan_out):
+        super().__init__(name)
+        self.fan_in, self.fan_out = fan_in, fan_out
+
+    def init(self, params, rng, dtype):
+        self._add(params, *ops.init_linear(rng, self.fan_in, self.fan_out, dtype))
+
+    def forward(self, params, x, taps):
+        return ops.linear_forward(x, params.value(self.w), params.value(self.b))
+
+    def backward(self, params, dy, cache, tap_grads):
+        return self._accumulate(params, *ops.linear_backward(dy, cache))
+
+
+class _Relu(_Layer):
+    def forward(self, params, x, taps):
+        return ops.relu_forward(x)
+
+    def backward(self, params, dy, cache, tap_grads):
+        return ops.relu_backward(dy, cache)
+
+
+class _Tanh(_Layer):
+    def forward(self, params, x, taps):
+        return ops.tanh_forward(x)
+
+    def backward(self, params, dy, cache, tap_grads):
+        return ops.tanh_backward(dy, cache)
+
+
+class _Reshape(_Layer):
+    """Reshape every sample to `shape`; (-1,) flattens."""
+
+    def __init__(self, shape):
+        self.shape = tuple(shape)
+
+    def forward(self, params, x, taps):
+        return x.reshape((x.shape[0],) + self.shape), x.shape
+
+    def backward(self, params, dy, cache, tap_grads):
+        return dy.reshape(cache)
+
+
+class _Tap(_Layer):
+    """Pyramid level `index`: forward appends the activation to `taps`,
+    backward adds `tap_grads[index]` (None for no gradient) to dy."""
+
+    def __init__(self, index):
+        self.index = index
+
+    def forward(self, params, x, taps):
+        taps.append(x)
+        return x, None
+
+    def backward(self, params, dy, cache, tap_grads):
+        extra = tap_grads[self.index]
+        return dy if extra is None else dy + extra
+
+
+def _forward(layers, params: ops.ParamSet, x, taps=None):
+    """Run a list of layers; the cache is the list of (layer, cache) pairs."""
+    chain = []
     for layer in layers:
-        kind = layer[0]
-        if kind == "conv":
-            _, name, spec = layer
-            w, b = ops.init_conv(rng, spec.out_channels, spec.in_channels, spec.kernel_size, dtype)
-            params.add(f"{prefix}.{name}.w", w)
-            params.add(f"{prefix}.{name}.b", b)
-        elif kind == "deconv":
-            _, name, spec = layer
-            w, b = ops.init_deconv(rng, spec.in_channels, spec.out_channels, spec.kernel_size, dtype)
-            params.add(f"{prefix}.{name}.w", w)
-            params.add(f"{prefix}.{name}.b", b)
-        elif kind == "fc":
-            _, name, fin, fout = layer
-            w, b = ops.init_linear(rng, fin, fout, dtype)
-            params.add(f"{prefix}.{name}.w", w)
-            params.add(f"{prefix}.{name}.b", b)
+        x, cache = layer.forward(params, x, taps)
+        chain.append((layer, cache))
+    return x, chain
 
 
-def chain_forward(params: ops.ParamSet, prefix: str, layers, x):
-    caches, taps = [], {}
-    for layer in layers:
-        kind = layer[0]
-        if kind == "conv":
-            _, name, spec = layer
-            x, c = ops.conv2d_forward(
-                x, params.value(f"{prefix}.{name}.w"), params.value(f"{prefix}.{name}.b"),
-                spec.stride, spec.padding,
-            )
-            caches.append(c)
-        elif kind == "deconv":
-            _, name, spec = layer
-            x, c = ops.conv_transpose2d_forward(
-                x, params.value(f"{prefix}.{name}.w"), params.value(f"{prefix}.{name}.b"),
-                spec.stride, spec.padding,
-            )
-            caches.append(c)
-        elif kind == "fc":
-            _, name, _, _ = layer
-            x, c = ops.linear_forward(
-                x, params.value(f"{prefix}.{name}.w"), params.value(f"{prefix}.{name}.b")
-            )
-            caches.append(c)
-        elif kind == "relu":
-            x, c = ops.relu_forward(x)
-            caches.append(c)
-        elif kind == "tanh":
-            x, c = ops.tanh_forward(x)
-            caches.append(c)
-        elif kind == "flatten":
-            caches.append(x.shape)
-            x = x.reshape(x.shape[0], -1)
-        elif kind == "reshape":
-            caches.append(x.shape)
-            x = x.reshape((x.shape[0],) + tuple(layer[1]))
-        elif kind == "tap":
-            taps[layer[1]] = x
-            caches.append(None)
-        else:
-            raise ValueError(f"unknown layer kind {kind!r}")
-    return x, (caches, taps)
-
-
-def chain_backward(params: ops.ParamSet, prefix: str, layers, dy, cache, tap_grads=None):
-    caches, _ = cache
-    tap_grads = tap_grads or {}
-    for layer, c in zip(reversed(layers), reversed(caches)):
-        kind = layer[0]
-        if kind == "conv":
-            _, name, _ = layer
-            dy, dw, db = ops.conv2d_backward(dy, c)
-            params.accumulate(f"{prefix}.{name}.w", dw)
-            params.accumulate(f"{prefix}.{name}.b", db)
-        elif kind == "deconv":
-            _, name, _ = layer
-            dy, dw, db = ops.conv_transpose2d_backward(dy, c)
-            params.accumulate(f"{prefix}.{name}.w", dw)
-            params.accumulate(f"{prefix}.{name}.b", db)
-        elif kind == "fc":
-            _, name, _, _ = layer
-            dy, dw, db = ops.linear_backward(dy, c)
-            params.accumulate(f"{prefix}.{name}.w", dw)
-            params.accumulate(f"{prefix}.{name}.b", db)
-        elif kind == "relu":
-            dy = ops.relu_backward(dy, c)
-        elif kind == "tanh":
-            dy = ops.tanh_backward(dy, c)
-        elif kind in ("flatten", "reshape"):
-            dy = dy.reshape(c)
-        elif kind == "tap":
-            extra = tap_grads.get(layer[1])
-            if extra is not None:
-                dy = dy + extra
+def _backward(params: ops.ParamSet, dy, chain, tap_grads=None):
+    for layer, cache in reversed(chain):
+        dy = layer.backward(params, dy, cache, tap_grads)
     return dy
 
 
+def _params(rng: SeededRng, dtype, *chains) -> ops.ParamSet:
+    """A new ParamSet holding the initial parameters of these layer lists."""
+    params = ops.ParamSet()
+    for layers in chains:
+        for layer in layers:
+            layer.init(params, rng, dtype)
+    return params
+
+
 # ---------------------------------------------------------------------------
-# configuration and bundle
+# configuration, networks and bundle
 
 
 @dataclass(frozen=True)
@@ -175,10 +217,6 @@ class ModelConfig:
         return tuple(self.size >> (self.scales - 1 - s) for s in range(self.scales))
 
     @property
-    def pyramid_channels(self) -> tuple[int, ...]:
-        return (self.ngf,) * self.scales
-
-    @property
     def lstm_hidden(self) -> int:
         return self.ngf
 
@@ -186,40 +224,29 @@ class ModelConfig:
     def motion_map_channels(self) -> int:
         return self.latent_m // 16
 
-    def fusion_config(self) -> fusion.FusionConfig:
-        return fusion.FusionConfig(
-            scales=self.scales,
-            kernel_size=self.kernel_size,
-            resolutions=self.resolutions,
-            channels=self.pyramid_channels,
-        )
+
+_RELU, _TANH = _Relu(), _Tanh()
 
 
-def _encoder_layers(cfg: ModelConfig, in_channels: int, latent: int):
+def _conv3(name, cin, cout, stride=1):
+    return _Conv(name, ops.ConvSpec(cin, cout, 3, stride, 1))
+
+
+def _downsampler(prefix, cfg: ModelConfig, in_channels, hidden, out):
+    # three stride-2 convs to size/8, then two fully connected layers
     g = cfg.ngf
     flat = 2 * g * (cfg.size // 8) ** 2
     return [
-        ("conv", "conv1", _spec(in_channels, g, 3, 2, 1)),
-        ("relu",),
-        ("conv", "conv2", _spec(g, 2 * g, 3, 2, 1)),
-        ("relu",),
-        ("conv", "conv3", _spec(2 * g, 2 * g, 3, 2, 1)),
-        ("relu",),
-        ("flatten",),
-        ("fc", "fc1", flat, 32 * g),
-        ("relu",),
-        ("fc", "fc2", 32 * g, 2 * latent),
-    ]
-
-
-def _generator_stem(cfg: ModelConfig, in_dim: int):
-    g = cfg.ngf
-    return [
-        ("fc", "fc1", in_dim, 32 * g),
-        ("relu",),
-        ("fc", "fc2", 32 * g, 4 * g * 16),
-        ("relu",),
-        ("reshape", (4 * g, 4, 4)),
+        _conv3(f"{prefix}.conv1", in_channels, g, 2),
+        _RELU,
+        _conv3(f"{prefix}.conv2", g, 2 * g, 2),
+        _RELU,
+        _conv3(f"{prefix}.conv3", 2 * g, 2 * g, 2),
+        _RELU,
+        _Reshape((-1,)),
+        _Linear(f"{prefix}.fc1", flat, hidden),
+        _RELU,
+        _Linear(f"{prefix}.fc2", hidden, out),
     ]
 
 
@@ -231,33 +258,51 @@ def _generator_stages(cfg: ModelConfig, in_channels: int):
     first_tap = cfg.up_stages - cfg.scales
     for i in range(cfg.up_stages):
         cout = g if i >= first_tap else 2 * g
-        layers.append(("deconv", f"up{i}", _spec(cin, cout, 4, 2, 1)))
-        layers.append(("relu",))
-        layers.append(("conv", f"post{i}", _spec(cout, cout, 3, 1, 1)))
-        layers.append(("relu",))
+        layers += [
+            _Deconv(f"stage.up{i}", ops.ConvSpec(cin, cout, 4, 2, 1)),
+            _RELU,
+            _conv3(f"stage.post{i}", cout, cout),
+            _RELU,
+        ]
         if i >= first_tap:
-            layers.append(("tap", i - first_tap))
+            layers.append(_Tap(i - first_tap))
         cin = cout
     return layers
 
 
-def _head_layers(cfg: ModelConfig):
-    return [
-        ("conv", "out", _spec(cfg.ngf, cfg.channels, 3, 1, 1)),
-        ("tanh",),
+@functools.lru_cache(maxsize=None)
+def _networks(cfg: ModelConfig) -> SimpleNamespace:
+    """Every network of a config as a list of layers, built once per config."""
+    g, n, k = cfg.ngf, cfg.kernel_size, cfg.classes
+    in_channels = cfg.channels + k
+    stem = [
+        _Linear("stem.fc1", cfg.latent_c + k, 32 * g),
+        _RELU,
+        _Linear("stem.fc2", 32 * g, 4 * g * 16),
+        _RELU,
+        _Reshape((4 * g, 4, 4)),
     ]
-
-
-def _subnet_layers(cfg: ModelConfig, s: int):
-    # the trunk reads the stage tap and the upsampled motion embedding
-    g, n = cfg.ngf, cfg.kernel_size
-    trunk = [("conv", f"subnet{s}.trunk", _spec(g + cfg.lstm_hidden, g, 3, 1, 1)), ("relu",)]
-    heads = {
-        "wv": [("conv", f"subnet{s}.wv", _spec(g, n, 3, 1, 1))],
-        "wh": [("conv", f"subnet{s}.wh", _spec(g, n, 3, 1, 1))],
-        "mask": [("conv", f"subnet{s}.mask", _spec(g, 1, 3, 1, 1))],
-    }
-    return trunk, heads
+    # per fusion scale, (trunk, wv, wh, mask): the trunk reads the stage tap
+    # and the upsampled motion embedding
+    subnets = [
+        (
+            [_conv3(f"sub.subnet{s}.trunk", g + cfg.lstm_hidden, g), _RELU],
+            [_conv3(f"sub.subnet{s}.wv", g, n)],
+            [_conv3(f"sub.subnet{s}.wh", g, n)],
+            [_conv3(f"sub.subnet{s}.mask", g, 1)],
+        )
+        for s in range(cfg.scales)
+    ]
+    return SimpleNamespace(
+        enc_c=_downsampler("enc", cfg, in_channels, 32 * g, 2 * cfg.latent_c),
+        enc_m=_downsampler("enc", cfg, in_channels, 32 * g, 2 * cfg.latent_m),
+        stem=stem,  # the same parameter names in gen_c and gen_m
+        stage_c=_generator_stages(cfg, 4 * g),
+        stage_m=_generator_stages(cfg, 4 * g + cfg.lstm_hidden),
+        head=[_conv3("head.out", g, cfg.channels), _TANH],
+        subnets=subnets,
+        classifier=_downsampler("cls", cfg, 2 * cfg.channels, 8 * g, k),
+    )
 
 
 @dataclass
@@ -296,30 +341,18 @@ def build_model(cfg: ModelConfig, rng: SeededRng, dtype=np.float32) -> ModelBund
     log-variance outputs, which start at -4 so early reparameterization
     noise is small enough for the latent pathways to pick up signal.
     """
-    k = cfg.classes
-    enc_c = ops.ParamSet()
-    chain_init(enc_c, rng, "enc", _encoder_layers(cfg, cfg.channels + k, cfg.latent_c), dtype)
+    nets = _networks(cfg)
+    enc_c = _params(rng, dtype, nets.enc_c)
     enc_c.value("enc.fc2.b")[cfg.latent_c :] = -4.0
 
-    gen_c = ops.ParamSet()
-    chain_init(gen_c, rng, "stem", _generator_stem(cfg, cfg.latent_c + k), dtype)
-    chain_init(gen_c, rng, "stage", _generator_stages(cfg, 4 * cfg.ngf), dtype)
-    chain_init(gen_c, rng, "head", _head_layers(cfg), dtype)
+    gen_c = _params(rng, dtype, nets.stem, nets.stage_c, nets.head)
 
-    enc_m = ops.ParamSet()
-    chain_init(enc_m, rng, "enc", _encoder_layers(cfg, cfg.channels + k, cfg.latent_m), dtype)
+    enc_m = _params(rng, dtype, nets.enc_m)
     enc_m.value("enc.fc2.b")[cfg.latent_m :] = -4.0
 
-    gen_m = ops.ParamSet()
-    chain_init(gen_m, rng, "stem", _generator_stem(cfg, cfg.latent_c + k), dtype)
-    chain_init(
-        gen_m, rng, "stage", _generator_stages(cfg, 4 * cfg.ngf + cfg.lstm_hidden), dtype
-    )
+    subnets = [layers for subnet in nets.subnets for layers in subnet]
+    gen_m = _params(rng, dtype, nets.stem, nets.stage_m, *subnets)
     for s in range(cfg.scales):
-        trunk, heads = _subnet_layers(cfg, s)
-        chain_init(gen_m, rng, "sub", trunk, dtype)
-        for head_layers in heads.values():
-            chain_init(gen_m, rng, "sub", head_layers, dtype)
         # start fusion harmless but active: kernels near the identity delta
         # and masks mostly open. Random kernels under a half-open mask damage
         # the prediction enough that training kills the masks within a few
@@ -360,56 +393,62 @@ def _with_label_channels(x, onehot):
 
 
 def encode(params: ops.ParamSet, cfg: ModelConfig, x, onehot, latent: int):
-    xin = _with_label_channels(x, onehot)
-    layers = _encoder_layers(cfg, xin.shape[1], latent)
-    out, cache = chain_forward(params, "enc", layers, xin)
+    nets = _networks(cfg)
+    layers = nets.enc_c if latent == cfg.latent_c else nets.enc_m
+    out, cache = _forward(layers, params, _with_label_channels(x, onehot))
     q = GaussianParams(mean=out[:, :latent].copy(), logvar=out[:, latent:].copy())
-    return q, (layers, cache, latent)
+    return q, cache
 
 
-def encode_backward(params, enc_cache, dmean, dlogvar):
-    layers, cache, latent = enc_cache
-    dy = np.concatenate([dmean, dlogvar], axis=1)
-    chain_backward(params, "enc", layers, dy, cache)
+def encode_backward(params, enc_cache: list, dmean, dlogvar):
+    _backward(params, np.concatenate([dmean, dlogvar], axis=1), enc_cache)
+
+
+@dataclass
+class GeneratorCache:
+    stem: list
+    stage: list
+    out_shape: tuple
+    subnets: list = None  # motion generator: one SubnetCache per scale
+
+
+def _generate(params, stage_layers, cfg: ModelConfig, eps_c, onehot, e_m=None):
+    """Stem and stage stack of a generator; `e_m` joins the stem output.
+    Returns the tapped pyramid, coarsest first."""
+    zin = np.concatenate([eps_c, onehot.astype(eps_c.dtype)], axis=1)
+    h, stem = _forward(_networks(cfg).stem, params, zin)
+    if e_m is not None:
+        h = np.concatenate([h, e_m], axis=1)
+    taps = []
+    trunk_out, stage = _forward(stage_layers, params, h, taps)
+    return taps, GeneratorCache(stem, stage, trunk_out.shape)
+
+
+def _generate_backward(params, cache: GeneratorCache, cfg: ModelConfig, tap_grads):
+    """Returns d eps_c and the gradient of what joined the stem output."""
+    dzero = np.zeros(cache.out_shape, dtype=params.value("stem.fc1.w").dtype)
+    d_stage_in = _backward(params, dzero, cache.stage, tap_grads)
+    split = 4 * cfg.ngf  # the stem's output channels
+    dzin = _backward(params, d_stage_in[:, :split], cache.stem)
+    return dzin[:, : cfg.latent_c], d_stage_in[:, split:]
 
 
 def decode_content(bundle: ModelBundle, eps_c, onehot):
     cfg = bundle.config
-    stem_layers = _generator_stem(cfg, cfg.latent_c + cfg.classes)
-    stage_layers = _generator_stages(cfg, 4 * cfg.ngf)
-    zin = np.concatenate([eps_c, onehot.astype(eps_c.dtype)], axis=1)
-    stem_out, stem_cache = chain_forward(bundle.gen_c, "stem", stem_layers, zin)
-    trunk_out, stage_cache = chain_forward(bundle.gen_c, "stage", stage_layers, stem_out)
-    _, taps = stage_cache
-    pyramid = [taps[s] for s in range(cfg.scales)]
-    cache = (stem_layers, stem_cache, stage_layers, stage_cache, trunk_out.shape)
-    return pyramid, cache
+    return _generate(bundle.gen_c, _networks(cfg).stage_c, cfg, eps_c, onehot)
 
 
-def decode_content_backward(bundle: ModelBundle, cache, d_pyramid):
+def decode_content_backward(bundle: ModelBundle, cache: GeneratorCache, d_pyramid):
     """d_pyramid: per-scale grads (None allowed); returns d eps_c."""
-    stem_layers, stem_cache, stage_layers, stage_cache, out_shape = cache
-    cfg = bundle.config
-    tap_grads = {
-        s: g for s, g in enumerate(d_pyramid) if g is not None
-    }
-    dzero = np.zeros(out_shape, dtype=bundle.gen_c.value("stem.fc1.w").dtype)
-    d_stem_out = chain_backward(
-        bundle.gen_c, "stage", stage_layers, dzero, stage_cache, tap_grads
-    )
-    dzin = chain_backward(bundle.gen_c, "stem", stem_layers, d_stem_out, stem_cache)
-    return dzin[:, : cfg.latent_c]
+    return _generate_backward(bundle.gen_c, cache, bundle.config, d_pyramid)[0]
 
 
 def decode_head(bundle: ModelBundle, h):
-    layers = _head_layers(bundle.config)
-    out, cache = chain_forward(bundle.gen_c, "head", layers, h)
-    return out, (layers, cache)
+    return _forward(_networks(bundle.config).head, bundle.gen_c, h)
 
 
-def decode_head_backward(bundle: ModelBundle, head_cache, dy):
-    layers, cache = head_cache
-    return chain_backward(bundle.gen_c, "head", layers, dy, cache)
+def decode_head_backward(bundle: ModelBundle, head_cache: list, dy):
+    return _backward(bundle.gen_c, dy, head_cache)
 
 
 def lstm_embed(bundle: ModelBundle, eps_m, h_prev=None, c_prev=None):
@@ -426,15 +465,14 @@ def lstm_embed(bundle: ModelBundle, eps_m, h_prev=None, c_prev=None):
     return h, c, (cache, eps_m.shape)
 
 
-def lstm_embed_backward(bundle: ModelBundle, lstm_cache, dh, dc=None):
+def lstm_embed_backward(bundle: ModelBundle, lstm_cache, dh):
+    """Returns d eps_m; no gradient reaches the cell output."""
     cache, eps_shape = lstm_cache
-    if dc is None:
-        dc = np.zeros_like(dh)
-    dx, dh_prev, dc_prev, dwx, dwh, db = ops.convlstm_step_backward(dh, dc, cache)
+    dx, _, _, dwx, dwh, db = ops.convlstm_step_backward(dh, np.zeros_like(dh), cache)
     bundle.lstm.accumulate("wx", dwx)
     bundle.lstm.accumulate("wh", dwh)
     bundle.lstm.accumulate("b", db)
-    return dx.reshape(eps_shape), dh_prev, dc_prev
+    return dx.reshape(eps_shape)
 
 
 def _upsample(x, f: int):
@@ -454,83 +492,61 @@ def _field_from_heads(wv_maps, wh_maps):
     return fusion.SeparableKernelField(wv=wv, wh=wh)
 
 
+@dataclass
+class SubnetCache:
+    trunk: list
+    wv: list
+    wh: list
+    mask: list
+    mask_act: np.ndarray
+
+
 def motion_fields(bundle: ModelBundle, eps_c, e_m, onehot):
     """Decode per-scale separable kernels and masks from (eps_c, e_m)."""
     cfg = bundle.config
-    stem_layers = _generator_stem(cfg, cfg.latent_c + cfg.classes)
-    stage_layers = _generator_stages(cfg, 4 * cfg.ngf + cfg.lstm_hidden)
-    zin = np.concatenate([eps_c, onehot.astype(eps_c.dtype)], axis=1)
-    stem_out, stem_cache = chain_forward(bundle.gen_m, "stem", stem_layers, zin)
-    stage_in = np.concatenate([stem_out, e_m], axis=1)
-    trunk_out, stage_cache = chain_forward(bundle.gen_m, "stage", stage_layers, stage_in)
-    _, taps = stage_cache
+    nets = _networks(cfg)
+    taps, cache = _generate(bundle.gen_m, nets.stage_m, cfg, eps_c, onehot, e_m)
 
     # e_m also enters every subnet directly, one short conv away from the
     # kernels: reached only through the decoder stages, its effect on the
     # kernels is too weak and too entangled to learn, and training shuts
     # the motion latent off (posterior collapse)
-    kernels, masks, sub_caches = [], [], []
-    for s in range(cfg.scales):
-        trunk_layers, head_layers = _subnet_layers(cfg, s)
+    kernels, masks, subnets = [], [], []
+    for s, (trunk_net, wv_net, wh_net, mask_net) in enumerate(nets.subnets):
         sub_in = np.concatenate([taps[s], _upsample(e_m, cfg.resolutions[s] // 4)], axis=1)
-        feat, trunk_cache = chain_forward(bundle.gen_m, "sub", trunk_layers, sub_in)
-        wv_maps, wv_cache = chain_forward(bundle.gen_m, "sub", head_layers["wv"], feat)
-        wh_maps, wh_cache = chain_forward(bundle.gen_m, "sub", head_layers["wh"], feat)
-        raw_mask, mask_cache = chain_forward(bundle.gen_m, "sub", head_layers["mask"], feat)
-        mask, mask_act_cache = fusion.mask_activation_forward(raw_mask[:, 0])
+        feat, trunk = _forward(trunk_net, bundle.gen_m, sub_in)
+        wv_maps, wv = _forward(wv_net, bundle.gen_m, feat)
+        wh_maps, wh = _forward(wh_net, bundle.gen_m, feat)
+        raw_mask, mask_conv = _forward(mask_net, bundle.gen_m, feat)
+        mask, mask_act = fusion.mask_activation_forward(raw_mask[:, 0])
         kernels.append(_field_from_heads(wv_maps, wh_maps))
         masks.append(mask)
-        sub_caches.append(
-            (trunk_layers, head_layers, trunk_cache, wv_cache, wh_cache, mask_cache, mask_act_cache)
-        )
-    cache = (
-        stem_layers,
-        stem_cache,
-        stage_layers,
-        stage_cache,
-        sub_caches,
-        trunk_out.shape,
-        stem_out.shape,
-    )
+        subnets.append(SubnetCache(trunk, wv, wh, mask_conv, mask_act))
+    cache.subnets = subnets
     return kernels, masks, cache
 
 
-def motion_fields_backward(bundle: ModelBundle, cache, d_kernels, d_masks):
+def motion_fields_backward(bundle: ModelBundle, cache: GeneratorCache, d_kernels, d_masks):
     """Returns (d eps_c, d e_m)."""
-    (
-        stem_layers,
-        stem_cache,
-        stage_layers,
-        stage_cache,
-        sub_caches,
-        out_shape,
-        stem_shape,
-    ) = cache
     cfg = bundle.config
-    tap_grads = {}
+    gen_m = bundle.gen_m
+    tap_grads = []
     d_e_m_direct = 0.0
-    for s in range(cfg.scales):
-        trunk_layers, head_layers, trunk_cache, wv_cache, wh_cache, mask_cache, mask_act_cache = sub_caches[s]
+    for s, sub in enumerate(cache.subnets):
         dwv_maps = np.moveaxis(d_kernels[s].wv, 3, 1)
         dwh_maps = np.moveaxis(d_kernels[s].wh, 3, 1)
-        draw = fusion.mask_activation_backward(d_masks[s], mask_act_cache)[:, None]
-        dfeat = chain_backward(bundle.gen_m, "sub", head_layers["wv"], dwv_maps, wv_cache)
-        dfeat = dfeat + chain_backward(bundle.gen_m, "sub", head_layers["wh"], dwh_maps, wh_cache)
-        dfeat = dfeat + chain_backward(bundle.gen_m, "sub", head_layers["mask"], draw, mask_cache)
-        d_sub_in = chain_backward(bundle.gen_m, "sub", trunk_layers, dfeat, trunk_cache)
-        tap_grads[s] = d_sub_in[:, : cfg.ngf]
+        draw = fusion.mask_activation_backward(d_masks[s], sub.mask_act)[:, None]
+        dfeat = _backward(gen_m, dwv_maps, sub.wv)
+        dfeat = dfeat + _backward(gen_m, dwh_maps, sub.wh)
+        dfeat = dfeat + _backward(gen_m, draw, sub.mask)
+        d_sub_in = _backward(gen_m, dfeat, sub.trunk)
+        tap_grads.append(d_sub_in[:, : cfg.ngf])
         d_e_m_direct = d_e_m_direct + _upsample_backward(
             d_sub_in[:, cfg.ngf :], cfg.resolutions[s] // 4
         )
 
-    dtype = bundle.gen_m.value("stem.fc1.w").dtype
-    d_stage_in = chain_backward(
-        bundle.gen_m, "stage", stage_layers, np.zeros(out_shape, dtype=dtype), stage_cache, tap_grads
-    )
-    split = stem_shape[1]
-    d_stem_out, d_e_m = d_stage_in[:, :split], d_stage_in[:, split:]
-    dzin = chain_backward(bundle.gen_m, "stem", stem_layers, d_stem_out, stem_cache)
-    return dzin[:, : cfg.latent_c], d_e_m + d_e_m_direct
+    d_eps_c, d_e_m = _generate_backward(gen_m, cache, cfg, tap_grads)
+    return d_eps_c, d_e_m + d_e_m_direct
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +617,6 @@ def forward_next_frame(
     x_next, head_cache_next = decode_head(bundle, refined[-1])
 
     cache = {
-        "onehot": onehot,
         "eta_c": eta_c,
         "eta_m": eta_m,
         "enc_c": enc_c_cache,
@@ -612,8 +627,6 @@ def forward_next_frame(
         "fuse": fuse_cache,
         "head_recon": head_cache_recon,
         "head_next": head_cache_next,
-        "q_c": q_c,
-        "q_m": q_m,
         "mask_zero": mask_zero,
     }
     return ForwardResult(
@@ -679,7 +692,7 @@ def backward_next_frame(
             d_eps_c_gm, d_e_m = motion_fields_backward(
                 bundle, cache["gen_m"], d_kernels, d_masks
             )
-            d_eps_m, _, _ = lstm_embed_backward(bundle, cache["lstm"], d_e_m)
+            d_eps_m = lstm_embed_backward(bundle, cache["lstm"], d_e_m)
             dmean_m, dlogvar_m = _reparam_backward(result.q_m, cache["eta_m"], d_eps_m)
             if d_q_m is not None:
                 dmean_m = dmean_m + d_q_m[0]
@@ -714,27 +727,8 @@ def backward_next_frame(
 # clip classifier
 
 
-def classifier_layers(cfg: ModelConfig):
-    g = cfg.ngf
-    flat = 2 * g * (cfg.size // 8) ** 2
-    return [
-        ("conv", "conv1", _spec(2 * cfg.channels, g, 3, 2, 1)),
-        ("relu",),
-        ("conv", "conv2", _spec(g, 2 * g, 3, 2, 1)),
-        ("relu",),
-        ("conv", "conv3", _spec(2 * g, 2 * g, 3, 2, 1)),
-        ("relu",),
-        ("flatten",),
-        ("fc", "fc1", flat, 8 * g),
-        ("relu",),
-        ("fc", "fc2", 8 * g, cfg.classes),
-    ]
-
-
 def build_classifier(cfg: ModelConfig, rng: SeededRng, dtype=np.float32) -> ops.ParamSet:
-    params = ops.ParamSet()
-    chain_init(params, rng, "cls", classifier_layers(cfg), dtype)
-    return params
+    return _params(rng, dtype, _networks(cfg).classifier)
 
 
 def classifier_inputs(clips: np.ndarray) -> np.ndarray:
@@ -746,20 +740,24 @@ def classifier_inputs(clips: np.ndarray) -> np.ndarray:
     return stacked.reshape(b * tm1, c2, h, w), tm1
 
 
+@dataclass
+class ClassifierCache:
+    chain: list
+    transitions: int  # per clip: T - 1
+
+
 def classifier_forward(params: ops.ParamSet, cfg: ModelConfig, clips: np.ndarray):
     """Frame-averaged logits over the clip's transitions."""
     x, tm1 = classifier_inputs(clips)
-    layers = classifier_layers(cfg)
-    logits_all, cache = chain_forward(params, "cls", layers, x)
+    logits_all, chain = _forward(_networks(cfg).classifier, params, x)
     logits = logits_all.reshape(clips.shape[0], tm1, cfg.classes).mean(axis=1)
-    return logits, (layers, cache, tm1, clips.shape[0])
+    return logits, ClassifierCache(chain, tm1)
 
 
-def classifier_backward(params: ops.ParamSet, cls_cache, d_logits):
-    layers, cache, tm1, bsz = cls_cache
+def classifier_backward(params: ops.ParamSet, cls_cache: ClassifierCache, d_logits):
+    tm1 = cls_cache.transitions
     d_all = np.repeat(d_logits[:, None, :] / tm1, tm1, axis=1)
-    d_all = d_all.reshape(bsz * tm1, -1)
-    chain_backward(params, "cls", layers, d_all, cache)
+    _backward(params, d_all.reshape(-1, d_logits.shape[1]), cls_cache.chain)
 
 
 def classifier_probs(params: ops.ParamSet, cfg: ModelConfig, clips: np.ndarray) -> np.ndarray:

@@ -419,15 +419,6 @@ def relu_backward(dy, cache):
     return dy * cache
 
 
-def leaky_relu_forward(x, slope=0.2):
-    return np.where(x > 0, x, slope * x), (x > 0, slope)
-
-
-def leaky_relu_backward(dy, cache):
-    mask, slope = cache
-    return dy * np.where(mask, 1.0, slope).astype(dy.dtype)
-
-
 def tanh_forward(x):
     y = np.tanh(x)
     return y, y
@@ -448,42 +439,11 @@ def sigmoid_backward(dy, cache):
     return dy * cache * (1.0 - cache)
 
 
-def maxpool2d_forward(x, k=2):
-    bsz, c, h, w = x.shape
-    if h % k or w % k:
-        raise ShapeError(f"maxpool2d needs extents divisible by {k}, got {x.shape}")
-    ho, wo = h // k, w // k
-    tiles = x.reshape(bsz, c, ho, k, wo, k).transpose(0, 1, 2, 4, 3, 5)
-    flat = tiles.reshape(bsz, c, ho, wo, k * k)
-    # argmax returns the first maximal index, i.e. row-major tie-breaking
-    idx = np.argmax(flat, axis=-1)
-    y = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
-    return y, (x.shape, idx, k)
-
-
-def maxpool2d_backward(dy, cache):
-    x_shape, idx, k = cache
-    bsz, c, h, w = x_shape
-    ho, wo = h // k, w // k
-    dflat = np.zeros((bsz, c, ho, wo, k * k), dtype=dy.dtype)
-    np.put_along_axis(dflat, idx[..., None], dy[..., None], axis=-1)
-    dx = (
-        dflat.reshape(bsz, c, ho, wo, k, k)
-        .transpose(0, 1, 2, 4, 3, 5)
-        .reshape(bsz, c, h, w)
-    )
-    return dx
-
-
 def softmax_logits(x):
     """Row-wise softmax over the last axis, computed with max-subtraction."""
     m = np.max(x, axis=-1, keepdims=True)
     e = np.exp(x - m)
     return e / np.sum(e, axis=-1, keepdims=True)
-
-
-def softmax_backward(dy, p):
-    return p * (dy - np.sum(dy * p, axis=-1, keepdims=True))
 
 
 def convlstm_step_forward(x, h_prev, c_prev, wx, wh, b):

@@ -1,12 +1,9 @@
-"""Dense array substrate, deterministic RNG, and elementwise arithmetic.
+"""Array conventions, the shape error, and the deterministic RNG.
 
 Arrays are plain numpy ndarrays, kept C-contiguous (row-major) and at most
 rank 4, interpreted as (batch, channel, height, width) where that matters.
 float32 is the working precision for training and data; float64 is used by
 every gradient-check path.
-
-There is deliberately no broadcasting here beyond scalar-with-array: keeping
-shapes explicit keeps the hand-written gradient code auditable.
 """
 
 from __future__ import annotations
@@ -15,17 +12,7 @@ import numpy as np
 
 __all__ = [
     "ShapeError",
-    "as_tensor",
-    "ensure_finite",
-    "elementwise",
-    "add",
-    "sub",
-    "mul",
-    "scale",
-    "reduce_sum",
-    "reduce_mean",
     "SeededRng",
-    "randn",
     "split_seed",
 ]
 
@@ -36,85 +23,6 @@ class ShapeError(ValueError):
     def __init__(self, message, shapes=()):
         super().__init__(message)
         self.shapes = tuple(shapes)
-
-
-def as_tensor(data, dtype=np.float32) -> np.ndarray:
-    """Coerce to a C-contiguous array of rank <= 4 with all extents >= 1."""
-    arr = np.ascontiguousarray(data, dtype=dtype)
-    if arr.ndim > 4:
-        raise ShapeError(f"rank {arr.ndim} exceeds 4: shape {arr.shape}", (arr.shape,))
-    if arr.ndim > 0 and min(arr.shape) < 1:
-        raise ShapeError(f"zero-sized extent in shape {arr.shape}", (arr.shape,))
-    return arr
-
-
-def ensure_finite(x: np.ndarray, name: str = "tensor") -> np.ndarray:
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return x
-
-
-def _check_same_shape(a, b):
-    if np.isscalar(b) or (isinstance(b, np.ndarray) and b.ndim == 0):
-        return
-    if a.shape != b.shape:
-        raise ShapeError(
-            f"shape mismatch: {a.shape} vs {b.shape}", (a.shape, b.shape)
-        )
-
-
-def elementwise(op: str, a: np.ndarray, b) -> np.ndarray:
-    """Apply `op` ('add' | 'sub' | 'mul') per element; `b` may be a scalar."""
-    _check_same_shape(a, b)
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown elementwise op {op!r}")
-
-
-def add(a, b):
-    return elementwise("add", a, b)
-
-
-def sub(a, b):
-    return elementwise("sub", a, b)
-
-
-def mul(a, b):
-    return elementwise("mul", a, b)
-
-
-def scale(a: np.ndarray, c: float) -> np.ndarray:
-    """Multiply every element by the scalar constant `c`."""
-    return a * a.dtype.type(c)
-
-
-def _check_axes(a, axes):
-    for ax in axes:
-        if not -a.ndim <= ax < a.ndim:
-            raise ValueError(f"axis {ax} invalid for rank-{a.ndim} shape {a.shape}")
-
-
-def reduce_sum(a: np.ndarray, axes=None) -> np.ndarray:
-    """Sum over `axes` (all axes when None).
-
-    Reduction uses numpy's fixed deterministic order over the row-major
-    buffer, so identical inputs give bit-identical results run to run.
-    """
-    if axes is None:
-        return np.sum(a)
-    if isinstance(axes, int):
-        axes = (axes,)
-    _check_axes(a, tuple(axes))
-    return np.sum(a, axis=tuple(axes))
-
-
-def reduce_mean(a: np.ndarray) -> float:
-    """Mean over all elements, as a python float."""
-    return float(np.mean(a))
 
 
 # Counter-based generator. Each output is splitmix64's finalizer applied to
@@ -192,7 +100,3 @@ def split_seed(master: int, index: int) -> int:
     z = (((master & mask) ^ int(_SPLIT_SALT)) + (index + 1) * int(_GOLDEN)) & mask
     return int(_mix64(np.array([z], dtype=np.uint64))[0])
 
-
-def randn(rng: SeededRng, shape, dtype=np.float64) -> np.ndarray:
-    """i.i.d. standard normal tensor drawn from the seeded stream."""
-    return rng.normals(shape, dtype=dtype)

@@ -75,12 +75,6 @@ class TestRunBench:
         assert lines[1].startswith("dense-n3-S2,3,2,dense,9,")
         assert lines[2].startswith("separable-n3-S2,3,2,separable,6,")
 
-    def test_parallel_flag_adds_rows(self):
-        results = bench.run_bench([small_case()], seed=0, parallel=True)
-        assert len(results) == 2
-        assert results[1].descriptor.endswith("-par")
-        assert results[1].residual < 1e-5
-
 
 def test_published_configuration_counts():
     dense17 = bench.run_case(

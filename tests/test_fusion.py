@@ -170,29 +170,28 @@ class TestExpandKernel:
 
 
 class TestRecoverDense:
+    # flatten_kernel stores each pixel's n x n kernel row-major, so the
+    # kernel at (a, b) is flat[a, b].reshape(n, n)
     def test_row_major_layout(self):
-        w = np.zeros((1, 1, 4))
-        w[0, 0] = [1.0, 2.0, 3.0, 4.0]
-        assert np.array_equal(fusion.recover_dense(w, 0, 0), [[1.0, 2.0], [3.0, 4.0]])
+        kern = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])  # one pixel's 2 x 2 kernel
+        flat = fusion.flatten_kernel(kern)
+        assert np.array_equal(flat[0, 0], [1.0, 2.0, 3.0, 4.0])
+        assert np.array_equal(flat[0, 0].reshape(2, 2), kern[0, 0])
 
     def test_round_trip(self):
         rng = SeededRng(2)
         kern = rng.normals((3, 3))
         flat = fusion.flatten_kernel(kern)
         field = np.broadcast_to(flat, (4, 4, 9)).copy()
-        assert np.array_equal(fusion.recover_dense(field, 2, 1), kern)
+        assert np.array_equal(field[2, 1].reshape(3, 3), kern)
 
     def test_recover_expand_consistency(self):
         rng = SeededRng(3)
         wv, wh = rng.normals((4, 4, 3)), rng.normals((4, 4, 3))
         flat = fusion.flatten_kernel(fusion.expand_kernel(wv, wh))
         assert np.array_equal(
-            fusion.recover_dense(flat, 1, 2), fusion.expand_kernel(wv[1, 2], wh[1, 2])
+            flat[1, 2].reshape(3, 3), fusion.expand_kernel(wv[1, 2], wh[1, 2])
         )
-
-    def test_out_of_range(self):
-        with pytest.raises(IndexError):
-            fusion.recover_dense(np.zeros((2, 2, 4)), 2, 0)
 
 
 class TestAdaptiveConv:
@@ -395,21 +394,3 @@ class TestKernelParamCount:
             fusion.kernel_param_count(5, 2, "dense", [8])
         with pytest.raises(ValueError):
             fusion.kernel_param_count(5, 1, "sparse", [8])
-
-
-def test_fusion_config_validation():
-    fusion.FusionConfig(2, 3, (16, 32), (8, 8))
-    with pytest.raises(ValueError):
-        fusion.FusionConfig(2, 4, (16, 32), (8, 8))
-    with pytest.raises(ValueError):
-        fusion.FusionConfig(2, 3, (32, 16), (8, 8))
-    with pytest.raises(ValueError):
-        fusion.FusionConfig(2, 3, (16, 32), (8,))
-    with pytest.raises(ValueError):
-        fusion.FusionConfig(2, 3, (16, 32), (8, 8), padding_mode="zeros")
-
-
-def test_mask_field_validates_range():
-    fusion.MaskField(np.array([[0.0, 1.0]]))
-    with pytest.raises(ValueError):
-        fusion.MaskField(np.array([[1.2]]))

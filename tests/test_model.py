@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -39,9 +41,129 @@ class TestConfig:
         with pytest.raises(ValueError):
             model.ModelConfig(size=16, scales=3)
 
-    def test_fusion_config_round_trip(self):
-        fc = model.ModelConfig().fusion_config()
-        assert fc.scales == 2 and fc.resolutions == (16, 32)
+
+# (set, parameter, shape) of build_model(ModelConfig()), in ParamSet order:
+# the order init draws from the RNG, the checkpoint manifest lists and
+# Adam walks
+INIT_LAYOUT = """
+    enc_c enc.conv1.w 8 5 3 3
+    enc_c enc.conv1.b 8
+    enc_c enc.conv2.w 16 8 3 3
+    enc_c enc.conv2.b 16
+    enc_c enc.conv3.w 16 16 3 3
+    enc_c enc.conv3.b 16
+    enc_c enc.fc1.w 256 256
+    enc_c enc.fc1.b 256
+    enc_c enc.fc2.w 256 128
+    enc_c enc.fc2.b 128
+    gen_c stem.fc1.w 68 256
+    gen_c stem.fc1.b 256
+    gen_c stem.fc2.w 256 512
+    gen_c stem.fc2.b 512
+    gen_c stage.up0.w 32 16 4 4
+    gen_c stage.up0.b 16
+    gen_c stage.post0.w 16 16 3 3
+    gen_c stage.post0.b 16
+    gen_c stage.up1.w 16 8 4 4
+    gen_c stage.up1.b 8
+    gen_c stage.post1.w 8 8 3 3
+    gen_c stage.post1.b 8
+    gen_c stage.up2.w 8 8 4 4
+    gen_c stage.up2.b 8
+    gen_c stage.post2.w 8 8 3 3
+    gen_c stage.post2.b 8
+    gen_c head.out.w 1 8 3 3
+    gen_c head.out.b 1
+    enc_m enc.conv1.w 8 5 3 3
+    enc_m enc.conv1.b 8
+    enc_m enc.conv2.w 16 8 3 3
+    enc_m enc.conv2.b 16
+    enc_m enc.conv3.w 16 16 3 3
+    enc_m enc.conv3.b 16
+    enc_m enc.fc1.w 256 256
+    enc_m enc.fc1.b 256
+    enc_m enc.fc2.w 256 32
+    enc_m enc.fc2.b 32
+    gen_m stem.fc1.w 68 256
+    gen_m stem.fc1.b 256
+    gen_m stem.fc2.w 256 512
+    gen_m stem.fc2.b 512
+    gen_m stage.up0.w 40 16 4 4
+    gen_m stage.up0.b 16
+    gen_m stage.post0.w 16 16 3 3
+    gen_m stage.post0.b 16
+    gen_m stage.up1.w 16 8 4 4
+    gen_m stage.up1.b 8
+    gen_m stage.post1.w 8 8 3 3
+    gen_m stage.post1.b 8
+    gen_m stage.up2.w 8 8 4 4
+    gen_m stage.up2.b 8
+    gen_m stage.post2.w 8 8 3 3
+    gen_m stage.post2.b 8
+    gen_m sub.subnet0.trunk.w 8 16 3 3
+    gen_m sub.subnet0.trunk.b 8
+    gen_m sub.subnet0.wv.w 3 8 3 3
+    gen_m sub.subnet0.wv.b 3
+    gen_m sub.subnet0.wh.w 3 8 3 3
+    gen_m sub.subnet0.wh.b 3
+    gen_m sub.subnet0.mask.w 1 8 3 3
+    gen_m sub.subnet0.mask.b 1
+    gen_m sub.subnet1.trunk.w 8 16 3 3
+    gen_m sub.subnet1.trunk.b 8
+    gen_m sub.subnet1.wv.w 3 8 3 3
+    gen_m sub.subnet1.wv.b 3
+    gen_m sub.subnet1.wh.w 3 8 3 3
+    gen_m sub.subnet1.wh.b 3
+    gen_m sub.subnet1.mask.w 1 8 3 3
+    gen_m sub.subnet1.mask.b 1
+    lstm wx 32 1 3 3
+    lstm wh 32 8 3 3
+    lstm b 32
+"""
+
+CLASSIFIER_LAYOUT = """
+    cls cls.conv1.w 8 2 3 3
+    cls cls.conv1.b 8
+    cls cls.conv2.w 16 8 3 3
+    cls cls.conv2.b 16
+    cls cls.conv3.w 16 16 3 3
+    cls cls.conv3.b 16
+    cls cls.fc1.w 256 64
+    cls cls.fc1.b 64
+    cls cls.fc2.w 64 4
+    cls cls.fc2.b 4
+"""
+
+
+def _rows(text):
+    return [(s, n, tuple(int(d) for d in dims)) for s, n, *dims in map(str.split, text.strip().splitlines())]
+
+
+class TestInitLayout:
+    """Pins the default init, which no other test fixes: the digest is of
+    the float32 init bytes in ParamSet order (init runs no BLAS, so it is
+    the same on any machine)."""
+
+    @staticmethod
+    def _layout_and_digest(sets):
+        rows, digest = [], hashlib.sha256()
+        for sname, ps in sets.items():
+            for name, value in ps.items():
+                rows.append((sname, name, value.shape))
+                digest.update(np.ascontiguousarray(value, dtype=np.float32).tobytes())
+        return rows, digest.hexdigest()
+
+    def test_model(self):
+        bundle = model.build_model(model.ModelConfig(), SeededRng(7))
+        rows, digest = self._layout_and_digest(bundle.param_sets())
+        assert rows == _rows(INIT_LAYOUT)
+        assert digest == "502f29ac8ad172dd2fb8d15dae5ad67b4a41d7d7d4faa65f81b3baab5ac8e513"
+
+    def test_classifier(self):
+        params = model.build_classifier(model.ModelConfig(), SeededRng(6))
+        rows, digest = self._layout_and_digest({"cls": params})
+        assert rows == _rows(CLASSIFIER_LAYOUT)
+        assert digest == "2de4c456cb71aff5f99c0fb0291466c3bdb50a18307112db9f0611eeea2f35d8"
 
 
 class TestForward:
