@@ -19,7 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from . import model, ops
-from .tensor import SeededRng
 
 _MAGIC = b"TSVC"
 _VERSION = 1
@@ -85,15 +84,10 @@ def load_param_sets(path) -> dict[str, ops.ParamSet]:
     return sets
 
 
-def _layout(param_sets) -> dict:
-    """{set: {parameter: shape}} of a dict of ParamSets."""
-    return {sname: {n: v.shape for n, v in ps.items()} for sname, ps in param_sets.items()}
-
-
 def _check_layout(path, sets, expected):
     """Every set, parameter name and shape of the loaded `sets` must match
     the `expected` layout, the one the config sidecar builds."""
-    got = _layout(sets)
+    got = {sname: {n: v.shape for n, v in ps.items()} for sname, ps in sets.items()}
     if set(got) != set(expected):
         raise ValueError(f"{path}: parameter sets {sorted(got)} != {sorted(expected)}")
     for sname, need in expected.items():
@@ -137,9 +131,8 @@ def save_model(path, bundle: model.ModelBundle):
 
 def load_model(path) -> model.ModelBundle:
     cfg = _read_sidecar(path)
-    expected = _layout(model.build_model(cfg, SeededRng(0)).param_sets())
     sets = load_param_sets(path)
-    _check_layout(path, sets, expected)
+    _check_layout(path, sets, model.model_layout(cfg))
     return model.ModelBundle(config=cfg, **sets)
 
 
@@ -150,11 +143,10 @@ def save_classifier(path, params: ops.ParamSet, cfg: model.ModelConfig):
 
 def load_classifier(path):
     cfg = _read_sidecar(path)
-    expected = _layout({"cls": model.build_classifier(cfg, SeededRng(0))})
     sets = load_param_sets(path)
     if set(sets) != {"cls"}:
         raise ValueError(f"{path}: expected a classifier checkpoint")
-    _check_layout(path, sets, expected)
+    _check_layout(path, sets, model.classifier_layout(cfg))
     return sets["cls"], cfg
 
 

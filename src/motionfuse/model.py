@@ -39,20 +39,28 @@ from .tensor import SeededRng, ShapeError
 # module attributes sees every call. `forward(params, x, taps)` returns
 # (y, cache); `backward(params, dy, cache, tap_grads)` accumulates the
 # parameter gradients and returns dx. Only `_Tap` reads the tap arguments.
+# `shapes` ({name: shape}) is a layer's parameter layout, the one source
+# of both `init` and the layout a checkpoint is checked against.
 
 
 class _Layer:
+    shapes: dict = {}
+
     def init(self, params, rng, dtype):
         pass
 
 
 class _Weighted(_Layer):
-    def __init__(self, name):
-        self.w, self.b = f"{name}.w", f"{name}.b"
+    """A Xavier-uniform weight `<name>.w` and a zero bias `<name>.b`."""
 
-    def _add(self, params, w, b):
-        params.add(self.w, w)
-        params.add(self.b, b)
+    def __init__(self, name, w_shape, fan_in, fan_out, out):
+        self.w, self.b = f"{name}.w", f"{name}.b"
+        self.shapes = {self.w: w_shape, self.b: (out,)}
+        self.fans = (fan_in, fan_out)
+
+    def init(self, params, rng, dtype):
+        params.add(self.w, ops.xavier_uniform(rng, self.shapes[self.w], *self.fans, dtype))
+        params.add(self.b, np.zeros(self.shapes[self.b], dtype=dtype))
 
     def _accumulate(self, params, dx, dw, db):
         params.accumulate(self.w, dw)
@@ -61,13 +69,13 @@ class _Weighted(_Layer):
 
 
 class _Conv(_Weighted):
-    def __init__(self, name, spec: ops.ConvSpec):
-        super().__init__(name)
-        self.spec = spec
+    transposed = False  # weights (C_out, C_in, k, k); transposed (C_in, C_out, k, k)
 
-    def init(self, params, rng, dtype):
-        s = self.spec
-        self._add(params, *ops.init_conv(rng, s.out_channels, s.in_channels, s.kernel_size, dtype))
+    def __init__(self, name, spec: ops.ConvSpec):
+        i, o, k = spec.in_channels, spec.out_channels, spec.kernel_size
+        w_shape = (i, o, k, k) if self.transposed else (o, i, k, k)
+        super().__init__(name, w_shape, i * k * k, o * k * k, o)
+        self.spec = spec
 
     def forward(self, params, x, taps):
         w, b = params.value(self.w), params.value(self.b)
@@ -78,9 +86,7 @@ class _Conv(_Weighted):
 
 
 class _Deconv(_Conv):
-    def init(self, params, rng, dtype):
-        s = self.spec
-        self._add(params, *ops.init_deconv(rng, s.in_channels, s.out_channels, s.kernel_size, dtype))
+    transposed = True
 
     def forward(self, params, x, taps):
         w, b = params.value(self.w), params.value(self.b)
@@ -92,11 +98,7 @@ class _Deconv(_Conv):
 
 class _Linear(_Weighted):
     def __init__(self, name, fan_in, fan_out):
-        super().__init__(name)
-        self.fan_in, self.fan_out = fan_in, fan_out
-
-    def init(self, params, rng, dtype):
-        self._add(params, *ops.init_linear(rng, self.fan_in, self.fan_out, dtype))
+        super().__init__(name, (fan_in, fan_out), fan_in, fan_out, fan_out)
 
     def forward(self, params, x, taps):
         return ops.linear_forward(x, params.value(self.w), params.value(self.b))
@@ -148,6 +150,22 @@ class _Tap(_Layer):
     def backward(self, params, dy, cache, tap_grads):
         extra = tap_grads[self.index]
         return dy if extra is None else dy + extra
+
+
+class _LstmCell(_Layer):
+    """Parameters of the convLSTM step (`lstm_embed` runs it): Xavier-uniform
+    3x3 input and recurrent gate weights `wx`, `wh` and one zero gate bias."""
+
+    def __init__(self, in_channels, hidden):
+        g = 4 * hidden  # input, forget, output and candidate gates
+        self.shapes = {"wx": (g, in_channels, 3, 3), "wh": (g, hidden, 3, 3), "b": (g,)}
+
+    def init(self, params, rng, dtype):
+        for name in ("wx", "wh"):
+            shape = self.shapes[name]
+            g, cin, k, _ = shape
+            params.add(name, ops.xavier_uniform(rng, shape, cin * k * k, g * k * k, dtype))
+        params.add("b", np.zeros(self.shapes["b"], dtype=dtype))
 
 
 def _forward(layers, params: ops.ParamSet, x, taps=None):
@@ -301,6 +319,7 @@ def _networks(cfg: ModelConfig) -> SimpleNamespace:
         stage_m=_generator_stages(cfg, 4 * g + cfg.lstm_hidden),
         head=[_conv3("head.out", g, cfg.channels), _TANH],
         subnets=subnets,
+        lstm=[_LstmCell(cfg.motion_map_channels, cfg.lstm_hidden)],
         classifier=_downsampler("cls", cfg, 2 * cfg.channels, 8 * g, k),
     )
 
@@ -334,6 +353,33 @@ class ModelBundle:
             ps.zero_grads()
 
 
+def _set_chains(cfg: ModelConfig) -> dict:
+    """The layer lists behind each parameter set of a model, in init order."""
+    nets = _networks(cfg)
+    subnets = [layers for subnet in nets.subnets for layers in subnet]
+    return {
+        "enc_c": [nets.enc_c],
+        "gen_c": [nets.stem, nets.stage_c, nets.head],
+        "enc_m": [nets.enc_m],
+        "gen_m": [nets.stem, nets.stage_m, *subnets],
+        "lstm": [nets.lstm],
+    }
+
+
+def _shapes(chains) -> dict:
+    return {n: shape for layers in chains for layer in layers for n, shape in layer.shapes.items()}
+
+
+def model_layout(cfg: ModelConfig) -> dict:
+    """{set: {parameter: shape}} of `build_model(cfg, ...)`, with no draws."""
+    return {sname: _shapes(chains) for sname, chains in _set_chains(cfg).items()}
+
+
+def classifier_layout(cfg: ModelConfig) -> dict:
+    """{"cls": {parameter: shape}} of `build_classifier(cfg, ...)`."""
+    return {"cls": _shapes([_networks(cfg).classifier])}
+
+
 def build_model(cfg: ModelConfig, rng: SeededRng, dtype=np.float32) -> ModelBundle:
     """Create and initialize every parameter set in a fixed order.
 
@@ -341,17 +387,10 @@ def build_model(cfg: ModelConfig, rng: SeededRng, dtype=np.float32) -> ModelBund
     log-variance outputs, which start at -4 so early reparameterization
     noise is small enough for the latent pathways to pick up signal.
     """
-    nets = _networks(cfg)
-    enc_c = _params(rng, dtype, nets.enc_c)
-    enc_c.value("enc.fc2.b")[cfg.latent_c :] = -4.0
-
-    gen_c = _params(rng, dtype, nets.stem, nets.stage_c, nets.head)
-
-    enc_m = _params(rng, dtype, nets.enc_m)
-    enc_m.value("enc.fc2.b")[cfg.latent_m :] = -4.0
-
-    subnets = [layers for subnet in nets.subnets for layers in subnet]
-    gen_m = _params(rng, dtype, nets.stem, nets.stage_m, *subnets)
+    sets = {sname: _params(rng, dtype, *chains) for sname, chains in _set_chains(cfg).items()}
+    sets["enc_c"].value("enc.fc2.b")[cfg.latent_c :] = -4.0
+    sets["enc_m"].value("enc.fc2.b")[cfg.latent_m :] = -4.0
+    gen_m = sets["gen_m"]
     for s in range(cfg.scales):
         # start fusion harmless but active: kernels near the identity delta
         # and masks mostly open. Random kernels under a half-open mask damage
@@ -364,13 +403,7 @@ def build_model(cfg: ModelConfig, rng: SeededRng, dtype=np.float32) -> ModelBund
         gen_m.value(f"sub.subnet{s}.wh.w")[...] *= 0.25
         gen_m.value(f"sub.subnet{s}.mask.w")[...] *= 0.25
         gen_m.value(f"sub.subnet{s}.mask.b")[...] = 1.0
-
-    lstm = ops.ParamSet()
-    hid, mc = cfg.lstm_hidden, cfg.motion_map_channels
-    lstm.add("wx", ops.xavier_uniform(rng, (4 * hid, mc, 3, 3), mc * 9, 4 * hid * 9, dtype))
-    lstm.add("wh", ops.xavier_uniform(rng, (4 * hid, hid, 3, 3), hid * 9, 4 * hid * 9, dtype))
-    lstm.add("b", np.zeros(4 * hid, dtype=dtype))
-    return ModelBundle(config=cfg, enc_c=enc_c, gen_c=gen_c, enc_m=enc_m, gen_m=gen_m, lstm=lstm)
+    return ModelBundle(config=cfg, **sets)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ There is no tape: callers chain these by hand.
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,21 +101,6 @@ def xavier_uniform(rng: SeededRng, shape, fan_in: int, fan_out: int, dtype=np.fl
     return ((rng.uniforms(shape) * 2.0 - 1.0) * limit).astype(dtype)
 
 
-def init_conv(rng, out_c, in_c, k, dtype=np.float32):
-    w = xavier_uniform(rng, (out_c, in_c, k, k), in_c * k * k, out_c * k * k, dtype)
-    return w, np.zeros(out_c, dtype=dtype)
-
-
-def init_deconv(rng, in_c, out_c, k, dtype=np.float32):
-    w = xavier_uniform(rng, (in_c, out_c, k, k), in_c * k * k, out_c * k * k, dtype)
-    return w, np.zeros(out_c, dtype=dtype)
-
-
-def init_linear(rng, f_in, f_out, dtype=np.float32):
-    w = xavier_uniform(rng, (f_in, f_out), f_in, f_out, dtype)
-    return w, np.zeros(f_out, dtype=dtype)
-
-
 # Convolutions run their GEMMs over a channel-major layout: activations
 # move to (C, B, H, W), so every copy, gather and scatter walks whole rows
 # of contiguous memory, and a single transpose per call restores
@@ -131,8 +118,38 @@ def init_linear(rng, f_in, f_out, dtype=np.float32):
 # gradient is gathered per block in the same order, each weight gradient
 # stays one product over the whole grid, and only the grid's last block
 # ends in a part of a 64-column tile, as one product over the grid would.
+#
+# The temporaries of these GEMMs (the output grid, the gradient grids and
+# the block buffer) come from work buffers that live across calls: one flat
+# array per role and dtype and per thread, grown to the largest request and
+# sliced to each call's shape (`_work_buffer`). A training step then
+# touches no fresh pages, where fresh arrays would have the heap trimmed
+# and refaulted every step. Work buffers are zero-filled wherever fresh
+# arrays were zeros, so every sum starts and runs as before. Nothing that
+# outlives a call may be one: cached inputs and column matrices stay fresh
+# arrays, and every output read from a work buffer is an explicit copy,
+# since `np.ascontiguousarray` of an already contiguous slice (a 1x1,
+# pad-0 conv at batch 1) would hand back the buffer itself.
 
 _BLOCK_BYTES = 1 << 20
+
+
+class _WorkBuffers(threading.local):
+    def __init__(self):
+        self.flat = {}  # (role, dtype) -> 1-d array
+
+
+_work = _WorkBuffers()
+
+
+def _work_buffer(role, shape, dtype):
+    """This thread's `role` work buffer as an uninitialised array of
+    `shape` and `dtype`, valid until the next request for the same role."""
+    n = math.prod(shape)
+    flat = _work.flat.get((role, dtype))
+    if flat is None or flat.size < n:
+        flat = _work.flat[role, dtype] = np.empty(n, dtype=dtype)
+    return flat[:n].reshape(shape)
 
 
 def _channel_major_padded(x, pad):
@@ -204,7 +221,7 @@ def _shifted_gemms(mats, flat, offs, y_flat):
     n = flat.shape[1] - max(offs)
     cout, cin = mats[0].shape
     blocks = _blocks(n, cout, cin, y_flat.itemsize)
-    buf = np.empty(cout * (blocks[0][1] - blocks[0][0]), dtype=y_flat.dtype)
+    buf = _work_buffer("block", (cout * (blocks[0][1] - blocks[0][0]),), y_flat.dtype)
     product = np.multiply if cin == 1 else np.matmul
     for j0, j1 in blocks:
         tmp = buf[: cout * (j1 - j0)].reshape(cout, j1 - j0)
@@ -225,7 +242,7 @@ def _shifted_gemms_backward(mats, flat, offs, dy_flat, dflat):
     dmats = [dy_mat @ flat[:, off : off + n].T for off in offs]
     cout, cin = mats[0].shape
     blocks = _blocks(flat.shape[1], cin, cout, dflat.itemsize)
-    buf = np.empty(cin * (blocks[0][1] - blocks[0][0]), dtype=dflat.dtype)
+    buf = _work_buffer("block", (cin * (blocks[0][1] - blocks[0][0]),), dflat.dtype)
     product = np.multiply if cout == 1 else np.matmul
     for j0, j1 in blocks:
         for m, off in zip(mats, offs):
@@ -259,12 +276,13 @@ def conv2d_forward(x, w, b=None, stride=1, pad=0):
     if stride == 1:
         flat = xp.reshape(cin, -1)
         taps = w.transpose(2, 3, 0, 1).reshape(k * k, cout, cin)
-        y_flat = np.zeros((cout, flat.shape[1]), dtype=x.dtype)
+        y_flat = _work_buffer("out", (cout, flat.shape[1]), x.dtype)
+        y_flat[...] = 0.0
         _shifted_gemms(taps, flat, _tap_offsets(k, xp.shape[3]), y_flat)
         if b is not None:
             y_flat += b[:, None]
         y_grid = y_flat.reshape(cout, bsz, xp.shape[2], xp.shape[3])[:, :, :ho, :wo]
-        y = np.ascontiguousarray(y_grid.transpose(1, 0, 2, 3))
+        y = y_grid.transpose(1, 0, 2, 3).copy()
         cache = (x.shape, flat, w, stride, pad, b is not None, ho, wo)
         return y, cache
     cols = _im2col(xp, k, stride, ho, wo)
@@ -283,10 +301,12 @@ def conv2d_backward(dy, cache):
     db = dy.sum(axis=(0, 2, 3)) if has_bias else None
     if stride == 1:
         flat = cols  # at stride 1 the cache holds the flattened padded input
-        dy_flat = np.zeros((cout, bsz, hp, wp), dtype=dy.dtype)
+        dy_flat = _work_buffer("out", (cout, bsz, hp, wp), dy.dtype)
+        dy_flat[...] = 0.0
         dy_flat[:, :, :ho, :wo] = dy.transpose(1, 0, 2, 3)
         taps = w.transpose(2, 3, 0, 1).reshape(k * k, cout, cin)
-        dxp = np.zeros((cin, bsz * hp * wp), dtype=dy.dtype)
+        dxp = _work_buffer("in", (cin, bsz * hp * wp), dy.dtype)
+        dxp[...] = 0.0
         dtaps = _shifted_gemms_backward(
             taps, flat, _tap_offsets(k, wp), dy_flat.reshape(cout, -1), dxp
         )
@@ -297,7 +317,7 @@ def conv2d_backward(dy, cache):
         dw = (dy_mat @ cols.T).reshape(w.shape)
         dcols = w.reshape(cout, -1).T @ dy_mat
         dxp = _col2im(dcols, (cin, bsz, hp, wp), k, stride, ho, wo)
-    dx = np.ascontiguousarray(dxp[:, :, pad : pad + h, pad : pad + wd].transpose(1, 0, 2, 3))
+    dx = dxp[:, :, pad : pad + h, pad : pad + wd].transpose(1, 0, 2, 3).copy()
     return dx, dw, db
 
 
@@ -355,7 +375,7 @@ def conv_transpose2d_forward(x, w, b=None, stride=1, pad=0):
     xp[:, :, lead_h : lead_h + h, lead_w : lead_w + wd] = x.transpose(1, 0, 2, 3)
     flat = xp.reshape(cin, -1)
     y = np.empty((bsz, cout, ho, wo), dtype=np.result_type(x, w))
-    y_flat = np.empty((cout, flat.shape[1]), dtype=y.dtype)
+    y_flat = _work_buffer("out", (cout, flat.shape[1]), y.dtype)
     for pr, pc, mr, mc, taps in phases:
         y_flat[...] = 0.0
         if taps:
@@ -376,8 +396,9 @@ def conv_transpose2d_backward(dy, cache):
     lead_h, lead_w, hp, wp = grid
     db = dy.sum(axis=(0, 2, 3)) if has_bias else None
     dw = np.zeros(w.shape, dtype=np.result_type(w, dy))
-    dflat = np.zeros(flat.shape, dtype=np.result_type(w, dy))
-    dy_flat = np.empty((cout, flat.shape[1]), dtype=dy.dtype)
+    dflat = _work_buffer("in", flat.shape, np.result_type(w, dy))
+    dflat[...] = 0.0
+    dy_flat = _work_buffer("out", (cout, flat.shape[1]), dy.dtype)
     for pr, pc, mr, mc, taps in phases:
         if not taps:
             continue
@@ -389,7 +410,7 @@ def conv_transpose2d_backward(dy, cache):
         for (u, v, _), dm in zip(taps, dmats):
             dw[:, :, u, v] = dm.T
     dxp = dflat.reshape(cin, bsz, hp, wp)[:, :, lead_h : lead_h + h, lead_w : lead_w + wd]
-    dx = np.ascontiguousarray(dxp.transpose(1, 0, 2, 3))
+    dx = dxp.transpose(1, 0, 2, 3).copy()
     return dx, dw, db
 
 

@@ -226,9 +226,10 @@ class Trainer:
         res = model.forward_next_frame(
             self.bundle, x_t, dx, labels, eta_c=eta_c, eta_m=eta_m
         )
-        # consistency target: the frozen content pathway viewing the next frame
-        q_next, _ = model.encode(self.bundle.enc_c, cfg, x_next, onehot, cfg.latent_c)
-        target_pyramid, _ = model.decode_content(self.bundle, q_next.mean, onehot)
+        # consistency target: the frozen content pathway viewing the next
+        # frame; its caches are dropped at once, as nothing backpropagates
+        q_next = model.encode(self.bundle.enc_c, cfg, x_next, onehot, cfg.latent_c)[0]
+        target_pyramid = model.decode_content(self.bundle, q_next.mean, onehot)[0]
 
         consistency = losses.content_consistency_loss(res.refined, target_pyramid)
         video_recon = losses.l2_loss(res.x_next, x_next)

@@ -166,6 +166,43 @@ class TestInitLayout:
         assert digest == "2de4c456cb71aff5f99c0fb0291466c3bdb50a18307112db9f0611eeea2f35d8"
 
 
+class TestLayoutWithoutDraws:
+    """`model_layout` / `classifier_layout` read the layer shapes that
+    `build_model` / `build_classifier` initialise from, without drawing."""
+
+    CONFIGS = [model.ModelConfig(), model.ModelConfig(ngf=4, scales=3, size=64, channels=3)]
+
+    @staticmethod
+    def _ordered(layout):
+        return [(sname, list(shapes.items())) for sname, shapes in layout.items()]
+
+    @staticmethod
+    def _built(sets):
+        return [(sname, [(n, v.shape) for n, v in ps.items()]) for sname, ps in sets.items()]
+
+    @pytest.mark.parametrize("cfg", CONFIGS)
+    def test_equals_built_layout(self, cfg):
+        bundle = model.build_model(cfg, SeededRng(0))
+        assert self._ordered(model.model_layout(cfg)) == self._built(bundle.param_sets())
+        cls = model.build_classifier(cfg, SeededRng(0))
+        assert self._ordered(model.classifier_layout(cfg)) == self._built({"cls": cls})
+
+    def test_checkpoint_loads_draw_nothing(self, tmp_path, monkeypatch):
+        from motionfuse import checkpoint, ops
+
+        cfg = model.ModelConfig()
+        checkpoint.save_model(tmp_path / "m.tsvc", model.build_model(cfg, SeededRng(1)))
+        cls = model.build_classifier(cfg, SeededRng(2))
+        checkpoint.save_classifier(tmp_path / "c.tsvc", cls, cfg)
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a checkpoint load drew initial weights")
+
+        monkeypatch.setattr(ops, "xavier_uniform", no_draws)
+        checkpoint.load_model(tmp_path / "m.tsvc")
+        checkpoint.load_classifier(tmp_path / "c.tsvc")
+
+
 class TestForward:
     def test_shapes_and_mask_ranges(self):
         bundle = micro_bundle()

@@ -1,3 +1,7 @@
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -326,6 +330,117 @@ class TestBlockedShiftedGemms:
         assert all(np.array_equal(got[k], want[k]) for k in want)
 
 
+class TestWorkBuffers:
+    """The conv GEMM temporaries come from per-thread work buffers that live
+    across calls. No output may share memory with one, a call must not
+    depend on what an earlier call left in them, and threads must not share
+    them."""
+
+    DEGENERATE = [
+        # transpose, batch, c_in, c_out, size, k, stride, pad
+        (False, 1, 1, 1, 4, 1, 1, 0),
+        (False, 1, 3, 2, 4, 1, 1, 0),
+        (False, 2, 1, 1, 4, 1, 1, 0),
+        (False, 3, 2, 1, 4, 1, 1, 0),
+        (False, 2, 1, 3, 4, 1, 1, 0),
+        (False, 1, 2, 3, 5, 3, 1, 1),
+        (False, 1, 1, 1, 5, 3, 2, 0),
+        (True, 1, 1, 1, 4, 1, 1, 0),
+        (True, 1, 2, 3, 4, 1, 1, 0),
+        (True, 2, 1, 3, 4, 1, 1, 0),
+        (True, 3, 2, 1, 4, 1, 1, 0),
+        (True, 1, 1, 1, 4, 4, 2, 1),
+        (True, 2, 3, 1, 4, 4, 2, 1),
+    ]
+
+    @staticmethod
+    def _inputs(transpose, bsz, cin, cout, size, k, stride, pad, dtype=np.float32, seed=0):
+        rng = SeededRng(seed + 13 * bsz + 5 * cin + cout)
+        x = rng.normals((bsz, cin, size, size + 1), dtype=dtype)
+        w = rng.normals((cin, cout, k, k) if transpose else (cout, cin, k, k), dtype=dtype)
+        return x, w, rng.normals((cout,), dtype=dtype), stride, pad
+
+    def _run(self, case, dtype=np.float32, seed=0):
+        return _run_conv(case[0], *self._inputs(*case, dtype=dtype, seed=seed), seed + 1)
+
+    @pytest.mark.parametrize("case", DEGENERATE)
+    def test_outputs_never_share_memory_with_work_buffers(self, case):
+        got = self._run(case)
+        kept = [g.copy() for g in got]
+        for g in got:
+            assert not any(np.shares_memory(g, buf) for buf in ops._work.flat.values())
+        # a second call of the same shape reuses every buffer and leaves
+        # the first call's outputs as they were
+        self._run(case, seed=1)
+        assert all(np.array_equal(g, k) for g, k in zip(got, kept))
+
+    CASES = [
+        (False, 2, 3, 4, 6, 3, 1, 1),
+        (False, 2, 1, 4, 6, 3, 1, 0),
+        (False, 2, 4, 1, 6, 3, 1, 2),
+        (True, 2, 4, 3, 4, 4, 2, 1),
+        (True, 2, 3, 1, 4, 3, 2, 1),
+    ]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_call_after_larger_calls_is_bit_equal_to_cold_buffers(self, monkeypatch, case):
+        monkeypatch.setattr(ops._work, "flat", {})
+        cold = self._run(case)
+        # fill every role with other values, larger, in float64 then float32
+        for dtype in (np.float64, np.float32):
+            for big in [(False, 4, 6, 5, 12, 3, 1, 1), (True, 4, 6, 5, 8, 4, 2, 1)]:
+                self._run(big, dtype=dtype, seed=2)
+        warm = self._run(case)
+        for c, w in zip(cold, warm):
+            assert np.array_equal(c, w)
+
+    def test_threads_get_single_thread_results(self):
+        # more threads than cores, switching often, two shapes each
+        cases = [(False, 3, 4, 5, 10, 3, 1, 1), (True, 3, 5, 4, 6, 4, 2, 1)]
+        want = [self._run(case) for case in cases]
+        got = [[] for _ in range(4)]
+        start = threading.Barrier(4)
+
+        def work(i):
+            start.wait()
+            for r in range(10):
+                got[i].append(self._run(cases[(i + r) % 2]))
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for i in range(4):
+            assert len(got[i]) == 10
+            for r, run in enumerate(got[i]):
+                assert all(np.array_equal(g, ref) for g, ref in zip(run, want[(i + r) % 2]))
+
+    def test_repeated_backward_allocates_only_its_outputs(self):
+        # 64x8x32x32 -> 8, 3x3, pad 1: once the buffers have grown, a
+        # backward allocates its outputs (dx 2 MiB, dw and db tiny) and
+        # nothing of the size of its padded grids
+        rng = SeededRng(5)
+        x = rng.normals((64, 8, 32, 32), dtype=np.float32)
+        w = rng.normals((8, 8, 3, 3), dtype=np.float32)
+        y, cache = ops.conv2d_forward(x, w, rng.normals((8,), dtype=np.float32), 1, 1)
+        dy = rng.normals(y.shape, dtype=np.float32)
+        ops.conv2d_backward(dy, cache)
+        tracemalloc.start()
+        try:
+            dx, _, _ = ops.conv2d_backward(dy, cache)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * dx.nbytes
+
+
 class TestSimpleOps:
     def test_relu(self):
         y, _ = ops.relu_forward(np.array([-1.0, 2.0]))
@@ -428,8 +543,13 @@ def test_xavier_bounds():
     w = ops.xavier_uniform(SeededRng(3), (50, 50), 50, 50, np.float64)
     limit = np.sqrt(6.0 / 100)
     assert np.max(np.abs(w)) <= limit
-    _, b = ops.init_conv(SeededRng(3), 4, 2, 3)
-    assert np.array_equal(b, np.zeros(4))
+    # every conv and linear bias starts at zero
+    from motionfuse import model
+
+    params = model.build_classifier(model.ModelConfig(), SeededRng(3))
+    for name, value in params.items():
+        if name.endswith(".b"):
+            assert np.array_equal(value, np.zeros_like(value))
 
 
 def test_conv_spec_validation():
