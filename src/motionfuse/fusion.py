@@ -11,15 +11,18 @@ preserves the input exactly. Kernels come in two layouts:
   outer product recovers the dense kernel at a per-pixel storage cost of
   2n instead of n*n.
 
-Both layouts run the same tap loop. The field becomes one (B, H, W) weight
+Both layouts run the same taps. The field becomes one (B, H, W) weight
 map per tap (u, v) -- for a separable field the product wv[u] * wh[v] --
 and the output is the sum over the n*n taps of that map times the padded
-content shifted by (u, v): a broadcast multiply-add over the whole batch
-per tap, with no copy of the n x n windows. The backward runs the same
-loop: each tap's weight gradient is the channel sum of the shifted content
-times the upstream gradient, and the content gradient (skipped when the
-caller does not need it) scatters the weighted upstream gradient back
-through the same shifts onto the padded map.
+content shifted by (u, v). The forward takes the shifted content of every
+tap as one strided (n, n, B, C, H, W) window view, with no copy, and per
+block of the batch runs one broadcast multiply of all taps and one
+reduction that adds them in tap order from +0.0, bit for bit the per-tap
+multiply-add it replaced. The backward loops over the taps: each tap's
+weight gradient is the channel sum of the shifted content times the
+upstream gradient, and the content gradient (skipped when the caller does
+not need it) scatters the weighted upstream gradient back through the same
+shifts onto the padded map.
 
 Content maps are (C, H, W) or batched (B, C, H, W); kernel fields follow
 with (H, W, n)/(H, W, n*n) plus an optional leading batch axis; masks are
@@ -33,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ops import _BLOCK_BYTES, _work_buffer
 from .tensor import ShapeError
 
 __all__ = [
@@ -132,7 +136,16 @@ def _lift(x, target_ndim):
 
 
 def _replicate_pad(h, r):
-    return np.pad(h, ((0, 0), (0, 0), (r, r), (r, r)), mode="edge")
+    """(B, C, H, W) -> (B, C, H + 2r, W + 2r) copy whose border repeats the
+    edge pixels: `np.pad(mode="edge")` by slice copies."""
+    hh, ww = h.shape[2:]
+    hp = np.empty(h.shape[:2] + (hh + 2 * r, ww + 2 * r), dtype=h.dtype)
+    hp[:, :, r : r + hh, r : r + ww] = h
+    hp[:, :, :r, r : r + ww] = h[:, :, :1]
+    hp[:, :, r + hh :, r : r + ww] = h[:, :, -1:]
+    hp[:, :, :, :r] = hp[:, :, :, r : r + 1]
+    hp[:, :, :, r + ww :] = hp[:, :, :, r + ww - 1 : r + ww]
+    return hp
 
 
 def _replicate_pad_backward(dp, r, h, w):
@@ -181,6 +194,18 @@ def _taps(n, hh, ww):
     ]
 
 
+def _sum_taps(prods, out):
+    """out = ((+0.0 + prods[0]) + prods[1]) + ...: the taps added in tap
+    order. numpy sums pairwise along a reduction's inner loop, and the
+    reduced axis becomes the inner loop when the result is one element."""
+    if out.size == 1:
+        out[...] = 0.0
+        for p in prods:
+            out += p
+    else:
+        np.add.reduce(prods, axis=0, initial=0.0, out=out)
+
+
 def adaptive_conv_forward(h, kernels):
     """Convolve each location's replicate-padded patch with its own kernel.
 
@@ -190,12 +215,19 @@ def adaptive_conv_forward(h, kernels):
     h4, lifted = _lift(h, 4)
     k, factors = _tap_weights(h4, kernels)
     n = kernels.n
-    hh, ww = h4.shape[2:]
+    bsz, c, hh, ww = h4.shape
     hp = _replicate_pad(h4, n // 2)
-    out = np.zeros(h4.shape, dtype=np.result_type(h4, k))
-    prod = np.empty_like(out)
-    for t, window in _taps(n, hh, ww):
-        out += np.multiply(k[t][:, None], hp[window], out=prod)
+    out = np.empty(h4.shape, dtype=np.result_type(h4, k))
+    # [u, v, b] is sample b of the padded content shifted by tap (u, v)
+    win = np.lib.stride_tricks.sliding_window_view(hp, (hh, ww), axis=(2, 3))
+    win = win.transpose(2, 3, 0, 1, 4, 5)
+    k6 = k.reshape(n, n, k.shape[1], 1, hh, ww)
+    step = max(1, _BLOCK_BYTES // (n * n * c * hh * ww * out.itemsize))
+    for b0 in range(0, bsz, step):
+        b1 = min(b0 + step, bsz)
+        prods = _work_buffer("block", (n, n, b1 - b0, c, hh, ww), out.dtype)
+        np.multiply(k6 if k.shape[1] == 1 else k6[:, :, b0:b1], win[:, :, b0:b1], out=prods)
+        _sum_taps(prods.reshape((n * n,) + prods.shape[2:]), out[b0:b1])
     field = kernels.wv if factors is not None else kernels.w
     cache = (hp, k, factors, lifted, field.ndim == 3)
     return (out[0] if lifted else out), cache

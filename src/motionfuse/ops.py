@@ -11,6 +11,7 @@ There is no tape: callers chain these by hand.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -106,30 +107,49 @@ def xavier_uniform(rng: SeededRng, shape, fan_in: int, fan_out: int, dtype=np.fl
 # of contiguous memory, and a single transpose per call restores
 # (B, C, H, W). Stride-1 convs and every stride phase of a transpose conv
 # are shifted GEMMs with no im2col (see `_shifted_gemms`); only strided
-# convs build a column matrix. The shifted GEMMs walk the flattened padded
-# grid in column blocks and run every kernel tap on one block before the
-# next, so a block's slices of the input, output and gradient are read
-# from cache k*k times instead of streaming the whole map from memory once
-# per tap. A block is as wide as `_BLOCK_BYTES` allows for those four
-# slices (2 C_in + 2 C_out values per column), rounded down to a multiple
-# of 64 columns; a batch-1 map at 32x32 fits in one block. Blocking
-# reorders no float32 sum, and training turns on the low bits (ROADMAP.md,
-# item 1): each output column adds its taps in tap order, the input
-# gradient is gathered per block in the same order, each weight gradient
-# stays one product over the whole grid, and only the grid's last block
-# ends in a part of a 64-column tile, as one product over the grid would.
+# convs build a column matrix. The kernel taps of a conv, or of a stride
+# phase, read the padded grid at a lattice of flat offsets, so the inputs
+# of all taps are one zero-copy (taps_u, taps_v, C_in, width) strided view
+# of it (`_tap_window`), and the weights one (taps_u, taps_v, C_out, C_in)
+# tap stack. The shifted GEMMs walk the grid in column blocks. A block is
+# as wide as `_BLOCK_BYTES` allows for a block's slices of the input,
+# output and gradient (2 C_in + 2 C_out values per column), rounded down to
+# a multiple of 64 columns; a batch-1 map at 32x32 fits in one block.
+#
+# Forward: a grid of one block (every batch-1 map, and the smallest maps of
+# a training batch) takes one `np.matmul` of the tap stack with the view,
+# every tap's product landing in the block buffer, and one `np.add.reduce`
+# that adds them from +0.0 in tap order: two dispatches where a batch-1
+# rollout spent most of its conv time dispatching a product and a sum per
+# tap on maps as small as 4x4. A larger grid runs the taps one by one per
+# block, each product summed while it is in cache, which costs less memory
+# traffic than a stacked product there. Every tap product sees the operand
+# layout it always had, since BLAS rounds some products by layout: a
+# transpose conv's stack is a strided view of `w`, not a copy.
+#
+# Backward: per tap, as at training batch sizes each product is a fraction
+# of a millisecond of BLAS work and dispatch is not what it costs. The
+# input gradient is gathered per column block, all taps in order while the
+# block stays in cache; each weight gradient is one product over the grid.
+#
+# No float32 sum is reordered, and training turns on the low bits
+# (ROADMAP.md, item 1): each output column adds its taps in tap order from
+# +0.0, and only the grid's last block ends in a part of a 64-column tile,
+# as one product over the grid would. The plans that depend only on shapes
+# (tap offsets, block ranges, transpose-conv phases) are cached.
 #
 # The temporaries of these GEMMs (the output grid, the gradient grids and
 # the block buffer) come from work buffers that live across calls: one flat
 # array per role and dtype and per thread, grown to the largest request and
 # sliced to each call's shape (`_work_buffer`). A training step then
 # touches no fresh pages, where fresh arrays would have the heap trimmed
-# and refaulted every step. Work buffers are zero-filled wherever fresh
-# arrays were zeros, so every sum starts and runs as before. Nothing that
-# outlives a call may be one: cached inputs and column matrices stay fresh
-# arrays, and every output read from a work buffer is an explicit copy,
-# since `np.ascontiguousarray` of an already contiguous slice (a 1x1,
-# pad-0 conv at batch 1) would hand back the buffer itself.
+# and refaulted every step. A forward writes every grid column it reads
+# before reading it, so its buffers need no zero fill; the backward's are
+# zero-filled wherever fresh arrays were zeros. Nothing that outlives a
+# call may be one: cached inputs and column matrices stay fresh arrays, and
+# every output read from a work buffer is an explicit copy, since
+# `np.ascontiguousarray` of an already contiguous slice (a 1x1, pad-0 conv
+# at batch 1) would hand back the buffer itself.
 
 _BLOCK_BYTES = 1 << 20
 
@@ -193,6 +213,7 @@ def _col2im(dcols, padded_shape, k, stride, ho, wo):
     return out
 
 
+@functools.lru_cache(maxsize=256)
 def _blocks(n, rows, inner, itemsize):
     """Column ranges [j0, j1) covering n grid positions for per-tap products
     of `rows` x `inner` weights: blocks whose input, output and gradient
@@ -200,43 +221,75 @@ def _blocks(n, rows, inner, itemsize):
     that. A one-row product is one block, because numpy rounds a one-row
     product with a strided weight row differently at different widths."""
     if rows == 1:
-        return [(0, n)]
+        return ((0, n),)
     width = _BLOCK_BYTES // ((2 * rows + 2 * inner) * itemsize)
     width = max(64, width - width % 64)
-    return [(j0, min(j0 + width, n)) for j0 in range(0, n, width)]
+    return tuple((j0, min(j0 + width, n)) for j0 in range(0, n, width))
 
 
-def _shifted_gemms(mats, flat, offs, y_flat):
-    """Stride-1 correlation as one GEMM per tap, with no im2col copy.
+def _tap_window(flat, base, taps_u, taps_v, wp, n):
+    """Read-only (taps_u, taps_v, C_in, n) view of a contiguous flattened
+    padded (C_in, B*Hp*Wp) grid: [iu, iv] is the n columns from flat offset
+    base + iu*wp + iv on, the input that tap (iu, iv) of a row-major
+    (Hp, Wp) kernel lattice reads. The ndarray constructor checks that the
+    view stays inside `flat`, at a fifth of the cost of `as_strided`."""
+    s_row, s_col = flat.strides
+    win = np.ndarray(
+        (taps_u, taps_v, flat.shape[0], n), flat.dtype, flat, base * s_col,
+        (wp * s_col, s_col, s_row, s_col),
+    )
+    win.flags.writeable = False
+    return win
 
-    `flat` is a zero-padded (C_in, B, Hp, Wp) map flattened to
-    (C_in, B*Hp*Wp); the output at flat index i gathers input i + off for
-    each tap, so tap t adds mats[t] (C_out, C_in) times a shifted view of
-    `flat` into `y_flat` (C_out, B*Hp*Wp). Outputs land on the padded grid:
-    the caller reads the valid (rows, cols) corner of each image and
-    discards the rest, whose reads wrapped across a row or an image. Each
-    column block runs all taps, every product landing in one reused block
-    buffer; a one-wide inner dimension is a broadcast product, which
-    numpy's matmul runs an order of magnitude slower."""
-    n = flat.shape[1] - max(offs)
-    cout, cin = mats[0].shape
-    blocks = _blocks(n, cout, cin, y_flat.itemsize)
-    buf = _work_buffer("block", (cout * (blocks[0][1] - blocks[0][0]),), y_flat.dtype)
+
+def _shifted_gemms(taps, win, y_flat):
+    """Stride-1 correlation as shifted GEMMs, with no im2col copy.
+
+    `taps` (taps_u, taps_v, C_out, C_in) are the weight taps and `win`
+    (taps_u, taps_v, C_in, n) the input each tap reads (`_tap_window`): the
+    output at flat index i gathers column i of every tap's input. Writes
+    the sum over taps, in tap order from +0.0, into columns [0, n) of
+    `y_flat` (C_out, B*Hp*Wp), a padded grid: the caller reads the valid
+    (rows, cols) corner of each image and discards the rest, whose reads
+    wrapped across a row or an image. A one-wide inner dimension is a
+    broadcast product, which numpy's matmul runs an order of magnitude
+    slower."""
+    tu, tv, cout, cin = taps.shape
+    n = win.shape[-1]
     product = np.multiply if cin == 1 else np.matmul
+    blocks = _blocks(n, cout, cin, y_flat.itemsize)
+    if cout > 1 and len(blocks) == 1:
+        # a one-block grid (every batch-1 map): all tap products in one
+        # call and their sum in one reduction, as per-tap dispatch would
+        # cost more than the products
+        prods = _work_buffer("block", (tu * tv, cout, n), y_flat.dtype)
+        product(taps, win, out=prods.reshape(tu, tv, cout, n))
+        np.add.reduce(prods, axis=0, initial=0.0, out=y_flat[:, :n])
+        return
+    # tap by tap per column block, each product summed while in cache: at
+    # this size a stacked product costs more in memory traffic than it
+    # saves in dispatch. One-row products always come here, since
+    # `_blocks` never splits their grid, which at training batch sizes
+    # would put every tap's product of the whole grid in the block buffer.
+    buf = _work_buffer("block", (cout * (blocks[0][1] - blocks[0][0]),), y_flat.dtype)
     for j0, j1 in blocks:
         tmp = buf[: cout * (j1 - j0)].reshape(cout, j1 - j0)
         y_blk = y_flat[:, j0:j1]
-        for m, off in zip(mats, offs):
-            product(m, flat[:, j0 + off : j1 + off], out=tmp)
-            y_blk += tmp
+        y_blk[...] = 0.0
+        for iu in range(tu):
+            for iv in range(tv):
+                product(taps[iu, iv], win[iu, iv, :, j0:j1], out=tmp)
+                y_blk += tmp
 
 
 def _shifted_gemms_backward(mats, flat, offs, dy_flat, dflat):
-    """Adjoint of `_shifted_gemms`: returns the per-tap weight gradients
-    and adds the input gradient into `dflat`. Grid positions of `dy_flat`
-    outside the valid outputs must be zero. The input gradient is gathered
-    per column block of `dflat`, all taps in order while the block stays in
-    cache; each weight gradient is one GEMM over the whole grid."""
+    """Adjoint of `_shifted_gemms`, with the taps as lists of (C_out, C_in)
+    matrices `mats` and their flat offsets `offs`: returns the per-tap
+    weight gradients and adds the input gradient into `dflat`. Grid
+    positions of `dy_flat` outside the valid outputs must be zero. The
+    input gradient is gathered per column block of `dflat`, all taps in
+    order while the block stays in cache; each weight gradient is one GEMM
+    over the whole grid."""
     n = flat.shape[1] - max(offs)
     dy_mat = dy_flat[:, :n]
     dmats = [dy_mat @ flat[:, off : off + n].T for off in offs]
@@ -255,9 +308,10 @@ def _shifted_gemms_backward(mats, flat, offs, dy_flat, dflat):
     return dmats
 
 
+@functools.lru_cache(maxsize=256)
 def _tap_offsets(k, wp):
     """Flat offsets of the k*k kernel taps in a row-major (Hp, Wp) map."""
-    return [u * wp + v for u in range(k) for v in range(k)]
+    return tuple(u * wp + v for u in range(k) for v in range(k))
 
 
 def conv2d_forward(x, w, b=None, stride=1, pad=0):
@@ -275,14 +329,17 @@ def conv2d_forward(x, w, b=None, stride=1, pad=0):
     xp = _channel_major_padded(x, pad)
     if stride == 1:
         flat = xp.reshape(cin, -1)
-        taps = w.transpose(2, 3, 0, 1).reshape(k * k, cout, cin)
+        wp = xp.shape[3]
+        n = flat.shape[1] - (k - 1) * (wp + 1)
+        # as reshape makes it: a copy, but a strided view of `w` for one
+        # output channel, whose one-row products round by that layout
+        taps = w.transpose(2, 3, 0, 1).reshape(k * k, cout, cin).reshape(k, k, cout, cin)
         y_flat = _work_buffer("out", (cout, flat.shape[1]), x.dtype)
-        y_flat[...] = 0.0
-        _shifted_gemms(taps, flat, _tap_offsets(k, xp.shape[3]), y_flat)
-        if b is not None:
-            y_flat += b[:, None]
-        y_grid = y_flat.reshape(cout, bsz, xp.shape[2], xp.shape[3])[:, :, :ho, :wo]
+        _shifted_gemms(taps, _tap_window(flat, 0, k, k, wp, n), y_flat)
+        y_grid = y_flat.reshape(cout, bsz, xp.shape[2], wp)[:, :, :ho, :wo]
         y = y_grid.transpose(1, 0, 2, 3).copy()
+        if b is not None:
+            y += b[:, None, None]
         cache = (x.shape, flat, w, stride, pad, b is not None, ho, wo)
         return y, cache
     cols = _im2col(xp, k, stride, ho, wo)
@@ -338,20 +395,22 @@ def _stride_phases(k, stride, pad, size, out_size):
         plans.append((p, outputs, (p + pad - u0) // stride, range(u0, k, stride)))
     lead = max([len(us) - 1 - d for _, _, d, us in plans] + [0])
     extent = max([lead + size] + [m + d + lead for _, m, d, us in plans if us])
-    phases = [(p, m, [(u, d - t + lead) for t, u in enumerate(us)]) for p, m, d, us in plans]
+    phases = [(p, m, tuple((u, d - t + lead) for t, u in enumerate(us))) for p, m, d, us in plans]
     return lead, extent, phases
 
 
+@functools.lru_cache(maxsize=256)
 def _transpose_plan(x_shape, k, stride, pad, ho, wo):
     """Row and column stride phases of a transpose conv, and the padded
-    channel-major grid (lead_h, lead_w, Hp, Wp) both run on."""
+    channel-major grid (lead_h, lead_w, Hp, Wp) both run on. Each phase is
+    (pr, pc, rows, cols, rtaps, ctaps): its outputs start at (pr, pc) and
+    span rows x cols, and it runs the taps rtaps x ctaps, each axis's taps
+    as (u, offset) pairs in tap order, the offsets falling by one per tap."""
     lead_h, hp, rows = _stride_phases(k, stride, pad, x_shape[2], ho)
     lead_w, wp, cols = _stride_phases(k, stride, pad, x_shape[3], wo)
-    return (lead_h, lead_w, hp, wp), [
-        (pr, pc, mr, mc, [(u, v, ro * wp + co) for u, ro in rtaps for v, co in ctaps])
-        for pr, mr, rtaps in rows
-        for pc, mc, ctaps in cols
-    ]
+    return (lead_h, lead_w, hp, wp), tuple(
+        (pr, pc, mr, mc, rtaps, ctaps) for pr, mr, rtaps in rows for pc, mc, ctaps in cols
+    )
 
 
 def conv_transpose2d_forward(x, w, b=None, stride=1, pad=0):
@@ -376,13 +435,21 @@ def conv_transpose2d_forward(x, w, b=None, stride=1, pad=0):
     flat = xp.reshape(cin, -1)
     y = np.empty((bsz, cout, ho, wo), dtype=np.result_type(x, w))
     y_flat = _work_buffer("out", (cout, flat.shape[1]), y.dtype)
-    for pr, pc, mr, mc, taps in phases:
-        y_flat[...] = 0.0
-        if taps:
-            mats = [w[:, :, u, v].T for u, v, _ in taps]
-            _shifted_gemms(mats, flat, [off for _, _, off in taps], y_flat)
+    for pr, pc, mr, mc, rtaps, ctaps in phases:
+        y_phase = y[:, :, pr::stride, pc::stride]
+        if not (rtaps and ctaps):
+            y_phase[...] = 0.0
+            continue
+        # tap (0, 0) reads the furthest offset and the last tap the nearest:
+        # the phase's taps are a reversed window of the grid, and their
+        # weights a strided view of `w`
+        tu, tv = len(rtaps), len(ctaps)
+        n = flat.shape[1] - (rtaps[0][1] * wp + ctaps[0][1])
+        win = _tap_window(flat, rtaps[-1][1] * wp + ctaps[-1][1], tu, tv, wp, n)
+        taps = w[:, :, rtaps[0][0] :: stride, ctaps[0][0] :: stride].transpose(2, 3, 1, 0)
+        _shifted_gemms(taps, win[::-1, ::-1], y_flat)
         y_grid = y_flat.reshape(cout, bsz, hp, wp)[:, :, :mr, :mc]
-        y[:, :, pr::stride, pc::stride] = y_grid.transpose(1, 0, 2, 3)
+        y_phase[...] = y_grid.transpose(1, 0, 2, 3)
     if b is not None:
         y += b[:, None, None]
     cache = (flat, x.shape, w, stride, pad, grid, phases, b is not None)
@@ -399,9 +466,10 @@ def conv_transpose2d_backward(dy, cache):
     dflat = _work_buffer("in", flat.shape, np.result_type(w, dy))
     dflat[...] = 0.0
     dy_flat = _work_buffer("out", (cout, flat.shape[1]), dy.dtype)
-    for pr, pc, mr, mc, taps in phases:
-        if not taps:
+    for pr, pc, mr, mc, rtaps, ctaps in phases:
+        if not (rtaps and ctaps):
             continue
+        taps = [(u, v, ro * wp + co) for u, ro in rtaps for v, co in ctaps]
         dy_flat[...] = 0.0
         dy_grid = dy_flat.reshape(cout, bsz, hp, wp)
         dy_grid[:, :, :mr, :mc] = dy[:, :, pr::stride, pc::stride].transpose(1, 0, 2, 3)

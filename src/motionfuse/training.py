@@ -226,6 +226,10 @@ class Trainer:
         res = model.forward_next_frame(
             self.bundle, x_t, dx, labels, eta_c=eta_c, eta_m=eta_m
         )
+        # the motion backward (content=False) reads none of the frozen
+        # content stream's caches, so they go before the next forward
+        for key in ("enc_c", "gen_c", "head_recon"):
+            del res.cache[key]
         # consistency target: the frozen content pathway viewing the next
         # frame; its caches are dropped at once, as nothing backpropagates
         q_next = model.encode(self.bundle.enc_c, cfg, x_next, onehot, cfg.latent_c)[0]

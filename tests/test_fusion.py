@@ -90,6 +90,102 @@ def _kernel_arrays(k):
     return (k.wv, k.wh) if isinstance(k, fusion.SeparableKernelField) else (k.w,)
 
 
+def per_tap_adaptive_conv_forward(h, kernels):
+    """`adaptive_conv_forward` from before tap stacks, kept as an oracle:
+    one broadcast multiply and one add per kernel tap over the whole batch,
+    into a zero-filled output, on an `np.pad` replicate-padded map."""
+    h4 = h[None] if h.ndim == 3 else h
+    k, _ = fusion._tap_weights(h4, kernels)
+    n = kernels.n
+    hh, ww = h4.shape[2:]
+    r = n // 2
+    hp = np.pad(h4, ((0, 0), (0, 0), (r, r), (r, r)), mode="edge")
+    out = np.zeros(h4.shape, dtype=np.result_type(h4, k))
+    prod = np.empty_like(out)
+    for u in range(n):
+        for v in range(n):
+            out += np.multiply(k[u * n + v][:, None], hp[:, :, u : u + hh, v : v + ww], out=prod)
+    return out[0] if h.ndim == 3 else out
+
+
+def _same_bits(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestTapStack:
+    """The forward multiplies every tap's weight map with a strided window
+    view of the padded content in one call per batch block, and sums the
+    taps in one reduction: bit for bit the per-tap loop it replaced, sign
+    bits included, since each product is the same and the taps are added in
+    tap order from +0.0."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("mode", ["separable", "dense"])
+    @pytest.mark.parametrize("bsz", [1, 9, 64])
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_bit_equal_to_per_tap_loop(self, n, bsz, mode, dtype):
+        rng = SeededRng(100 * n + bsz)
+        for c, size in ((8, 16), (3, 5), (1, 1), (2, 1)):
+            h = np.maximum(rng.normals((bsz, c, size, size + 1 if size > 1 else 1), dtype=dtype), 0.0)
+            for shape in ((bsz,) + h.shape[2:], h.shape[2:]):
+                k = _field(rng, mode, shape, n, dtype)
+                got, _ = fusion.adaptive_conv_forward(h, k)
+                assert _same_bits(got, per_tap_adaptive_conv_forward(h, k)), (c, size, shape)
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_one_pixel_single_channel_map_sums_in_tap_order(self, n):
+        # a one-element result: numpy would sum the reduction pairwise
+        rng = SeededRng(n)
+        for trial in range(20):
+            h = rng.normals((1, 1, 1, 1), dtype=np.float32)
+            k = fusion.DenseKernelField(rng.normals((1, 1, n * n), dtype=np.float32) * 1e3)
+            got, _ = fusion.adaptive_conv_forward(h, k)
+            assert _same_bits(got, per_tap_adaptive_conv_forward(h, k))
+            got, _ = fusion.adaptive_conv_forward(h[0], k)
+            assert _same_bits(got, per_tap_adaptive_conv_forward(h[0], k))
+
+    def test_unbatched_content(self):
+        rng = SeededRng(4)
+        h = rng.normals((3, 6, 7), dtype=np.float32)
+        k = _field(rng, "separable", (6, 7), 3, np.float32)
+        got, _ = fusion.adaptive_conv_forward(h, k)
+        assert _same_bits(got, per_tap_adaptive_conv_forward(h, k))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_stale_work_buffers_do_not_leak(self, dtype):
+        from motionfuse import ops
+
+        rng = SeededRng(8)
+        big = rng.normals((64, 8, 32, 32), dtype=dtype)
+        fusion.adaptive_conv_forward(big, _field(rng, "separable", (64, 32, 32), 5, dtype))
+        for bsz in (1, 9, 64):
+            for buf in ops._work.flat.values():
+                buf[...] = np.nan
+            h = rng.normals((bsz, 8, 16, 16), dtype=dtype)
+            k = _field(rng, "separable", (bsz, 16, 16), 3, dtype)
+            got, _ = fusion.adaptive_conv_forward(h, k)
+            assert _same_bits(got, per_tap_adaptive_conv_forward(h, k))
+
+    def test_zero_content_gives_positive_zeros(self):
+        # zero content times negative weights is -0.0 per tap; the sum
+        # starts from +0.0
+        h = np.zeros((2, 3, 4, 4), dtype=np.float32)
+        k = fusion.DenseKernelField(-np.ones((2, 4, 4, 9), dtype=np.float32))
+        got, _ = fusion.adaptive_conv_forward(h, k)
+        assert not np.signbit(got).any()
+
+
+class TestReplicatePad:
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    @pytest.mark.parametrize("shape", [(1, 8, 32, 32), (2, 3, 5, 7), (1, 1, 1, 1), (3, 2, 1, 4), (2, 2, 4, 1)])
+    def test_equals_np_pad_edge(self, shape, r):
+        h = SeededRng(r).normals(shape, dtype=np.float32)
+        got = fusion._replicate_pad(h, r)
+        want = np.pad(h, ((0, 0), (0, 0), (r, r), (r, r)), mode="edge")
+        assert _same_bits(got, want)
+        assert not np.shares_memory(got, h)
+
+
 class TestAgainstEinsumOracle:
     """The tap loops against the einsum implementation they replaced."""
 

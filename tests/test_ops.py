@@ -189,13 +189,14 @@ def _matmul(a, b):
     return a * b if a.shape[-1] == 1 else a @ b
 
 
-def unblocked_shifted_gemms(mats, flat, offs, y_flat):
+def unblocked_shifted_gemms(taps, win, y_flat):
     """The tap loop that the column-blocked `ops._shifted_gemms` replaced,
     kept as an oracle: each tap's GEMM streams the whole padded grid."""
-    n = flat.shape[1] - max(offs)
-    y_mat = y_flat[:, :n]
-    for m, off in zip(mats, offs):
-        y_mat += _matmul(m, flat[:, off : off + n])
+    y_mat = y_flat[:, : win.shape[-1]]
+    y_mat[...] = 0.0
+    for iu in range(taps.shape[0]):
+        for iv in range(taps.shape[1]):
+            y_mat += _matmul(taps[iu, iv], win[iu, iv])
 
 
 def unblocked_shifted_gemms_backward(mats, flat, offs, dy_flat, dflat):
@@ -439,6 +440,177 @@ class TestWorkBuffers:
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * dx.nbytes
+
+
+def per_tap_shifted_gemms(mats, flat, offs, y_flat):
+    """The forward tap loop from before tap stacks, kept as an oracle: per
+    column block, one product and one sum for each kernel tap in turn, into
+    an output grid the caller zero-fills. `mats` are the (C_out, C_in) tap
+    matrices and `offs` their flat offsets into `flat`."""
+    n = flat.shape[1] - max(offs)
+    cout, cin = mats[0].shape
+    blocks = ops._blocks(n, cout, cin, y_flat.itemsize)
+    buf = np.empty(cout * (blocks[0][1] - blocks[0][0]), dtype=y_flat.dtype)
+    product = np.multiply if cin == 1 else np.matmul
+    for j0, j1 in blocks:
+        tmp = buf[: cout * (j1 - j0)].reshape(cout, j1 - j0)
+        y_blk = y_flat[:, j0:j1]
+        for m, off in zip(mats, offs):
+            product(m, flat[:, j0 + off : j1 + off], out=tmp)
+            y_blk += tmp
+
+
+def per_tap_conv2d_forward(x, w, b, pad):
+    """The stride-1 `conv2d_forward` from before tap stacks (oracle)."""
+    bsz, cin, h, wd = x.shape
+    cout, _, k, _ = w.shape
+    ho, wo = h + 2 * pad - k + 1, wd + 2 * pad - k + 1
+    xp = ops._channel_major_padded(x, pad)
+    hp, wp = xp.shape[2:]
+    flat = xp.reshape(cin, -1)
+    taps = w.transpose(2, 3, 0, 1).reshape(k * k, cout, cin)
+    y_flat = np.zeros((cout, flat.shape[1]), dtype=x.dtype)
+    per_tap_shifted_gemms(taps, flat, [u * wp + v for u in range(k) for v in range(k)], y_flat)
+    if b is not None:
+        y_flat += b[:, None]
+    return y_flat.reshape(cout, bsz, hp, wp)[:, :, :ho, :wo].transpose(1, 0, 2, 3).copy()
+
+
+def per_tap_conv_transpose2d_forward(x, w, b, stride, pad):
+    """`conv_transpose2d_forward` from before tap stacks (oracle): each
+    stride phase a per-tap loop over `w[:, :, u, v].T` views."""
+    bsz, cin, h, wd = x.shape
+    cout, k = w.shape[1], w.shape[2]
+    ho, wo = (h - 1) * stride - 2 * pad + k, (wd - 1) * stride - 2 * pad + k
+    lead_h, hp, rows = ops._stride_phases(k, stride, pad, h, ho)
+    lead_w, wp, cols = ops._stride_phases(k, stride, pad, wd, wo)
+    xp = np.zeros((cin, bsz, hp, wp), dtype=x.dtype)
+    xp[:, :, lead_h : lead_h + h, lead_w : lead_w + wd] = x.transpose(1, 0, 2, 3)
+    flat = xp.reshape(cin, -1)
+    y = np.empty((bsz, cout, ho, wo), dtype=np.result_type(x, w))
+    for pr, mr, rtaps in rows:
+        for pc, mc, ctaps in cols:
+            taps = [(u, v, ro * wp + co) for u, ro in rtaps for v, co in ctaps]
+            y_flat = np.zeros((cout, flat.shape[1]), dtype=y.dtype)
+            if taps:
+                mats = [w[:, :, u, v].T for u, v, _ in taps]
+                per_tap_shifted_gemms(mats, flat, [off for _, _, off in taps], y_flat)
+            y_grid = y_flat.reshape(cout, bsz, hp, wp)[:, :, :mr, :mc]
+            y[:, :, pr::stride, pc::stride] = y_grid.transpose(1, 0, 2, 3)
+    if b is not None:
+        y += b[:, None, None]
+    return y
+
+
+def _same_bits(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestTapStacks:
+    """The forward shifted GEMMs run each conv's, or each stride phase's,
+    kernel taps as one strided product and one reduction on a one-block
+    grid, and tap by tap on larger grids. Either way they are bit for bit
+    the per-tap loop they replaced, sign bits included: the same products,
+    summed in tap order from +0.0. The cases cover one-block and multi-block
+    grids, C_in = 1 (a broadcast product), C_out = 1 (always per tap),
+    ReLU'd inputs holding exact zeros, and convs without bias."""
+
+    CHANNELS = [(1, 4), (4, 1), (5, 3), (16, 8)]
+
+    @staticmethod
+    def _inputs(bsz, cin, cout, size, k, dtype, transpose=False, seed=0):
+        rng = SeededRng(seed + 31 * bsz + 7 * cin + 3 * cout + k)
+        x = np.maximum(rng.normals((bsz, cin, size, size + 1), dtype=dtype), 0.0)
+        w = rng.normals((cin, cout, k, k) if transpose else (cout, cin, k, k), dtype=dtype)
+        return x, w, rng.normals((cout,), dtype=dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bsz", [1, 9, 64])
+    @pytest.mark.parametrize("cin,cout", CHANNELS)
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_conv2d_forward_bit_equal_to_per_tap_loop(self, k, cin, cout, bsz, dtype):
+        x, w, b = self._inputs(bsz, cin, cout, 6, k, dtype)
+        assert np.any(x == 0.0)
+        for pad in (0, 1, 2):
+            for bias in (b, None):
+                got, _ = ops.conv2d_forward(x, w, bias, 1, pad)
+                assert _same_bits(got, per_tap_conv2d_forward(x, w, bias, pad)), (pad, bias is None)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bsz", [1, 9, 64])
+    @pytest.mark.parametrize("cin,cout", CHANNELS)
+    @pytest.mark.parametrize("k,stride,pad", [(4, 2, 1), (1, 2, 0), (3, 2, 1), (3, 1, 1)])
+    def test_conv_transpose2d_forward_bit_equal_to_per_tap_loop(self, k, stride, pad, cin, cout, bsz, dtype):
+        # k=1 at stride 2 leaves three of the four phases without taps
+        x, w, b = self._inputs(bsz, cin, cout, 4, k, dtype, transpose=True)
+        for bias in (b, None):
+            got, _ = ops.conv_transpose2d_forward(x, w, bias, stride, pad)
+            assert _same_bits(got, per_tap_conv_transpose2d_forward(x, w, bias, stride, pad))
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_stale_work_buffers_do_not_leak(self, transpose, dtype):
+        # grow every buffer with a larger call, fill them all with NaN: the
+        # forward must write every grid column it reads
+        for bsz in (1, 9, 64):
+            x, w, b = self._inputs(bsz, 5, 3, 4, 4 if transpose else 3, dtype, transpose)
+            big = self._inputs(64, 8, 8, 12, 3, dtype)
+            ops.conv2d_forward(big[0], big[1], big[2], 1, 1)
+            for buf in ops._work.flat.values():
+                buf[...] = np.nan
+            if transpose:
+                got, _ = ops.conv_transpose2d_forward(x, w, b, 2, 1)
+                want = per_tap_conv_transpose2d_forward(x, w, b, 2, 1)
+            else:
+                got, _ = ops.conv2d_forward(x, w, b, 1, 1)
+                want = per_tap_conv2d_forward(x, w, b, 1)
+            assert _same_bits(got, want)
+
+    @pytest.mark.parametrize("cin", [1, 4])
+    @pytest.mark.parametrize("bsz", [1, 64])
+    def test_zero_input_gives_positive_zeros(self, cin, bsz):
+        # each product of a zero input and a negative weight is -0.0; summed
+        # from +0.0 the output is +0.0, where a sum seeded with the first
+        # product would keep the sign bit
+        x = np.zeros((bsz, cin, 5, 5), dtype=np.float32)
+        w = -np.ones((3, cin, 3, 3), dtype=np.float32)
+        y, _ = ops.conv2d_forward(x, w, None, 1, 1)
+        assert not np.signbit(y).any()
+        wt = -np.ones((cin, 3, 4, 4), dtype=np.float32)
+        yt, _ = ops.conv_transpose2d_forward(x, wt, None, 2, 1)
+        assert not np.signbit(yt).any()
+
+    def test_transpose_tap_stack_is_a_view_of_the_weights(self, monkeypatch):
+        seen = []
+        real = ops._shifted_gemms
+
+        def spy(taps, win, y_flat):
+            seen.append((taps, win))
+            return real(taps, win, y_flat)
+
+        monkeypatch.setattr(ops, "_shifted_gemms", spy)
+        x, w, b = self._inputs(1, 5, 3, 4, 4, np.float32, transpose=True)
+        ops.conv_transpose2d_forward(x, w, b, 2, 1)
+        assert len(seen) == 4
+        for taps, win in seen:
+            assert taps.shape == (2, 2, 3, 5) and np.shares_memory(taps, w)
+            assert win.shape[:3] == (2, 2, 5) and not win.flags.writeable
+
+    def test_tap_window_stays_inside_the_grid(self):
+        flat = np.zeros((2, 10), dtype=np.float32)
+        win = ops._tap_window(flat, 0, 2, 2, 5, 4)
+        assert win.shape == (2, 2, 2, 4) and np.shares_memory(win, flat)
+        assert not win.flags.writeable
+        with pytest.raises(ValueError):
+            ops._tap_window(flat, 0, 2, 2, 5, 5)
+
+    def test_plans_are_cached(self):
+        ops._transpose_plan.cache_clear()
+        x, w, b = self._inputs(2, 3, 4, 4, 4, np.float32, transpose=True)
+        for _ in range(3):
+            ops.conv_transpose2d_forward(x, w, b, 2, 1)
+        info = ops._transpose_plan.cache_info()
+        assert info.misses == 1 and info.hits == 2
 
 
 class TestSimpleOps:

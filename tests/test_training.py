@@ -187,6 +187,24 @@ class TestTrainer:
         assert stats["phase"] == "motion"
         assert param_digest(bundle.content_sets()) == content_before
 
+    def test_motion_backward_holds_no_frozen_content_caches(self, tiny_dataset, monkeypatch):
+        # the motion backward runs with content=False and reads none of the
+        # content encoder's, content generator's or x_recon head's caches,
+        # so the step releases them before it
+        seen = []
+        real = model.backward_next_frame
+
+        def spy(bundle, result, **kwargs):
+            seen.append((set(result.cache), kwargs["content"]))
+            return real(bundle, result, **kwargs)
+
+        monkeypatch.setattr(model, "backward_next_frame", spy)
+        _, trainer = make_trainer(tiny_dataset)
+        assert [trainer.train_step()["phase"] for _ in range(4)][-1] == "motion"
+        assert len(seen) == 1 and seen[0][1] is False
+        assert not {"enc_c", "gen_c", "head_recon"} & seen[0][0]
+        assert {"enc_m", "gen_m", "lstm", "fuse", "head_next"} <= seen[0][0]
+
     def test_losses_reported_finite_and_decreasing_headroom(self, tiny_dataset):
         _, trainer = make_trainer(tiny_dataset, iterations=10)
         history = trainer.train(10)
