@@ -5,7 +5,7 @@ The package is organized around small, independently testable layers:
 * `tensor`    — numpy array substrate, deterministic counter-based RNG
 * `ops`       — neural operators with hand-derived backward passes
 * `fusion`    — per-pixel adaptive kernels, separable expansion, mask blending
-* `losses`    — VAE / GAN / classification objectives with gradients
+* `losses`    — VAE / classification / consistency objectives with gradients
 * `metrics`   — entropy-based generation quality scores
 * `synthdata` — procedural shape-motion clip generator and SMV1 container
 * `model`     — two-stream next-frame model wiring
@@ -33,11 +33,9 @@ from .synthdata import ClipSpec, VideoClip, difference_map, gen_clip, gen_datase
 from .tensor import SeededRng, split_seed
 from .training import (
     OptimizerConfig,
-    Schedule,
     TrainConfig,
     Trainer,
     rollout,
-    teacher_forcing_prob,
     train_classifier,
 )
 

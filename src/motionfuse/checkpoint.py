@@ -3,7 +3,9 @@
 TSVC layout: magic "TSVC", little-endian u32 version, u64 manifest byte
 length, a UTF-8 JSON manifest listing [{name, shape, offset}] entries
 (offsets into the blob section), then the raw little-endian float32 blobs
-in manifest order. Parameter names are "<set>/<param>".
+in manifest order. Parameter names are "<set>/<param>". A checkpoint and
+its JSON config sidecar are each written whole to a temporary file, then
+renamed over the target.
 
 Frames export as binary PGM (P5) for grayscale and PPM (P6) for RGB, with
 [-1, 1] mapped to [0, 255] by round-half-up.
@@ -19,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import model, ops
+from .synthdata import atomic_write
 
 _MAGIC = b"TSVC"
 _VERSION = 1
@@ -38,7 +41,7 @@ def save_param_sets(path, param_sets: dict[str, ops.ParamSet]):
             blobs.append(blob)
             offset += len(blob)
     manifest = json.dumps(entries, sort_keys=True, separators=(",", ":")).encode()
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(_MAGIC)
         fh.write(_HEAD.pack(_VERSION, len(manifest)))
         fh.write(manifest)
@@ -120,7 +123,8 @@ def config_sidecar(path) -> Path:
 def _write_sidecar(path, cfg: model.ModelConfig, **extra):
     """Every ModelConfig field, plus `extra`, as the checkpoint's sidecar."""
     meta = dict(dataclasses.asdict(cfg), **extra)
-    config_sidecar(path).write_text(json.dumps(meta, sort_keys=True))
+    with atomic_write(config_sidecar(path)) as fh:
+        fh.write(json.dumps(meta, sort_keys=True).encode())
 
 
 def save_model(path, bundle: model.ModelBundle):

@@ -4,7 +4,9 @@ gradient checking, benchmarking and frame export.
 Every subcommand accepts --seed, --config (inline JSON or a path to a JSON
 file) and --out. Exit codes: 0 success, 1 validation/usage error, 2 I/O
 error. The --config document may carry "model", "train", "optimizer" and
-"weights" sections whose keys override the corresponding dataclass fields.
+"weights" sections whose keys override the fields of ModelConfig,
+TrainConfig, OptimizerConfig and LossWeights. "optimizer" and "weights" sit
+at the top level beside "train", not inside it.
 """
 
 from __future__ import annotations

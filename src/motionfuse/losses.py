@@ -15,8 +15,6 @@ import numpy as np
 
 from .tensor import ShapeError
 
-SCORE_EPS = 1e-7
-
 
 @dataclass
 class GaussianParams:
@@ -104,43 +102,6 @@ def kl_to_standard_normal_grad(q: GaussianParams):
     dmean = q.mean / bsz
     dlogvar = 0.5 * (np.exp(q.logvar) - 1.0) / bsz
     return dmean, dlogvar
-
-
-def _clamped_scores(d):
-    return np.clip(d, SCORE_EPS, 1.0 - SCORE_EPS)
-
-
-def gan_discriminator_loss(d_real, d_recon, d_prior) -> float:
-    """-[ln D(real) + ln(1 - D(recon)) + ln(1 - D(prior))], batch mean."""
-    dr, dc, dp = _clamped_scores(d_real), _clamped_scores(d_recon), _clamped_scores(d_prior)
-    return float(-np.mean(np.log(dr)) - np.mean(np.log1p(-dc)) - np.mean(np.log1p(-dp)))
-
-
-def gan_discriminator_loss_grad(d_real, d_recon, d_prior):
-    dr, dc, dp = _clamped_scores(d_real), _clamped_scores(d_recon), _clamped_scores(d_prior)
-    in_r = (d_real > SCORE_EPS) & (d_real < 1.0 - SCORE_EPS)
-    in_c = (d_recon > SCORE_EPS) & (d_recon < 1.0 - SCORE_EPS)
-    in_p = (d_prior > SCORE_EPS) & (d_prior < 1.0 - SCORE_EPS)
-    g_real = np.where(in_r, -1.0 / dr, 0.0) / d_real.size
-    g_recon = np.where(in_c, 1.0 / (1.0 - dc), 0.0) / d_recon.size
-    g_prior = np.where(in_p, 1.0 / (1.0 - dp), 0.0) / d_prior.size
-    return g_real, g_recon, g_prior
-
-
-def gan_generator_loss(d_recon, d_prior) -> float:
-    """-[ln D(recon) + ln D(prior)], batch mean (non-saturating form)."""
-    dc, dp = _clamped_scores(d_recon), _clamped_scores(d_prior)
-    return float(-np.mean(np.log(dc)) - np.mean(np.log(dp)))
-
-
-def gan_generator_loss_grad(d_recon, d_prior):
-    dc, dp = _clamped_scores(d_recon), _clamped_scores(d_prior)
-    in_c = (d_recon > SCORE_EPS) & (d_recon < 1.0 - SCORE_EPS)
-    in_p = (d_prior > SCORE_EPS) & (d_prior < 1.0 - SCORE_EPS)
-    return (
-        np.where(in_c, -1.0 / dc, 0.0) / d_recon.size,
-        np.where(in_p, -1.0 / dp, 0.0) / d_prior.size,
-    )
 
 
 def _check_labels(logits, labels):

@@ -606,14 +606,12 @@ def forward_next_frame(
     x_t: np.ndarray,
     dx: np.ndarray,
     labels,
-    rng: SeededRng = None,
-    eta_c: np.ndarray = None,
-    eta_m: np.ndarray = None,
-    mask_zero: bool = False,
+    eta_c: np.ndarray,
+    eta_m: np.ndarray,
 ) -> ForwardResult:
     """Predict the next frame from the current frame and its forward
-    difference map. Noise defaults to rng draws; pass eta_c/eta_m (for
-    example zeros) to make the pass deterministic."""
+    difference map, with the reparameterization noise eta_c / eta_m of
+    the content and motion posteriors (zeros give the posterior means)."""
     cfg = bundle.config
     if x_t.shape != dx.shape:
         raise ShapeError(
@@ -626,14 +624,7 @@ def forward_next_frame(
             f"({cfg.channels}, {cfg.size}, {cfg.size})",
             (x_t.shape,),
         )
-    bsz = x_t.shape[0]
-    dtype = x_t.dtype
-    onehot = one_hot(labels, cfg.classes, dtype)
-
-    if eta_c is None:
-        eta_c = rng.normals((bsz, cfg.latent_c), dtype=dtype)
-    if eta_m is None:
-        eta_m = rng.normals((bsz, cfg.latent_m), dtype=dtype)
+    onehot = one_hot(labels, cfg.classes, x_t.dtype)
 
     q_c, enc_c_cache = encode(bundle.enc_c, cfg, x_t, onehot, cfg.latent_c)
     eps_c = q_c.sample(eta_c)
@@ -645,8 +636,7 @@ def forward_next_frame(
     e_m, _, lstm_cache = lstm_embed(bundle, eps_m)
     kernels, masks, gen_m_cache = motion_fields(bundle, eps_c, e_m, onehot)
 
-    used_masks = [np.zeros_like(m) for m in masks] if mask_zero else masks
-    refined, fuse_cache = fusion.fuse_pyramid_forward(pyramid, kernels, used_masks)
+    refined, fuse_cache = fusion.fuse_pyramid_forward(pyramid, kernels, masks)
     x_next, head_cache_next = decode_head(bundle, refined[-1])
 
     cache = {
@@ -660,7 +650,6 @@ def forward_next_frame(
         "fuse": fuse_cache,
         "head_recon": head_cache_recon,
         "head_next": head_cache_next,
-        "mask_zero": mask_zero,
     }
     return ForwardResult(
         x_next=x_next,
@@ -720,8 +709,6 @@ def backward_next_frame(
             d_ref, cache["fuse"], content
         )
         if motion:
-            if cache["mask_zero"]:
-                d_masks = [np.zeros_like(m) for m in d_masks]
             d_eps_c_gm, d_e_m = motion_fields_backward(
                 bundle, cache["gen_m"], d_kernels, d_masks
             )

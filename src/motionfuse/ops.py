@@ -35,18 +35,6 @@ class ConvSpec:
         if self.padding < 0:
             raise ValueError(f"negative padding in {self}")
 
-    def out_size(self, size: int) -> int:
-        out = (size + 2 * self.padding - self.kernel_size) // self.stride + 1
-        if out < 1:
-            raise ShapeError(f"{self} collapses spatial size {size} to {out}")
-        return out
-
-    def transpose_out_size(self, size: int) -> int:
-        out = (size - 1) * self.stride - 2 * self.padding + self.kernel_size
-        if out < 1:
-            raise ShapeError(f"{self} collapses spatial size {size} to {out}")
-        return out
-
 
 class ParamSet:
     """Named map of parameter tensors with same-shape gradient slots."""

@@ -16,7 +16,9 @@ container (see `write_dataset`) with a JSON manifest sidecar.
 from __future__ import annotations
 
 import json
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -348,6 +350,22 @@ class Dataset:
     test_ids: list[int]
 
 
+@contextmanager
+def atomic_write(path):
+    """Binary handle on a temporary file beside `path`, which replaces
+    `path` when the block completes. If the block raises, the temporary
+    file is removed and `path` keeps its previous bytes."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def manifest_path(path) -> Path:
     return Path(str(path) + ".manifest.json")
 
@@ -383,7 +401,8 @@ def gen_dataset(classes, clips_per_class: int, master_seed: int, spec: ClipSpec,
         "split": {"train": train_ids, "test": test_ids},
     }
     write_dataset(path, data, np.asarray(labels), np.asarray(seeds, dtype=np.uint64))
-    manifest_path(path).write_text(json.dumps(manifest, sort_keys=True, indent=1))
+    with atomic_write(manifest_path(path)) as fh:
+        fh.write(json.dumps(manifest, sort_keys=True, indent=1).encode())
     return manifest
 
 
@@ -391,7 +410,7 @@ def write_dataset(path, clips: np.ndarray, labels, seeds):
     """SMV1 container: magic, 7 LE u32 header fields, then per clip a u16
     label, u64 seed and T*C*H*W LE f32 values in (frame, channel, row) order."""
     n, t, c, h, w = clips.shape
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(_MAGIC)
         fh.write(_HEADER.pack(1, n, t, c, h, w, 0))
         for i in range(n):

@@ -89,10 +89,6 @@ class SeededRng:
         vals = (np.floor(u * (high - low)) + low).astype(np.int64)
         return int(vals[0]) if shape is None else vals
 
-    def derive(self, index: int) -> "SeededRng":
-        """Independent child stream for substream `index` (>= 0)."""
-        return SeededRng(split_seed(int(self.seed), index))
-
 
 def split_seed(master: int, index: int) -> int:
     """64-bit mix of (master, index) used to key independent substreams."""

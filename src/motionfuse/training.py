@@ -92,23 +92,6 @@ class Adam:
 
 
 @dataclass(frozen=True)
-class Schedule:
-    """Teacher-forcing probability ramping linearly from 1 to 0."""
-
-    total: int
-
-    def __post_init__(self):
-        if self.total < 1:
-            raise ValueError("schedule needs at least one iteration")
-
-
-def teacher_forcing_prob(sched: Schedule, iteration: int) -> float:
-    if not 0 <= iteration <= sched.total:
-        raise ValueError(f"iteration {iteration} outside [0, {sched.total}]")
-    return 1.0 - iteration / sched.total
-
-
-@dataclass(frozen=True)
 class TrainConfig:
     """Standard desk-scale run. The optimizer and loss-weight defaults here
     are tuned for the 2000-iteration toy budget; the dataclass defaults of
@@ -129,7 +112,6 @@ class TrainConfig:
     seed: int = 7
     content_steps: int = 3  # phase pattern: content x3 then motion x2
     motion_steps: int = 2
-    scheduled_sampling: bool = False
     crop_jitter: int = 2  # random shift augmentation, pixels; 0 disables
     weights: losses.LossWeights = field(
         default_factory=lambda: losses.LossWeights(
@@ -139,6 +121,21 @@ class TrainConfig:
     optimizer: OptimizerConfig = field(
         default_factory=lambda: OptimizerConfig(alpha=2e-3, beta1=0.9)
     )
+
+    def __post_init__(self):
+        if not isinstance(self.weights, losses.LossWeights):
+            raise TypeError(f"weights must be a LossWeights, got {type(self.weights).__name__}")
+        if not isinstance(self.optimizer, OptimizerConfig):
+            raise TypeError(
+                f"optimizer must be an OptimizerConfig, got {type(self.optimizer).__name__}"
+            )
+        for name in ("iterations", "content_steps", "motion_steps", "crop_jitter"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
+        if self.content_steps + self.motion_steps == 0:
+            raise ValueError("the phase cycle is empty: content_steps + motion_steps is 0")
 
 
 class Trainer:
@@ -151,10 +148,8 @@ class Trainer:
             raise ValueError("dataset has no training clips")
         self.batch_rng = SeededRng(split_seed(cfg.seed, 0))
         self.noise_rng = SeededRng(split_seed(cfg.seed, 1))
-        self.sched_rng = SeededRng(split_seed(cfg.seed, 2))
         self.opt_content = Adam(bundle.content_sets(), cfg.optimizer)
         self.opt_motion = Adam(bundle.motion_sets(), cfg.optimizer)
-        self.schedule = Schedule(total=max(cfg.iterations, 1))
         self.iteration = 0
 
     def phase(self, iteration: int) -> str:
@@ -162,8 +157,7 @@ class Trainer:
         return "content" if iteration % cycle < self.cfg.content_steps else "motion"
 
     def _sample_batch(self):
-        """(x_prev, x_t, x_next, labels); x_prev falls back to x_t at the
-        first transition of a clip."""
+        """(x_t, x_next, labels): one random transition per sample."""
         bsz = self.cfg.batch_size
         t_max = self.data.clips.shape[1] - 1
         ids = self.train_ids[self.batch_rng.integers(0, len(self.train_ids), (bsz,))]
@@ -171,14 +165,9 @@ class Trainer:
         clips = self.data.clips[ids]
         x_t = clips[np.arange(bsz), ts]
         x_next = clips[np.arange(bsz), ts + 1]
-        x_prev = np.where(
-            (ts > 0)[:, None, None, None],
-            clips[np.arange(bsz), np.maximum(ts - 1, 0)],
-            x_t,
-        )
         labels = self.data.labels[ids]
-        x_prev, x_t, x_next = random_shift(self.batch_rng, self.cfg.crop_jitter, x_prev, x_t, x_next)
-        return x_prev, x_t, x_next, labels
+        x_t, x_next = random_shift(self.batch_rng, self.cfg.crop_jitter, x_t, x_next)
+        return x_t, x_next, labels
 
     def _content_step(self, x_t, labels):
         cfg = self.bundle.config
@@ -279,12 +268,8 @@ class Trainer:
             )
 
     def train_step(self) -> dict:
-        x_prev, x_t, x_next, labels = self._sample_batch()
+        x_t, x_next, labels = self._sample_batch()
         phase = self.phase(self.iteration)
-        if phase == "motion" and self.cfg.scheduled_sampling:
-            p = teacher_forcing_prob(self.schedule, min(self.iteration, self.schedule.total))
-            if self.sched_rng.uniforms() >= p:
-                x_t = self._self_feed(x_prev, x_t, labels)
         stats = (
             self._content_step(x_t, labels)
             if phase == "content"
@@ -293,21 +278,6 @@ class Trainer:
         self.iteration += 1
         stats["iteration"] = self.iteration
         return stats
-
-    def _self_feed(self, x_prev, x_t, labels):
-        """Replace the input frame by the model's own one-step prediction
-        (stop-gradient: used as data only)."""
-        cfg = self.bundle.config
-        bsz = x_t.shape[0]
-        res = model.forward_next_frame(
-            self.bundle,
-            x_prev,
-            x_t - x_prev,
-            labels,
-            eta_c=np.zeros((bsz, cfg.latent_c), dtype=x_t.dtype),
-            eta_m=np.zeros((bsz, cfg.latent_m), dtype=x_t.dtype),
-        )
-        return res.x_next
 
     def train(self, iterations=None, log_every=0):
         history = []
@@ -368,7 +338,6 @@ def rollout(
     rng: SeededRng,
     frames: int = 10,
     heatup: int = 2,
-    mask_zero: bool = False,
 ) -> VideoClip:
     """Generate a clip from prior samples.
 
@@ -377,6 +346,8 @@ def rollout(
     from (re-encoded content embedding, convLSTM motion embedding). The first
     `heatup` steps are discarded.
     """
+    if frames < 1 or heatup < 0:
+        raise ValueError(f"rollout needs frames >= 1 and heatup >= 0, got {frames} and {heatup}")
     cfg = bundle.config
     dtype = bundle.gen_c.value("head.out.w").dtype
     onehot = model.one_hot([action], cfg.classes, dtype)
@@ -392,8 +363,6 @@ def rollout(
         h, c, _ = model.lstm_embed(bundle, eps_m, h, c)
         q, _ = model.encode(bundle.enc_c, cfg, x, onehot, cfg.latent_c)
         kernels, masks, _ = model.motion_fields(bundle, q.mean, h, onehot)
-        if mask_zero:
-            masks = [np.zeros_like(m) for m in masks]
         pyramid, _ = fusion.fuse_pyramid_forward(pyramid, kernels, masks)
         x, _ = model.decode_head(bundle, pyramid[-1])
         seq.append(x[0])

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -313,3 +315,139 @@ class TestUsageErrors:
             ]
         )
         assert rc == 2
+
+
+def assert_clean_failure(rc, err):
+    """Exit 1 or 2 with exactly one `error:` line, the last one, and no traceback."""
+    assert rc in (1, 2)
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert [line for line in lines if "error:" in line] == lines[-1:]
+
+
+class TestInputContract:
+    """Each subcommand fails with a one-line error, never a traceback, on a
+    malformed --config, a missing input file and an input of the wrong kind."""
+
+    # subcommand -> (flag naming its input file, argv that runs it)
+    def commands(self, workspace, tmp_path):
+        data, ckpt, cls = str(workspace["data"]), str(workspace["ckpt"]), str(workspace["cls"])
+        return {
+            "gen-data": ("--config", ["gen-data", "--classes", "2", "--clips-per-class", "1",
+                                      "--frames", "4", "--size", "16", "--out", str(tmp_path / "g.smv")]),
+            "train": ("--data", ["train", "--data", data, "--config", MICRO_CONFIG,
+                                 "--out", str(tmp_path / "t.tsvc")]),
+            "rollout": ("--ckpt", ["rollout", "--ckpt", ckpt, "--count", "1", "--frames", "2",
+                                   "--out", str(tmp_path / "r.smv")]),
+            "eval": ("--classifier-ckpt", ["eval", "--data", data, "--classifier-ckpt", cls]),
+            "gradcheck": ("--config", ["gradcheck", "--op", "relu", "--seeds", "1"]),
+            "bench": ("--config", ["bench", "--n", "3", "--scales", "8", "--reps", "3"]),
+            "export-frames": ("--data", ["export-frames", "--data", data,
+                                         "--out", str(tmp_path / "frames")]),
+        }
+
+    # a file each subcommand must refuse as its input
+    WRONG_KIND = {
+        "gen-data": "data",  # a binary SMV1 file as --config
+        "train": "ckpt",
+        "rollout": "data",
+        "eval": "ckpt",  # a next-frame model where a classifier belongs
+        "gradcheck": "data",
+        "bench": "data",
+        "export-frames": "ckpt",
+    }
+
+    @staticmethod
+    def with_input(argv, flag, value):
+        argv = list(argv)
+        if flag in argv:
+            argv[argv.index(flag) + 1] = value
+        else:
+            argv += [flag, value]
+        return argv
+
+    def run(self, argv, capsys):
+        capsys.readouterr()
+        rc = cli.main(argv)
+        return rc, capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(WRONG_KIND))
+    def test_commands_run_as_given(self, command, workspace, tmp_path, capsys):
+        # so that each failure below comes from the one input it changes
+        _, argv = self.commands(workspace, tmp_path)[command]
+        assert self.run(argv, capsys)[0] == 0
+
+    @pytest.mark.parametrize("command", sorted(WRONG_KIND))
+    def test_malformed_config(self, command, workspace, tmp_path, capsys):
+        _, argv = self.commands(workspace, tmp_path)[command]
+        for bad in ('{"model": ', '{"model": {}}}'):  # cut short; trailing data
+            rc, err = self.run(self.with_input(argv, "--config", bad), capsys)
+            assert rc == 1
+            assert_clean_failure(rc, err)
+
+    @pytest.mark.parametrize("command", sorted(WRONG_KIND))
+    def test_missing_input_file(self, command, workspace, tmp_path, capsys):
+        flag, argv = self.commands(workspace, tmp_path)[command]
+        missing = str(tmp_path / "absent" / "input")
+        rc, err = self.run(self.with_input(argv, flag, missing), capsys)
+        assert_clean_failure(rc, err)
+        assert "absent" in err
+
+    @pytest.mark.parametrize("command", sorted(WRONG_KIND))
+    def test_input_of_the_wrong_kind(self, command, workspace, tmp_path, capsys):
+        flag, argv = self.commands(workspace, tmp_path)[command]
+        wrong = str(workspace[self.WRONG_KIND[command]])
+        rc, err = self.run(self.with_input(argv, flag, wrong), capsys)
+        assert rc == 1
+        assert_clean_failure(rc, err)
+
+    @pytest.mark.parametrize(
+        "train_section",
+        [
+            {"weights": {"l1": 1}},
+            {"optimizer": {"beta1": 0.9}},
+            {"content_steps": 0, "motion_steps": 0},
+            {"scheduled_sampling": True},
+            {"batch_size": 0},
+        ],
+    )
+    def test_train_config_it_cannot_run(self, train_section, workspace, tmp_path, capsys):
+        out = tmp_path / "t.tsvc"
+        config = json.dumps({"train": train_section})
+        rc, err = self.run(
+            ["train", "--data", str(workspace["data"]), "--config", config, "--out", str(out)],
+            capsys,
+        )
+        assert rc == 1
+        assert_clean_failure(rc, err)
+        assert not out.exists()
+
+    def test_process_stderr_has_no_traceback(self, workspace, tmp_path):
+        config = json.dumps({"train": {"weights": {"l1": 1}}})
+        argv = ["train", "--data", str(workspace["data"]), "--config", config,
+                "--out", str(tmp_path / "t.tsvc")]
+        proc = subprocess.run([sys.executable, "-m", "motionfuse", *argv],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        assert_clean_failure(proc.returncode, proc.stderr)
+        assert "weights must be a LossWeights" in proc.stderr
+
+
+class TestRangeErrors:
+    @pytest.mark.parametrize("seeds", ["0", "-3"])
+    def test_gradcheck_without_seeds_fails(self, seeds, capsys):
+        rc = cli.main(["gradcheck", "--op", "relu", "--seeds", seeds])
+        out, err = capsys.readouterr()
+        assert rc == 1 and "PASS" not in out
+        assert_clean_failure(rc, err)
+        assert "at least one seed" in err
+
+    @pytest.mark.parametrize("frames, heatup", [("10", "-1"), ("0", "2")])
+    def test_rollout_rejects_negative_heatup_and_empty_clips(
+        self, frames, heatup, workspace, tmp_path, capsys
+    ):
+        out = tmp_path / "r.smv"
+        rc = cli.main(["rollout", "--ckpt", str(workspace["ckpt"]), "--frames", frames,
+                       "--heatup", heatup, "--out", str(out)])
+        assert_clean_failure(rc, capsys.readouterr().err)
+        assert rc == 1 and not out.exists()

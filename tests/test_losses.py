@@ -53,30 +53,6 @@ class TestKL:
             GaussianParams(np.zeros((1, 3)), np.zeros((1, 4)))
 
 
-class TestGanLosses:
-    def test_perfect_discriminator_near_zero(self):
-        eps = losses.SCORE_EPS
-        loss = losses.gan_discriminator_loss(
-            np.array([1.0 - eps]), np.array([eps]), np.array([eps])
-        )
-        assert loss < 1e-6
-
-    def test_uniform_scores_closed_form(self):
-        half = np.full(4, 0.5)
-        assert abs(losses.gan_discriminator_loss(half, half, half) - 3 * np.log(2)) < 1e-9
-        assert abs(losses.gan_generator_loss(half, half) - 2 * np.log(2)) < 1e-9
-
-    def test_generator_gradient_negative_everywhere(self):
-        scores = np.linspace(0.01, 0.99, 25)
-        g_recon, g_prior = losses.gan_generator_loss_grad(scores, scores)
-        assert np.all(g_recon < 0) and np.all(g_prior < 0)
-
-    def test_extreme_scores_finite(self):
-        z, o = np.zeros(2), np.ones(2)
-        assert np.isfinite(losses.gan_discriminator_loss(z, o, o))
-        assert np.isfinite(losses.gan_generator_loss(z, z))
-
-
 class TestAuxClassLoss:
     def test_uniform_logits(self):
         logits = np.zeros((1, 4))

@@ -4,8 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from motionfuse import synthdata
+from motionfuse import checkpoint, model, synthdata
 from motionfuse.synthdata import ClipSpec, difference_map, gen_clip, gen_dataset, load_dataset
+from motionfuse.tensor import SeededRng
 
 
 class TestGenClip:
@@ -201,6 +202,66 @@ class TestDataset:
             synthdata.class_names(9)
         with pytest.raises(ValueError):
             synthdata.class_names(["spin"])
+
+
+class _FailMidWrite:
+    """File wrapper that writes half of what it is given, then fails like a
+    full disk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        raise OSError(28, "No space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self.fh.__exit__(*exc)
+
+
+def _write_model(root, seed):
+    cfg = model.ModelConfig(
+        ngf=4, latent_c=8, latent_m=16, scales=2, kernel_size=3, size=16, classes=1 + seed
+    )
+    checkpoint.save_model(root / "m.tsvc", model.build_model(cfg, SeededRng(seed)))
+    return [root / "m.tsvc", checkpoint.config_sidecar(root / "m.tsvc")]
+
+
+def _write_dataset(root, seed):
+    gen_dataset(["static"], 2, seed, ClipSpec(frames=4, size=16), root / "d.smv")
+    return [root / "d.smv", synthdata.manifest_path(root / "d.smv")]
+
+
+class TestAtomicWrites:
+    """The checkpoint, its config sidecar, the dataset and its manifest are
+    each written to a temporary file that replaces the target only once
+    it is complete."""
+
+    @pytest.mark.parametrize("write", [_write_model, _write_dataset])
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_failed_write_keeps_the_previous_file(self, write, which, tmp_path, monkeypatch):
+        targets = write(tmp_path, 1)
+        before = [p.read_bytes() for p in targets]
+        listing = sorted(tmp_path.iterdir())
+        opened = []
+
+        def open_failing_one(path, mode="r", *args, **kwargs):
+            fh = open(path, mode, *args, **kwargs)
+            opened.append(path)
+            return _FailMidWrite(fh) if len(opened) == which + 1 else fh
+
+        monkeypatch.setattr(synthdata, "open", open_failing_one, raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            write(tmp_path, 2)
+        monkeypatch.undo()
+        assert targets[which].read_bytes() == before[which]
+        assert sorted(tmp_path.iterdir()) == listing
+        # the same write, left to finish, does change the file
+        write(tmp_path, 2)
+        assert targets[which].read_bytes() != before[which]
 
 
 class TestClipSpecValidation:

@@ -44,30 +44,6 @@ def param_digest(param_sets):
     return h.hexdigest()
 
 
-class TestSchedule:
-    def test_linear_ramp(self):
-        sched = training.Schedule(total=100)
-        assert training.teacher_forcing_prob(sched, 0) == 1.0
-        assert training.teacher_forcing_prob(sched, 100) == 0.0
-        assert training.teacher_forcing_prob(sched, 50) == 0.5
-
-    def test_monotone_non_increasing(self):
-        sched = training.Schedule(total=17)
-        probs = [training.teacher_forcing_prob(sched, i) for i in range(18)]
-        assert all(a >= b for a, b in zip(probs, probs[1:]))
-
-    def test_out_of_range(self):
-        sched = training.Schedule(total=10)
-        with pytest.raises(ValueError):
-            training.teacher_forcing_prob(sched, 11)
-        with pytest.raises(ValueError):
-            training.teacher_forcing_prob(sched, -1)
-
-    def test_total_validation(self):
-        with pytest.raises(ValueError):
-            training.Schedule(total=0)
-
-
 class TestRandomShift:
     def test_one_offset_per_clip_across_frames_and_stacks(self):
         clips = SeededRng(1).normals((6, 4, 1, 12, 12))
@@ -150,6 +126,35 @@ class TestOptimizer:
         assert (cfg.alpha, cfg.beta1, cfg.beta2) == (2e-4, 0.5, 0.999)
 
 
+class TestTrainConfig:
+    def test_sections_must_be_their_dataclasses(self):
+        with pytest.raises(TypeError, match="weights"):
+            training.TrainConfig(weights={"l1": 1.0})
+        with pytest.raises(TypeError, match="optimizer"):
+            training.TrainConfig(optimizer={"alpha": 1e-3})
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"iterations": -1},
+            {"content_steps": -1},
+            {"motion_steps": -2},
+            {"crop_jitter": -1},
+            {"batch_size": 0},
+            {"content_steps": 0, "motion_steps": 0},
+        ],
+    )
+    def test_rejects_what_it_cannot_run(self, fields):
+        with pytest.raises(ValueError):
+            training.TrainConfig(**fields)
+
+    def test_content_only_and_zero_iteration_runs_stay_legal(self, tiny_dataset):
+        training.TrainConfig(iterations=0, crop_jitter=0)
+        cfg = training.TrainConfig(iterations=2, batch_size=4, motion_steps=0)
+        trainer = training.Trainer(model.build_model(MCFG, SeededRng(3)), tiny_dataset, cfg)
+        assert [stats["phase"] for stats in trainer.train()] == ["content", "content"]
+
+
 class TestTrainer:
     def test_phase_pattern_three_to_two(self, tiny_dataset):
         _, trainer = make_trainer(tiny_dataset)
@@ -227,21 +232,6 @@ class TestTrainer:
         with pytest.raises(ValueError):
             trainer.train_step()
 
-    def test_scheduled_sampling_path_runs(self, tiny_dataset):
-        bundle = model.build_model(MCFG, SeededRng(9))
-        cfg = training.TrainConfig(
-            iterations=5,
-            batch_size=4,
-            seed=9,
-            scheduled_sampling=True,
-            optimizer=training.OptimizerConfig(alpha=1e-3, beta1=0.9),
-        )
-        trainer = training.Trainer(bundle, tiny_dataset, cfg)
-        trainer.schedule = training.Schedule(total=1)  # teacher forcing prob 0 after step 1
-        trainer.iteration = 1
-        history = [trainer.train_step() for _ in range(4)]
-        assert any(h["phase"] == "motion" for h in history)
-
 
 class TestEvaluation:
     def test_copy_baseline_matches_manual(self, tiny_dataset):
@@ -275,7 +265,11 @@ class TestRollout:
 
     def test_mask_zero_freezes_all_frames(self, tiny_dataset):
         bundle, _ = make_trainer(tiny_dataset)
-        clip = training.rollout(bundle, 1, SeededRng(4), frames=5, heatup=2, mask_zero=True)
+        # raw mask -100 everywhere: tanh rounds to -1, so every mask is 0.0
+        for s in range(MCFG.scales):
+            bundle.gen_m.value(f"sub.subnet{s}.mask.w")[...] = 0.0
+            bundle.gen_m.value(f"sub.subnet{s}.mask.b")[...] = -100.0
+        clip = training.rollout(bundle, 1, SeededRng(4), frames=5, heatup=2)
         for t in range(1, 5):
             assert np.array_equal(clip.frames[t], clip.frames[0])
 
