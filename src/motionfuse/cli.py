@@ -1,12 +1,22 @@
 """Command-line surface: data generation, training, rollout, evaluation,
-gradient checking, benchmarking and frame export.
+gradient checking, benchmarking and frame export. Each subcommand takes only
+the flags it reads ([--out] is optional):
 
-Every subcommand accepts --seed, --config (inline JSON or a path to a JSON
-file) and --out. Exit codes: 0 success, 1 validation/usage error, 2 I/O
-error. The --config document may carry "model", "train", "optimizer" and
-"weights" sections whose keys override the fields of ModelConfig,
-TrainConfig, OptimizerConfig and LossWeights. "optimizer" and "weights" sit
-at the top level beside "train", not inside it.
+  gen-data       --classes --clips-per-class --frames --size --channels --seed --out
+  train          --data --iters --batch --classifier --log-every --seed --config --out
+  rollout        --ckpt --action --count --frames --heatup --seed --out
+  eval           --data --classifier-ckpt --split [--out]
+  gradcheck      --op --seeds [--out]
+  bench          --modes --n --scales --channels --reps --warmup --seed [--out]
+  export-frames  --data --clips --out
+
+`train --config` (inline JSON, or a JSON file) applies its "model", "train",
+"optimizer" and "weights" sections to ModelConfig, TrainConfig,
+OptimizerConfig and LossWeights ("optimizer" and "weights" sit beside
+"train"); under --classifier only "model" applies and --log-every is
+rejected. Other sections, non-object sections and the keys that the dataset
+or --seed sets (model.classes, model.size, model.channels, train.seed) are
+rejected. Exit codes: 0 success, 1 validation/usage error, 2 I/O error.
 """
 
 from __future__ import annotations
@@ -28,42 +38,41 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        # exact flag names only: `gradcheck --seed` must not read as `--seeds`
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise UsageError(message)
 
 
-def _load_config(arg):
-    if not arg:
+_SECTIONS = ("model", "train", "optimizer", "weights")
+# config keys that the dataset or a flag always overrides, and what sets them
+_SET_ELSEWHERE = {"model.classes": "the dataset", "model.size": "the dataset",
+                  "model.channels": "the dataset", "train.seed": "--seed"}
+
+
+def _load_config(args):
+    """Read `train --config`, rejecting every part the run would ignore."""
+    if args.classifier and args.log_every:
+        raise ValueError("--log-every does not apply to train --classifier")
+    if args.config is None:
         return {}
-    text = arg.strip()
-    if not text.startswith("{"):
-        text = Path(arg).read_text()
-    cfg = json.loads(text)
+    text = args.config.strip()
+    cfg = json.loads(text if text.startswith(("{", "[")) else Path(args.config).read_text())
     if not isinstance(cfg, dict):
-        raise ValueError("--config must hold a JSON object")
+        raise ValueError(f"--config must hold a JSON object, got {type(cfg).__name__}")
+    run, known = ("train --classifier", ["model"]) if args.classifier else ("train", _SECTIONS)
+    for name, section in cfg.items():
+        if name not in known:
+            raise ValueError(f"{run} reads no --config section {name!r}, only {', '.join(known)}")
+        if not isinstance(section, dict):
+            raise ValueError(f"--config section {name!r} must be a JSON object")
+        for key in section:
+            source = _SET_ELSEWHERE.get(f"{name}.{key}")
+            if source:
+                raise ValueError(f"--config key {name}.{key} is always set by {source}")
     return cfg
-
-
-def _model_config(cfg_doc, **overrides) -> model.ModelConfig:
-    fields = dict(cfg_doc.get("model", {}))
-    fields.update({k: v for k, v in overrides.items() if v is not None})
-    return model.ModelConfig(**fields)
-
-
-def _train_config(cfg_doc, **overrides) -> training.TrainConfig:
-    fields = dict(cfg_doc.get("train", {}))
-    fields.update({k: v for k, v in overrides.items() if v is not None})
-    if "optimizer" in cfg_doc:
-        fields["optimizer"] = training.OptimizerConfig(**cfg_doc["optimizer"])
-    if "weights" in cfg_doc:
-        fields["weights"] = LossWeights(**cfg_doc["weights"])
-    return training.TrainConfig(**fields)
-
-
-def _add_common(parser):
-    parser.add_argument("--seed", type=int, default=0, help="master seed")
-    parser.add_argument("--config", default=None, help="JSON string or file of overrides")
-    parser.add_argument("--out", default=None, help="output path")
 
 
 def build_parser() -> _Parser:
@@ -71,99 +80,96 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="generate a shape-motion dataset")
-    _add_common(p)
     p.add_argument("--classes", default="4", help="class count or comma-separated names")
     p.add_argument("--clips-per-class", type=int, default=50)
     p.add_argument("--frames", type=int, default=10)
     p.add_argument("--size", type=int, default=32)
     p.add_argument("--channels", type=int, default=1)
+    p.add_argument("--seed", type=int, default=0, help="master seed")
+    p.add_argument("--out", required=True, help="dataset path")
 
     p = sub.add_parser("train", help="train the next-frame model or the classifier")
-    _add_common(p)
     p.add_argument("--data", required=True)
     p.add_argument("--iters", type=int, default=None)
     p.add_argument("--batch", type=int, default=None)
     p.add_argument("--classifier", action="store_true", help="train the clip classifier")
     p.add_argument("--log-every", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="master seed")
+    p.add_argument("--config", default=None, help="JSON string or file of overrides")
+    p.add_argument("--out", required=True, help="checkpoint path")
 
     p = sub.add_parser("rollout", help="generate clips from a trained model")
-    _add_common(p)
     p.add_argument("--ckpt", required=True)
     p.add_argument("--action", type=int, default=None, help="class id (default: cycle)")
     p.add_argument("--count", type=int, default=8)
     p.add_argument("--frames", type=int, default=10)
     p.add_argument("--heatup", type=int, default=2)
+    p.add_argument("--seed", type=int, default=0, help="master seed")
+    p.add_argument("--out", required=True, help="dataset path")
 
     p = sub.add_parser("eval", help="classifier-based metrics over a dataset")
-    _add_common(p)
     p.add_argument("--data", required=True)
     p.add_argument("--classifier-ckpt", required=True)
     p.add_argument("--split", choices=["all", "train", "test"], default="all")
+    p.add_argument("--out", default=None, help="JSON report path")
 
     p = sub.add_parser("gradcheck", help="finite-difference check of one or all ops")
-    _add_common(p)
     p.add_argument("--op", default="all", help="op name or 'all'")
     p.add_argument("--seeds", type=int, default=gradcheck.DEFAULT_SEEDS)
+    p.add_argument("--out", default=None, help="JSON results path")
 
     p = sub.add_parser("bench", help="dense vs separable fusion benchmark")
-    _add_common(p)
     p.add_argument("--modes", default="dense,separable")
     p.add_argument("--n", default="5,17", help="comma-separated kernel sizes")
     p.add_argument("--scales", default="64", help="comma-separated resolutions per case")
     p.add_argument("--channels", type=int, default=4)
     p.add_argument("--reps", type=int, default=5)
     p.add_argument("--warmup", type=int, default=1)
-    p.add_argument("--csv", default=None, help="CSV output path (alias for --out)")
+    p.add_argument("--seed", type=int, default=0, help="master seed")
+    p.add_argument("--out", default=None, help="CSV path")
 
     p = sub.add_parser("export-frames", help="write clip frames as PGM/PPM files")
-    _add_common(p)
     p.add_argument("--data", required=True)
     p.add_argument("--clips", default="0", help="comma-separated clip indices")
+    p.add_argument("--out", required=True, help="output directory")
     return parser
 
 
-def _cmd_gen_data(args, cfg_doc):
+def _cmd_gen_data(args):
     classes = args.classes
     if "," in classes or not classes.isdigit():
         classes = [c.strip() for c in classes.split(",") if c.strip()]
     else:
         classes = int(classes)
-    if args.out is None:
-        raise ValueError("gen-data requires --out")
     spec = synthdata.ClipSpec(frames=args.frames, size=args.size, channels=args.channels)
-    manifest = synthdata.gen_dataset(classes, args.clips_per_class, args.seed, spec, args.out)
-    print(
-        f"wrote {len(manifest['clips'])} clips "
-        f"({len(manifest['classes'])} classes) to {args.out}"
-    )
+    doc = synthdata.gen_dataset(classes, args.clips_per_class, args.seed, spec, args.out)
+    print(f"wrote {len(doc['clips'])} clips ({len(doc['classes'])} classes) to {args.out}")
     return 0
 
 
-def _cmd_train(args, cfg_doc):
-    if args.out is None:
-        raise ValueError("train requires --out")
+def _cmd_train(args):
+    cfg_doc = _load_config(args)
+    flags = (("iterations", args.iters), ("batch_size", args.batch))
+    given = {name: value for name, value in flags if value is not None}
     dataset = synthdata.load_dataset(args.data)
     _, _, channels, size, _ = dataset.clips.shape
-    mcfg = _model_config(cfg_doc, classes=len(dataset.classes), size=size, channels=channels)
+    mcfg = model.ModelConfig(
+        **cfg_doc.get("model", {}), classes=len(dataset.classes), size=size, channels=channels
+    )
     if args.classifier:
-        defaults = training.ClassifierConfig()
-        ccfg = training.ClassifierConfig(
-            iterations=args.iters if args.iters is not None else defaults.iterations,
-            batch_size=args.batch or defaults.batch_size,
-            seed=args.seed,
-        )
+        ccfg = training.ClassifierConfig(**given, seed=args.seed)
         params = training.train_classifier(dataset, mcfg, ccfg)
         acc_ids = dataset.test_ids or dataset.train_ids
         acc = training.classifier_accuracy(params, mcfg, dataset, acc_ids)
         checkpoint.save_classifier(args.out, params, mcfg)
         print(f"classifier accuracy on held-out clips: {acc:.3f}; saved {args.out}")
         return 0
-    tcfg = _train_config(
-        cfg_doc,
-        iterations=args.iters,
-        batch_size=args.batch,
-        seed=args.seed,
-    )
+    fields = dict(cfg_doc.get("train", {}), **given, seed=args.seed)
+    if "optimizer" in cfg_doc:
+        fields["optimizer"] = training.OptimizerConfig(**cfg_doc["optimizer"])
+    if "weights" in cfg_doc:
+        fields["weights"] = LossWeights(**cfg_doc["weights"])
+    tcfg = training.TrainConfig(**fields)
     bundle = model.build_model(mcfg, SeededRng(args.seed))
     trainer = training.Trainer(bundle, dataset, tcfg)
     trainer.train(log_every=args.log_every)
@@ -174,9 +180,9 @@ def _cmd_train(args, cfg_doc):
     return 0
 
 
-def _cmd_rollout(args, cfg_doc):
-    if args.out is None:
-        raise ValueError("rollout requires --out")
+def _cmd_rollout(args):
+    if args.count < 1:
+        raise ValueError(f"--count must be at least 1, got {args.count}")
     bundle = checkpoint.load_model(args.ckpt)
     k = bundle.config.classes
     clips, labels, seeds = [], [], []
@@ -194,7 +200,7 @@ def _cmd_rollout(args, cfg_doc):
     return 0
 
 
-def _cmd_eval(args, cfg_doc):
+def _cmd_eval(args):
     dataset = synthdata.load_dataset(args.data)
     params, mcfg = checkpoint.load_classifier(args.classifier_ckpt)
     if args.split == "all":
@@ -214,7 +220,7 @@ def _cmd_eval(args, cfg_doc):
     return 0
 
 
-def _cmd_gradcheck(args, cfg_doc):
+def _cmd_gradcheck(args):
     names = None if args.op == "all" else [args.op]
     try:
         results = gradcheck.run_suite(names, seeds=args.seeds)
@@ -230,7 +236,7 @@ def _cmd_gradcheck(args, cfg_doc):
     return 0 if worst < 1e-4 else 1
 
 
-def _cmd_bench(args, cfg_doc):
+def _cmd_bench(args):
     resolutions = tuple(int(r) for r in args.scales.split(","))
     cases = [
         bench.BenchCase(
@@ -246,16 +252,13 @@ def _cmd_bench(args, cfg_doc):
     ]
     results = bench.run_bench(cases, seed=args.seed)
     csv = bench.results_to_csv(results)
-    out = args.csv or args.out
-    if out:
-        Path(out).write_text(csv)
+    if args.out:
+        Path(args.out).write_text(csv)
     print(csv, end="")
     return 0
 
 
-def _cmd_export_frames(args, cfg_doc):
-    if args.out is None:
-        raise ValueError("export-frames requires --out")
+def _cmd_export_frames(args):
     dataset = synthdata.load_dataset(args.data)
     indices = [int(i) for i in args.clips.split(",")]
     for idx in indices:
@@ -281,8 +284,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg_doc = _load_config(args.config)
-        return _COMMANDS[args.command](args, cfg_doc)
+        return _COMMANDS[args.command](args)
     except UsageError as exc:
         parser.print_usage(sys.stderr)
         print(f"error: {exc}", file=sys.stderr)

@@ -61,21 +61,17 @@ def mean_intra_entropy(dists) -> float:
     return float(np.mean([_entropy(row) for row in mat]))
 
 
-def inception_score(dists, method: str = "kl") -> float:
-    """exp(H(y) - mean H(y|v)), computed by default through the mean-KL
-    identity, which hits the boundary cases (uniform -> 1, balanced
-    one-hots -> K) exactly in floating point."""
+def inception_score(dists) -> float:
+    """exp(H(y) - mean H(y|v)), computed through the mean-KL identity, which
+    hits the boundary cases (uniform -> 1, balanced one-hots -> K) exactly
+    in floating point."""
     mat = _as_dist_matrix(dists)
-    if method == "entropy":
-        return float(np.exp(inter_entropy(mat) - mean_intra_entropy(mat)))
-    if method == "kl":
-        marginal = mat.mean(axis=0)
-        kls = []
-        for row in mat:
-            nz = row > 0
-            kls.append(np.sum(row[nz] * (np.log(row[nz]) - np.log(marginal[nz]))))
-        return float(np.exp(np.mean(kls)))
-    raise ValueError(f"method must be 'entropy' or 'kl', got {method!r}")
+    marginal = mat.mean(axis=0)
+    kls = []
+    for row in mat:
+        nz = row > 0
+        kls.append(np.sum(row[nz] * (np.log(row[nz]) - np.log(marginal[nz]))))
+    return float(np.exp(np.mean(kls)))
 
 
 @dataclass(frozen=True)
@@ -101,13 +97,7 @@ class MetricsReport:
         )
 
 
-def evaluate_with_classifier(clips, predict_proba, expected_shape=None) -> MetricsReport:
+def evaluate_with_classifier(clips, predict_proba) -> MetricsReport:
     """Score every clip with `predict_proba(clip) -> (K,)` and build a report."""
-    dists = []
-    for i, clip in enumerate(clips):
-        if expected_shape is not None and tuple(clip.shape) != tuple(expected_shape):
-            raise ValueError(
-                f"clip {i} shape {clip.shape} != classifier input {expected_shape}"
-            )
-        dists.append(np.asarray(predict_proba(clip), dtype=np.float64))
+    dists = [np.asarray(predict_proba(clip), dtype=np.float64) for clip in clips]
     return MetricsReport.from_distributions(np.stack(dists))

@@ -394,6 +394,13 @@ class ClassifierConfig:
     alpha: float = 1e-3
     shift: int = 3
 
+    def __post_init__(self):
+        for name in ("iterations", "shift", "alpha"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
+
 
 def train_classifier(dataset: Dataset, cfg: model.ModelConfig, ccfg: ClassifierConfig = ClassifierConfig()):
     """Fit the small clip classifier on the train split with cross-entropy."""

@@ -1,6 +1,8 @@
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,13 +10,16 @@ import pytest
 from motionfuse import cli
 from motionfuse.synthdata import load_dataset, manifest_path
 
+MICRO_MODEL = {"ngf": 4, "latent_c": 8, "latent_m": 16, "scales": 2, "kernel_size": 3}
 MICRO_CONFIG = json.dumps(
     {
-        "model": {"ngf": 4, "latent_c": 8, "latent_m": 16, "scales": 2, "kernel_size": 3},
+        "model": MICRO_MODEL,
         "train": {"iterations": 4, "batch_size": 4},
         "optimizer": {"alpha": 1e-3, "beta1": 0.9},
     }
 )
+# the one section that train --classifier reads
+MICRO_MODEL_CONFIG = json.dumps({"model": MICRO_MODEL})
 
 
 @pytest.fixture(scope="module")
@@ -56,7 +61,7 @@ def workspace(tmp_path_factory):
             "--seed",
             "3",
             "--config",
-            MICRO_CONFIG,
+            MICRO_MODEL_CONFIG,
             "--out",
             str(cls_ckpt),
         ]
@@ -194,7 +199,7 @@ class TestTrainRolloutEval:
                 "--seed",
                 "4",
                 "--config",
-                MICRO_CONFIG,
+                MICRO_MODEL_CONFIG,
                 "--out",
                 str(out),
             ]
@@ -238,7 +243,7 @@ class TestBenchCommand:
                 "8",
                 "--reps",
                 "3",
-                "--csv",
+                "--out",
                 str(out),
             ]
         )
@@ -327,33 +332,33 @@ def assert_clean_failure(rc, err):
 
 class TestInputContract:
     """Each subcommand fails with a one-line error, never a traceback, on a
-    malformed --config, a missing input file and an input of the wrong kind."""
+    malformed train --config, a missing input file, an input of the wrong
+    kind and a flag it does not read; train also on a --config part it would
+    ignore."""
 
-    # subcommand -> (flag naming its input file, argv that runs it)
+    # subcommand -> (flag naming its input file, or None, argv that runs it)
     def commands(self, workspace, tmp_path):
         data, ckpt, cls = str(workspace["data"]), str(workspace["ckpt"]), str(workspace["cls"])
         return {
-            "gen-data": ("--config", ["gen-data", "--classes", "2", "--clips-per-class", "1",
-                                      "--frames", "4", "--size", "16", "--out", str(tmp_path / "g.smv")]),
+            "gen-data": (None, ["gen-data", "--classes", "2", "--clips-per-class", "1",
+                                "--frames", "4", "--size", "16", "--out", str(tmp_path / "g.smv")]),
             "train": ("--data", ["train", "--data", data, "--config", MICRO_CONFIG,
                                  "--out", str(tmp_path / "t.tsvc")]),
             "rollout": ("--ckpt", ["rollout", "--ckpt", ckpt, "--count", "1", "--frames", "2",
                                    "--out", str(tmp_path / "r.smv")]),
             "eval": ("--classifier-ckpt", ["eval", "--data", data, "--classifier-ckpt", cls]),
-            "gradcheck": ("--config", ["gradcheck", "--op", "relu", "--seeds", "1"]),
-            "bench": ("--config", ["bench", "--n", "3", "--scales", "8", "--reps", "3"]),
+            "gradcheck": (None, ["gradcheck", "--op", "relu", "--seeds", "1"]),
+            "bench": (None, ["bench", "--n", "3", "--scales", "8", "--reps", "3"]),
             "export-frames": ("--data", ["export-frames", "--data", data,
                                          "--out", str(tmp_path / "frames")]),
         }
 
-    # a file each subcommand must refuse as its input
+    # a file each subcommand that reads one must refuse as its input;
+    # gen-data, gradcheck and bench read no input file
     WRONG_KIND = {
-        "gen-data": "data",  # a binary SMV1 file as --config
         "train": "ckpt",
         "rollout": "data",
         "eval": "ckpt",  # a next-frame model where a classifier belongs
-        "gradcheck": "data",
-        "bench": "data",
         "export-frames": "ckpt",
     }
 
@@ -371,19 +376,26 @@ class TestInputContract:
         rc = cli.main(argv)
         return rc, capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", sorted(WRONG_KIND))
+    @pytest.mark.parametrize(
+        "command", ["bench", "eval", "export-frames", "gen-data", "gradcheck", "rollout", "train"]
+    )
     def test_commands_run_as_given(self, command, workspace, tmp_path, capsys):
         # so that each failure below comes from the one input it changes
         _, argv = self.commands(workspace, tmp_path)[command]
         assert self.run(argv, capsys)[0] == 0
 
-    @pytest.mark.parametrize("command", sorted(WRONG_KIND))
-    def test_malformed_config(self, command, workspace, tmp_path, capsys):
-        _, argv = self.commands(workspace, tmp_path)[command]
-        for bad in ('{"model": ', '{"model": {}}}'):  # cut short; trailing data
-            rc, err = self.run(self.with_input(argv, "--config", bad), capsys)
-            assert rc == 1
-            assert_clean_failure(rc, err)
+    @pytest.mark.parametrize("bad", ['{"model": ', '{"model": {}}}'])  # cut short; trailing data
+    def test_malformed_config(self, bad, workspace, tmp_path, capsys):
+        _, argv = self.commands(workspace, tmp_path)["train"]
+        rc, err = self.run(self.with_input(argv, "--config", bad), capsys)
+        assert rc == 1
+        assert_clean_failure(rc, err)
+
+    def test_config_file_of_the_wrong_kind(self, workspace, tmp_path, capsys):
+        _, argv = self.commands(workspace, tmp_path)["train"]
+        rc, err = self.run(self.with_input(argv, "--config", str(workspace["data"])), capsys)
+        assert rc == 1
+        assert_clean_failure(rc, err)
 
     @pytest.mark.parametrize("command", sorted(WRONG_KIND))
     def test_missing_input_file(self, command, workspace, tmp_path, capsys):
@@ -400,6 +412,54 @@ class TestInputContract:
         rc, err = self.run(self.with_input(argv, flag, wrong), capsys)
         assert rc == 1
         assert_clean_failure(rc, err)
+
+    # a flag the subcommand would ignore, so no longer takes
+    DELETED = [
+        ("gen-data", "--config", "{}"),
+        ("rollout", "--config", "{}"),
+        ("eval", "--seed", "4"),
+        ("eval", "--config", "{}"),
+        ("gradcheck", "--seed", "99"),
+        ("gradcheck", "--config", "{}"),
+        ("bench", "--config", "{}"),
+        ("bench", "--csv", "a.csv"),
+        ("export-frames", "--seed", "1"),
+        ("export-frames", "--config", "{}"),
+    ]
+
+    @pytest.mark.parametrize("command, flag, value", DELETED)
+    def test_deleted_flag_is_rejected(self, command, flag, value, workspace, tmp_path,
+                                      capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # where a relative --csv path would land
+        _, argv = self.commands(workspace, tmp_path)[command]
+        argv = self.with_input(argv, "--out", str(tmp_path / "out")) + [flag, value]
+        rc, err = self.run(argv, capsys)
+        assert rc == 1
+        assert_clean_failure(rc, err)
+        assert flag in err.strip().splitlines()[-1]
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "config, flags, named",
+        [
+            ({"trian": {}}, [], "'trian'"),
+            ({"model": {**MICRO_MODEL, "size": 64}}, [], "model.size"),
+            ({"model": MICRO_MODEL, "train": {"seed": 1}}, [], "train.seed"),
+            ({"model": []}, [], "'model'"),
+            ([1, 2], [], "JSON object"),
+            ({"model": MICRO_MODEL, "train": {"iterations": 5}}, ["--classifier"], "'train'"),
+            ({"model": MICRO_MODEL}, ["--classifier", "--log-every", "5"], "--log-every"),
+        ],
+    )
+    def test_train_rejects_config_it_would_ignore(self, config, flags, named, workspace,
+                                                  tmp_path, capsys):
+        _, argv = self.commands(workspace, tmp_path)["train"]
+        argv = self.with_input(argv, "--config", json.dumps(config)) + flags
+        rc, err = self.run(argv + ["--iters", "1", "--batch", "2"], capsys)
+        assert rc == 1
+        assert_clean_failure(rc, err)
+        assert named in err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "train_section",
@@ -451,3 +511,58 @@ class TestRangeErrors:
                        "--heatup", heatup, "--out", str(out)])
         assert_clean_failure(rc, capsys.readouterr().err)
         assert rc == 1 and not out.exists()
+
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_rollout_rejects_empty_count_before_loading(self, count, tmp_path, capsys):
+        out = tmp_path / "r.smv"
+        rc = cli.main(["rollout", "--ckpt", str(tmp_path / "absent.tsvc"), "--count", count,
+                       "--out", str(out)])
+        err = capsys.readouterr().err
+        assert_clean_failure(rc, err)
+        assert rc == 1 and not out.exists()
+        assert err.strip() == f"error: --count must be at least 1, got {count}"
+
+    @pytest.mark.parametrize("flags, name", [(["--batch", "0"], "batch_size"),
+                                             (["--iters", "-1"], "iterations")])
+    def test_classifier_rejects_flags_it_cannot_run(self, flags, name, workspace, tmp_path,
+                                                    capsys):
+        out = tmp_path / "c.tsvc"
+        rc = cli.main(["train", "--data", str(workspace["data"]), "--classifier", *flags,
+                       "--config", MICRO_MODEL_CONFIG, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert_clean_failure(rc, err)
+        assert rc == 1 and name in err and not out.exists()
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def quickstart_commands(readme_text):
+    """argv of each `motionfuse ...` line in the README's CLI quickstart block,
+    with backslash continuations joined."""
+    block = readme_text.split("## CLI quickstart", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = (line.strip() for line in block.replace("\\\n", " ").splitlines())
+    return [shlex.split(line)[1:] for line in lines if line.startswith("motionfuse ")]
+
+
+class TestReadmeQuickstart:
+    def test_every_quickstart_command_parses(self):
+        commands = quickstart_commands(README.read_text())
+        assert [argv[0] for argv in commands] == [
+            "gen-data", "train", "train", "rollout", "eval", "gradcheck", "bench", "export-frames"
+        ]
+        assert "--out" in commands[0]  # the continuation line was joined
+        for argv in commands:
+            cli.build_parser().parse_args(argv)
+
+    @pytest.mark.parametrize(
+        "stale",
+        [
+            "motionfuse gradcheck --op adaptive_conv_separable --seed 1",
+            "motionfuse bench --modes dense,separable --n 5,17 --csv bench.csv",
+        ],
+    )
+    def test_catches_a_flag_the_parser_lacks(self, stale):
+        (argv,) = quickstart_commands(f"## CLI quickstart\n\n```sh\n{stale}\n```\n")
+        with pytest.raises(cli.UsageError):
+            cli.build_parser().parse_args(argv)

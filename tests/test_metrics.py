@@ -66,9 +66,8 @@ class TestInceptionScore:
         rng = SeededRng(0)
         for _ in range(10):
             d = random_dists(rng, 12, 5)
-            a = metrics.inception_score(d, method="entropy")
-            b = metrics.inception_score(d, method="kl")
-            assert abs(a - b) < 1e-9
+            entropy_form = np.exp(metrics.inter_entropy(d) - metrics.mean_intra_entropy(d))
+            assert abs(metrics.inception_score(d) - entropy_form) < 1e-9
 
     def test_bounds(self):
         rng = SeededRng(1)
@@ -85,10 +84,6 @@ class TestInceptionScore:
         for other in (shuffled, relabeled):
             assert abs(metrics.inception_score(d) - metrics.inception_score(other)) < 1e-12
             assert abs(metrics.inter_entropy(d) - metrics.inter_entropy(other)) < 1e-12
-
-    def test_bad_method(self):
-        with pytest.raises(ValueError):
-            metrics.inception_score(np.full((2, 2), 0.5), method="geometric")
 
 
 class TestDistributionValidation:
@@ -134,10 +129,3 @@ class TestEvaluateWithClassifier:
         clips = [np.zeros((10, 1, 8, 8))] * 6
         rep = metrics.evaluate_with_classifier(clips, lambda clip: np.full(3, 1 / 3))
         assert rep.inception_score == 1.0
-
-    def test_shape_guard(self):
-        clips = [np.zeros((10, 1, 8, 8))]
-        with pytest.raises(ValueError):
-            metrics.evaluate_with_classifier(
-                clips, lambda c: np.full(3, 1 / 3), expected_shape=(10, 1, 16, 16)
-            )

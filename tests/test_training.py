@@ -387,3 +387,21 @@ class TestClassifierTraining:
         )
         acc = training.classifier_accuracy(params, MCFG, tiny_dataset, tiny_dataset.test_ids)
         assert acc >= 0.9
+
+
+class TestClassifierConfig:
+    @pytest.mark.parametrize(
+        "fields, name",
+        [
+            ({"iterations": -1}, "iterations"),
+            ({"batch_size": 0}, "batch_size"),
+            ({"shift": -1}, "shift"),
+            ({"alpha": -1e-3}, "alpha"),
+        ],
+    )
+    def test_rejects_what_it_cannot_run(self, fields, name):
+        with pytest.raises(ValueError, match=name):
+            training.ClassifierConfig(**fields)
+
+    def test_zero_iterations_shift_and_rate_stay_legal(self):
+        training.ClassifierConfig(iterations=0, shift=0, alpha=0.0, batch_size=1)
