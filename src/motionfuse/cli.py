@@ -13,10 +13,11 @@ the flags it reads ([--out] is optional):
 `train --config` (inline JSON, or a JSON file) applies its "model", "train",
 "optimizer" and "weights" sections to ModelConfig, TrainConfig,
 OptimizerConfig and LossWeights ("optimizer" and "weights" sit beside
-"train"); under --classifier only "model" applies and --log-every is
-rejected. Other sections, non-object sections and the keys that the dataset
-or --seed sets (model.classes, model.size, model.channels, train.seed) are
-rejected. Exit codes: 0 success, 1 validation/usage error, 2 I/O error.
+"train"); under --classifier only "model.ngf" applies and --log-every is
+rejected. Other sections, non-object sections, the keys that the dataset or
+--seed sets (model.classes, model.size, model.channels, train.seed) and,
+under --classifier, the other model keys are rejected. Exit codes: 0 success,
+1 validation/usage error, 2 I/O error.
 """
 
 from __future__ import annotations
@@ -50,6 +51,8 @@ _SECTIONS = ("model", "train", "optimizer", "weights")
 # config keys that the dataset or a flag always overrides, and what sets them
 _SET_ELSEWHERE = {"model.classes": "the dataset", "model.size": "the dataset",
                   "model.channels": "the dataset", "train.seed": "--seed"}
+# model keys the classifier network never reads: it reads only ngf
+_NOT_CLASSIFIER = ("model.latent_c", "model.latent_m", "model.scales", "model.kernel_size")
 
 
 def _load_config(args):
@@ -69,10 +72,20 @@ def _load_config(args):
         if not isinstance(section, dict):
             raise ValueError(f"--config section {name!r} must be a JSON object")
         for key in section:
-            source = _SET_ELSEWHERE.get(f"{name}.{key}")
-            if source:
-                raise ValueError(f"--config key {name}.{key} is always set by {source}")
+            path = f"{name}.{key}"
+            if path in _SET_ELSEWHERE:
+                raise ValueError(f"--config key {path} is always set by {_SET_ELSEWHERE[path]}")
+            if args.classifier and path in _NOT_CLASSIFIER:
+                raise ValueError(f"train --classifier reads no --config key {path}: only ngf")
     return cfg
+
+
+def _int_list(text):
+    """argparse type of the comma-separated integer flags."""
+    try:
+        return [int(part) for part in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}") from None
 
 
 def build_parser() -> _Parser:
@@ -120,8 +133,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("bench", help="dense vs separable fusion benchmark")
     p.add_argument("--modes", default="dense,separable")
-    p.add_argument("--n", default="5,17", help="comma-separated kernel sizes")
-    p.add_argument("--scales", default="64", help="comma-separated resolutions per case")
+    p.add_argument("--n", type=_int_list, default="5,17", help="comma-separated kernel sizes")
+    p.add_argument("--scales", type=_int_list, default="64",
+                   help="comma-separated resolutions per case")
     p.add_argument("--channels", type=int, default=4)
     p.add_argument("--reps", type=int, default=5)
     p.add_argument("--warmup", type=int, default=1)
@@ -130,7 +144,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("export-frames", help="write clip frames as PGM/PPM files")
     p.add_argument("--data", required=True)
-    p.add_argument("--clips", default="0", help="comma-separated clip indices")
+    p.add_argument("--clips", type=_int_list, default="0", help="comma-separated clip indices")
     p.add_argument("--out", required=True, help="output directory")
     return parser
 
@@ -237,18 +251,17 @@ def _cmd_gradcheck(args):
 
 
 def _cmd_bench(args):
-    resolutions = tuple(int(r) for r in args.scales.split(","))
     cases = [
         bench.BenchCase(
             mode=mode.strip(),
-            kernel_size=int(n),
-            resolutions=resolutions,
+            kernel_size=n,
+            resolutions=tuple(args.scales),
             channels=args.channels,
             repetitions=args.reps,
             warmup=args.warmup,
         )
         for mode in args.modes.split(",")
-        for n in args.n.split(",")
+        for n in args.n
     ]
     results = bench.run_bench(cases, seed=args.seed)
     csv = bench.results_to_csv(results)
@@ -260,12 +273,11 @@ def _cmd_bench(args):
 
 def _cmd_export_frames(args):
     dataset = synthdata.load_dataset(args.data)
-    indices = [int(i) for i in args.clips.split(",")]
-    for idx in indices:
+    for idx in args.clips:
         if not 0 <= idx < dataset.clips.shape[0]:
             raise ValueError(f"clip index {idx} outside 0..{dataset.clips.shape[0] - 1}")
         checkpoint.export_frames(dataset.clips[idx], args.out, prefix=f"clip{idx:04d}")
-    print(f"exported {len(indices)} clip(s) to {args.out}")
+    print(f"exported {len(args.clips)} clip(s) to {args.out}")
     return 0
 
 

@@ -1,14 +1,21 @@
 """Central finite-difference verification of every hand-written backward.
 
-The scheme is the same for every operation: project its output against a
-fixed random tensor R, giving a scalar loss whose analytic gradient is just
-the op's backward evaluated at R; then compare against central differences
-with step 1e-5 in double precision. Errors are norm-relative:
-||a - n|| / max(||a||, ||n||, tiny). Each op is checked over several shapes
-and seeds; `run_suite` is the entry point used by the tests and the CLI.
+Two harnesses cover every check. The op harness projects each output of an
+op against a fixed random tensor R, giving a scalar loss whose analytic
+gradient is the op's backward evaluated at the Rs; the loss harness takes a
+scalar loss and its closed-form gradient as they are. Both compare against
+central differences with step 1e-5 in double precision. Errors are
+norm-relative: ||a - n|| / max(||a||, ||n||, tiny).
+
+`OP_CHECKS` holds one row per op: its input draw, the harness over the
+functions it checks, and its cases. Checking a new backward means adding a
+row. Each case runs under several seeds; `run_suite` is the entry point used
+by the tests and the CLI.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 
@@ -50,267 +57,180 @@ def compare_grads(loss_fn, arrays: dict, analytic: dict, step: float = DEFAULT_S
     return worst
 
 
-def _spread_from_zero(x, margin=0.2):
-    """Push entries away from 0 so kinked activations stay FD-safe."""
-    return x + np.where(x >= 0, margin, -margin)
+def _leaves(value):
+    """The arrays inside an argument or gradient, in order: the array
+    itself, the leaves of each list or tuple item, or a dataclass's fields
+    (a kernel field, a GaussianParams)."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if dataclasses.is_dataclass(value):
+        value = [getattr(value, f.name) for f in dataclasses.fields(value)]
+    return [leaf for item in value for leaf in _leaves(item)]
 
 
-def _check_conv2d(seed, case):
-    bsz, cin, h, w, cout, k, stride, pad = case
-    rng = SeededRng(seed)
-    x = rng.normals((bsz, cin, h, w))
-    wgt = rng.normals((cout, cin, k, k))
-    b = rng.normals((cout,))
-    out, cache = ops.conv2d_forward(x, wgt, b, stride, pad)
-    r = rng.normals(out.shape)
-    dx, dw, db = ops.conv2d_backward(r, cache)
-
-    def loss():
-        return float(np.sum(ops.conv2d_forward(x, wgt, b, stride, pad)[0] * r))
-
-    return compare_grads(loss, {"x": x, "w": wgt, "b": b}, {"x": dx, "w": dw, "b": db})
+def _compare(loss_fn, inputs, grads):
+    arrays, analytic = _leaves(inputs), _leaves(grads)
+    return compare_grads(loss_fn, dict(enumerate(arrays)), dict(enumerate(analytic)))
 
 
-def _check_conv_transpose2d(seed, case):
-    bsz, cin, h, w, cout, k, stride, pad = case
-    rng = SeededRng(seed)
-    x = rng.normals((bsz, cin, h, w))
-    wgt = rng.normals((cin, cout, k, k))
-    b = rng.normals((cout,))
-    out, cache = ops.conv_transpose2d_forward(x, wgt, b, stride, pad)
-    r = rng.normals(out.shape)
-    dx, dw, db = ops.conv_transpose2d_backward(r, cache)
+def _projected(module, stem):
+    """Op harness for `module.<stem>_forward(*inputs, *fixed)`, which returns
+    its outputs then a cache, and `<stem>_backward(*R, cache)`, which returns
+    one gradient per input. One projection R is drawn per output; the loss
+    is sum(output * R) over the outputs. Both functions are looked up at
+    every call, so a patched or traced op is the one checked."""
 
-    def loss():
-        return float(np.sum(ops.conv_transpose2d_forward(x, wgt, b, stride, pad)[0] * r))
-
-    return compare_grads(loss, {"x": x, "w": wgt, "b": b}, {"x": dx, "w": dw, "b": db})
-
-
-def _check_linear(seed, case):
-    bsz, fin, fout = case
-    rng = SeededRng(seed)
-    x = rng.normals((bsz, fin))
-    w = rng.normals((fin, fout))
-    b = rng.normals((fout,))
-    out, cache = ops.linear_forward(x, w, b)
-    r = rng.normals(out.shape)
-    dx, dw, db = ops.linear_backward(r, cache)
-
-    def loss():
-        return float(np.sum(ops.linear_forward(x, w, b)[0] * r))
-
-    return compare_grads(loss, {"x": x, "w": w, "b": b}, {"x": dx, "w": dw, "b": db})
-
-
-def _activation_check(fwd, bwd, kinked=False):
-    def check(seed, shape):
-        rng = SeededRng(seed)
-        x = rng.normals(shape)
-        if kinked:
-            x = _spread_from_zero(x)
-        out, cache = fwd(x)
-        r = rng.normals(out.shape)
-        dx = bwd(r, cache)
+    def check(rng, inputs, fixed):
+        *outs, cache = getattr(module, f"{stem}_forward")(*inputs, *fixed)
+        rs = [rng.normals(out.shape) for out in outs]
+        grads = getattr(module, f"{stem}_backward")(*rs, cache)
 
         def loss():
-            return float(np.sum(fwd(x)[0] * r))
+            total = 0.0
+            # zip stops at the last R, before the cache
+            for out, r in zip(getattr(module, f"{stem}_forward")(*inputs, *fixed), rs):
+                total += float(np.sum(out * r))
+            return total
 
-        return compare_grads(loss, {"x": x}, {"x": dx})
+        return _compare(loss, inputs, grads)
 
     return check
 
 
-def _check_convlstm(seed, case):
+def _closed_form(module, name):
+    """Loss harness: the scalar `module.<name>(*inputs, *fixed)` against its
+    closed-form gradient `<name>_grad`, looked up at every call."""
+
+    def check(rng, inputs, fixed):
+        grads = getattr(module, f"{name}_grad")(*inputs, *fixed)
+        return _compare(lambda: getattr(module, name)(*inputs, *fixed), inputs, grads)
+
+    return check
+
+
+# Each draw takes (rng, case) and returns (inputs, fixed): the arguments that
+# are differentiated, then those that are not (stride and pad, labels,
+# targets). Each array is drawn in the order the forward takes it. A wrapper
+# (kernel field, GaussianParams) holds the drawn arrays themselves, so the
+# finite-difference perturbations reach the forward through it.
+
+
+def _draw_conv(transpose):
+    def draw(rng, case):
+        bsz, cin, h, w, cout, k, stride, pad = case
+        x = rng.normals((bsz, cin, h, w))
+        wgt = rng.normals((cin, cout, k, k) if transpose else (cout, cin, k, k))
+        return (x, wgt, rng.normals((cout,))), (stride, pad)
+
+    return draw
+
+
+def _draw_linear(rng, case):
+    bsz, fin, fout = case
+    return (rng.normals((bsz, fin)), rng.normals((fin, fout)), rng.normals((fout,))), ()
+
+
+def _draw_normals(rng, shape):
+    return (rng.normals(shape),), ()
+
+
+def _draw_off_zero(rng, shape):
+    """Normals pushed 0.2 away from 0, so relu's kink stays FD-safe."""
+    x = rng.normals(shape)
+    return (x + np.where(x >= 0, 0.2, -0.2),), ()
+
+
+def _draw_convlstm(rng, case):
     bsz, xc, hc, h, w, k = case
-    rng = SeededRng(seed)
-    x = rng.normals((bsz, xc, h, w))
-    hp = rng.normals((bsz, hc, h, w))
-    cp = rng.normals((bsz, hc, h, w))
-    wx = rng.normals((4 * hc, xc, k, k)) * 0.5
-    wh = rng.normals((4 * hc, hc, k, k)) * 0.5
-    b = rng.normals((4 * hc,)) * 0.5
-    h_out, c_out, cache = ops.convlstm_step_forward(x, hp, cp, wx, wh, b)
-    rh = rng.normals(h_out.shape)
-    rc = rng.normals(c_out.shape)
-    dx, dhp, dcp, dwx, dwh, db = ops.convlstm_step_backward(rh, rc, cache)
-
-    def loss():
-        ho, co, _ = ops.convlstm_step_forward(x, hp, cp, wx, wh, b)
-        return float(np.sum(ho * rh) + np.sum(co * rc))
-
-    return compare_grads(
-        loss,
-        {"x": x, "h": hp, "c": cp, "wx": wx, "wh": wh, "b": b},
-        {"x": dx, "h": dhp, "c": dcp, "wx": dwx, "wh": dwh, "b": db},
-    )
+    state = [rng.normals((bsz, c, h, w)) for c in (xc, hc, hc)]
+    gates = [rng.normals(s) * 0.5 for s in ((4 * hc, xc, k, k), (4 * hc, hc, k, k), (4 * hc,))]
+    return (*state, *gates), ()
 
 
-def _check_adaptive_conv_dense(seed, case):
+def _draw_dense_field(rng, case):
     bsz, c, h, w, n = case
-    rng = SeededRng(seed)
     hmap = rng.normals((bsz, c, h, w))
-    wfield = rng.normals((bsz, h, w, n * n))
-    out, cache = fusion.adaptive_conv_forward(hmap, fusion.DenseKernelField(wfield))
-    r = rng.normals(out.shape)
-    dh, dk = fusion.adaptive_conv_backward(r, cache)
-
-    def loss():
-        y, _ = fusion.adaptive_conv_forward(hmap, fusion.DenseKernelField(wfield))
-        return float(np.sum(y * r))
-
-    return compare_grads(loss, {"h": hmap, "w": wfield}, {"h": dh, "w": dk.w})
+    return (hmap, fusion.DenseKernelField(rng.normals((bsz, h, w, n * n)))), ()
 
 
-def _check_adaptive_conv_separable(seed, case):
+def _draw_separable_field(rng, case):
     bsz, c, h, w, n = case
-    rng = SeededRng(seed)
     hmap = rng.normals((bsz, c, h, w))
-    wv = rng.normals((bsz, h, w, n))
-    wh = rng.normals((bsz, h, w, n))
-    out, cache = fusion.adaptive_conv_forward(
-        hmap, fusion.SeparableKernelField(wv, wh)
-    )
-    r = rng.normals(out.shape)
-    dh, dk = fusion.adaptive_conv_backward(r, cache)
-
-    def loss():
-        y, _ = fusion.adaptive_conv_forward(hmap, fusion.SeparableKernelField(wv, wh))
-        return float(np.sum(y * r))
-
-    return compare_grads(
-        loss, {"h": hmap, "wv": wv, "wh": wh}, {"h": dh, "wv": dk.wv, "wh": dk.wh}
-    )
+    wv, wh = rng.normals((bsz, h, w, n)), rng.normals((bsz, h, w, n))
+    return (hmap, fusion.SeparableKernelField(wv, wh)), ()
 
 
-def _check_mask_blend(seed, shape):
-    rng = SeededRng(seed)
-    h = rng.normals(shape)
-    ht = rng.normals(shape)
-    m = rng.uniforms(shape[:1] + shape[2:]) * 0.9 + 0.05
-    out, cache = fusion.mask_blend_forward(h, ht, m)
-    r = rng.normals(out.shape)
-    dh, dht, dm = fusion.mask_blend_backward(r, cache)
-
-    def loss():
-        return float(np.sum(fusion.mask_blend_forward(h, ht, m)[0] * r))
-
-    return compare_grads(
-        loss, {"h": h, "ht": ht, "m": m}, {"h": dh, "ht": dht, "m": dm}
-    )
+def _draw_mask_blend(rng, shape):
+    h, ht = rng.normals(shape), rng.normals(shape)
+    return (h, ht, rng.uniforms(shape[:1] + shape[2:]) * 0.9 + 0.05), ()
 
 
-def _check_mask_activation(seed, shape):
-    rng = SeededRng(seed)
-    raw = rng.normals(shape)
-    m, cache = fusion.mask_activation_forward(raw)
-    r = rng.normals(m.shape)
-    draw = fusion.mask_activation_backward(r, cache)
-
-    def loss():
-        return float(np.sum(fusion.mask_activation_forward(raw)[0] * r))
-
-    return compare_grads(loss, {"raw": raw}, {"raw": draw})
+def _draw_target(rng, shape):
+    return (rng.normals(shape),), (rng.normals(shape),)
 
 
-def _check_l2(seed, shape):
-    rng = SeededRng(seed)
-    pred = rng.normals(shape)
-    target = rng.normals(shape)
-    analytic = losses.l2_loss_grad(pred, target)
-
-    def loss():
-        return losses.l2_loss(pred, target)
-
-    return compare_grads(loss, {"pred": pred}, {"pred": analytic})
+def _draw_gaussian(rng, case):
+    return (losses.GaussianParams(rng.normals(case), rng.normals(case)),), ()
 
 
-def _check_kl(seed, case):
-    rng = SeededRng(seed)
-    mean = rng.normals(case)
-    logvar = rng.normals(case)
-    dmean, dlogvar = losses.kl_to_standard_normal_grad(
-        losses.GaussianParams(mean, logvar)
-    )
-
-    def loss():
-        return losses.kl_to_standard_normal(losses.GaussianParams(mean, logvar))
-
-    return compare_grads(
-        loss, {"mean": mean, "logvar": logvar}, {"mean": dmean, "logvar": dlogvar}
-    )
-
-
-def _check_aux_class(seed, case):
+def _draw_labelled(rng, case):
     bsz, k = case
-    rng = SeededRng(seed)
-    logits = rng.normals((bsz, k))
-    labels = rng.integers(0, k, (bsz,))
-    analytic = losses.aux_class_loss_grad(logits, labels)
-
-    def loss():
-        return losses.aux_class_loss(logits, labels)
-
-    return compare_grads(loss, {"logits": logits}, {"logits": analytic})
+    return (rng.normals((bsz, k)),), (rng.integers(0, k, (bsz,)),)
 
 
-def _check_consistency(seed, case):
-    rng = SeededRng(seed)
+def _draw_pyramids(rng, case):
     shapes = [(case[0], case[1], r, r) for r in case[2:]]
     refined = [rng.normals(s) for s in shapes]
-    current = [rng.normals(s) for s in shapes]
-    grads = losses.content_consistency_loss_grad(refined, current)
-
-    def loss():
-        return losses.content_consistency_loss(refined, current)
-
-    arrays = {f"scale{i}": arr for i, arr in enumerate(refined)}
-    analytic = {f"scale{i}": g for i, g in enumerate(grads)}
-    return compare_grads(loss, arrays, analytic)
+    return (refined,), ([rng.normals(s) for s in shapes],)
 
 
-# op name -> (check function, list of shape/config cases)
+_SHAPES = [(2, 3, 4, 4), (5, 7), (1, 2, 3, 3)]
+_FIELDS = [(1, 1, 4, 4, 3), (2, 2, 5, 5, 3), (1, 3, 4, 4, 5)]
+
+# op name -> (input draw, harness over the functions checked, cases). A new
+# backward is checked by adding one row here.
 OP_CHECKS = {
     "conv2d": (
-        _check_conv2d,
+        _draw_conv(transpose=False),
+        _projected(ops, "conv2d"),
         [(1, 2, 5, 5, 3, 3, 1, 1), (2, 3, 6, 6, 2, 2, 2, 0), (2, 1, 4, 4, 2, 3, 1, 1)],
     ),
     "conv_transpose2d": (
-        _check_conv_transpose2d,
+        _draw_conv(transpose=True),
+        _projected(ops, "conv_transpose2d"),
         [(1, 2, 3, 3, 3, 4, 2, 1), (2, 3, 4, 4, 2, 3, 1, 0), (1, 1, 3, 3, 2, 2, 2, 0)],
     ),
-    "linear": (_check_linear, [(2, 5, 3), (1, 4, 4), (3, 2, 6)]),
-    "relu": (
-        _activation_check(ops.relu_forward, ops.relu_backward, kinked=True),
-        [(2, 3, 4, 4), (5, 7), (1, 2, 3, 3)],
-    ),
-    "tanh": (
-        _activation_check(ops.tanh_forward, ops.tanh_backward),
-        [(2, 3, 4, 4), (5, 7), (1, 2, 3, 3)],
-    ),
-    "sigmoid": (
-        _activation_check(ops.sigmoid_forward, ops.sigmoid_backward),
-        [(2, 3, 4, 4), (5, 7), (1, 2, 3, 3)],
-    ),
+    "linear": (_draw_linear, _projected(ops, "linear"), [(2, 5, 3), (1, 4, 4), (3, 2, 6)]),
+    "relu": (_draw_off_zero, _projected(ops, "relu"), _SHAPES),
+    "tanh": (_draw_normals, _projected(ops, "tanh"), _SHAPES),
+    "sigmoid": (_draw_normals, _projected(ops, "sigmoid"), _SHAPES),
     "convlstm_step": (
-        _check_convlstm,
+        _draw_convlstm,
+        _projected(ops, "convlstm_step"),
         [(1, 2, 2, 4, 4, 3), (2, 1, 3, 4, 4, 3), (1, 3, 2, 3, 3, 3)],
     ),
-    "adaptive_conv_dense": (
-        _check_adaptive_conv_dense,
-        [(1, 1, 4, 4, 3), (2, 2, 5, 5, 3), (1, 3, 4, 4, 5)],
-    ),
+    "adaptive_conv_dense": (_draw_dense_field, _projected(fusion, "adaptive_conv"), _FIELDS),
     "adaptive_conv_separable": (
-        _check_adaptive_conv_separable,
-        [(1, 1, 4, 4, 3), (2, 2, 5, 5, 3), (1, 3, 4, 4, 5)],
+        _draw_separable_field, _projected(fusion, "adaptive_conv"), _FIELDS,
     ),
-    "mask_blend": (_check_mask_blend, [(1, 2, 4, 4), (2, 1, 5, 5), (2, 3, 3, 3)]),
-    "mask_activation": (_check_mask_activation, [(1, 4, 4), (2, 1, 5, 5), (3, 3)]),
-    "l2_loss": (_check_l2, [(2, 3, 4, 4), (5, 7), (1, 2, 3, 3)]),
-    "kl_to_standard_normal": (_check_kl, [(2, 5), (1, 8), (4, 3)]),
-    "aux_class_loss": (_check_aux_class, [(2, 4), (1, 6), (5, 3)]),
+    "mask_blend": (
+        _draw_mask_blend,
+        _projected(fusion, "mask_blend"),
+        [(1, 2, 4, 4), (2, 1, 5, 5), (2, 3, 3, 3)],
+    ),
+    "mask_activation": (
+        _draw_normals, _projected(fusion, "mask_activation"), [(1, 4, 4), (2, 1, 5, 5), (3, 3)],
+    ),
+    "l2_loss": (_draw_target, _closed_form(losses, "l2_loss"), _SHAPES),
+    "kl_to_standard_normal": (
+        _draw_gaussian, _closed_form(losses, "kl_to_standard_normal"), [(2, 5), (1, 8), (4, 3)],
+    ),
+    "aux_class_loss": (
+        _draw_labelled, _closed_form(losses, "aux_class_loss"), [(2, 4), (1, 6), (5, 3)],
+    ),
     "content_consistency_loss": (
-        _check_consistency,
+        _draw_pyramids,
+        _closed_form(losses, "content_consistency_loss"),
         [(1, 2, 3, 6), (2, 1, 4, 8), (1, 1, 2, 4)],
     ),
 }
@@ -322,11 +242,12 @@ def run_op_check(name: str, seeds: int = DEFAULT_SEEDS) -> float:
         raise KeyError(f"unknown op {name!r}; known: {', '.join(sorted(OP_CHECKS))}")
     if seeds < 1:
         raise ValueError(f"a gradient check needs at least one seed, got {seeds}")
-    check, cases = OP_CHECKS[name]
+    draw, check, cases = OP_CHECKS[name]
     worst = 0.0
     for seed in range(seeds):
         for case in cases:
-            worst = max(worst, check(1000 + seed, case))
+            rng = SeededRng(1000 + seed)
+            worst = max(worst, check(rng, *draw(rng, case)))
     return worst
 
 

@@ -168,12 +168,6 @@ def total_content_loss(weights: LossWeights, recon: float, kl: float) -> float:
 
 
 def total_motion_loss(
-    weights: LossWeights,
-    consistency: float,
-    video_recon: float,
-    kl_sum: float,
-    iteration: int = 0,
-    total_iterations: int = 0,
+    weights: LossWeights, consistency: float, video_recon: float, kl_sum: float, lam5: float
 ) -> float:
-    lam5 = weights.lambda5_at(iteration, total_iterations)
     return weights.l3 * consistency + weights.l4 * video_recon + lam5 * kl_sum

@@ -228,9 +228,7 @@ class Trainer:
         video_recon = losses.l2_loss(res.x_next, x_next)
         kl = losses.kl_to_standard_normal(res.q_m)
         lam5 = w.lambda5_at(self.iteration, self.cfg.iterations)
-        total = losses.total_motion_loss(
-            w, consistency, video_recon, kl, self.iteration, self.cfg.iterations
-        )
+        total = losses.total_motion_loss(w, consistency, video_recon, kl, lam5)
         self._guard_finite(
             total, {"consistency": consistency, "video_recon": video_recon, "kl": kl}
         )

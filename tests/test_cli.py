@@ -18,8 +18,9 @@ MICRO_CONFIG = json.dumps(
         "optimizer": {"alpha": 1e-3, "beta1": 0.9},
     }
 )
-# the one section that train --classifier reads
-MICRO_MODEL_CONFIG = json.dumps({"model": MICRO_MODEL})
+# the one key that train --classifier reads
+MICRO_CLASSIFIER_MODEL = {"ngf": 4}
+MICRO_MODEL_CONFIG = json.dumps({"model": MICRO_CLASSIFIER_MODEL})
 
 
 @pytest.fixture(scope="module")
@@ -447,8 +448,12 @@ class TestInputContract:
             ({"model": MICRO_MODEL, "train": {"seed": 1}}, [], "train.seed"),
             ({"model": []}, [], "'model'"),
             ([1, 2], [], "JSON object"),
-            ({"model": MICRO_MODEL, "train": {"iterations": 5}}, ["--classifier"], "'train'"),
-            ({"model": MICRO_MODEL}, ["--classifier", "--log-every", "5"], "--log-every"),
+            ({"model": MICRO_CLASSIFIER_MODEL, "train": {"iterations": 5}}, ["--classifier"],
+             "'train'"),
+            ({"model": MICRO_CLASSIFIER_MODEL}, ["--classifier", "--log-every", "5"],
+             "--log-every"),
+            *[({"model": {**MICRO_CLASSIFIER_MODEL, key: MICRO_MODEL[key]}}, ["--classifier"],
+               f"model.{key}") for key in ("latent_c", "latent_m", "scales", "kernel_size")],
         ],
     )
     def test_train_rejects_config_it_would_ignore(self, config, flags, named, workspace,
@@ -459,6 +464,20 @@ class TestInputContract:
         assert rc == 1
         assert_clean_failure(rc, err)
         assert named in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [("export-frames", "--clips", ""), ("bench", "--n", "5,x"), ("bench", "--scales", "")],
+    )
+    def test_bad_integer_list_names_its_flag(self, command, flag, value, workspace, tmp_path,
+                                             capsys):
+        _, argv = self.commands(workspace, tmp_path)[command]
+        argv = self.with_input(self.with_input(argv, flag, value), "--out", str(tmp_path / "out"))
+        rc, err = self.run(argv, capsys)
+        assert rc == 1
+        assert_clean_failure(rc, err)
+        assert flag in err.strip().splitlines()[-1]
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(

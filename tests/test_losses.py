@@ -133,7 +133,7 @@ class TestWeights:
     def test_zero_losses_give_zero(self):
         w = LossWeights()
         assert losses.total_content_loss(w, 0.0, 0.0) == 0.0
-        assert losses.total_motion_loss(w, 0.0, 0.0, 0.0) == 0.0
+        assert losses.total_motion_loss(w, 0.0, 0.0, 0.0, w.l5_end) == 0.0
 
     def test_lambda5_schedule_endpoints_and_midpoint(self):
         w = LossWeights()
@@ -166,7 +166,7 @@ class TestWeights:
 
     def test_motion_total_uses_schedule(self):
         w = LossWeights(l3=1.0, l4=1.0, l5_start=2.0, l5_end=20.0)
-        total = losses.total_motion_loss(w, 1.0, 1.0, 1.0, iteration=0, total_iterations=100)
+        total = losses.total_motion_loss(w, 1.0, 1.0, 1.0, w.lambda5_at(0, 100))
         assert abs(total - (1.0 + 1.0 + 2.0)) < 1e-12
-        total = losses.total_motion_loss(w, 1.0, 1.0, 1.0, iteration=100, total_iterations=100)
+        total = losses.total_motion_loss(w, 1.0, 1.0, 1.0, w.lambda5_at(100, 100))
         assert abs(total - (1.0 + 1.0 + 20.0)) < 1e-12

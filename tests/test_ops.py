@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from motionfuse import gradcheck, ops
+from motionfuse import fusion, gradcheck, losses, ops
 from motionfuse.tensor import SeededRng, ShapeError
 
 
@@ -735,3 +735,40 @@ def test_conv_spec_validation():
 def test_backward_matches_finite_differences(op_name):
     # quick 2-seed sweep; the acceptance suite runs the full 5-seed version
     assert gradcheck.run_op_check(op_name, seeds=2) < 1e-4
+
+
+# op name -> (module, the function whose first gradient is skewed)
+_BACKWARDS = {
+    "conv2d": (ops, "conv2d_backward"),
+    "conv_transpose2d": (ops, "conv_transpose2d_backward"),
+    "linear": (ops, "linear_backward"),
+    "relu": (ops, "relu_backward"),
+    "tanh": (ops, "tanh_backward"),
+    "sigmoid": (ops, "sigmoid_backward"),
+    "convlstm_step": (ops, "convlstm_step_backward"),
+    "adaptive_conv_dense": (fusion, "adaptive_conv_backward"),
+    "adaptive_conv_separable": (fusion, "adaptive_conv_backward"),
+    "mask_blend": (fusion, "mask_blend_backward"),
+    "mask_activation": (fusion, "mask_activation_backward"),
+    "l2_loss": (losses, "l2_loss_grad"),
+    "kl_to_standard_normal": (losses, "kl_to_standard_normal_grad"),
+    "aux_class_loss": (losses, "aux_class_loss_grad"),
+    "content_consistency_loss": (losses, "content_consistency_loss_grad"),
+}
+
+
+@pytest.mark.parametrize("op_name", sorted(gradcheck.OP_CHECKS))
+def test_check_catches_a_skewed_backward(op_name, monkeypatch):
+    # the harness must look each op up on its module at call time, so a
+    # backward patched after import is the one it checks
+    module, fn_name = _BACKWARDS[op_name]
+    original = getattr(module, fn_name)
+
+    def skewed(*args, **kwargs):
+        grads = original(*args, **kwargs)
+        if isinstance(grads, np.ndarray):
+            return grads * 1.001
+        return type(grads)([grads[0] * 1.001, *grads[1:]])
+
+    monkeypatch.setattr(module, fn_name, skewed)
+    assert gradcheck.run_op_check(op_name, seeds=1) > 1e-4
