@@ -51,6 +51,10 @@ class BenchCase:
             raise ValueError("warmup must be >= 1")
         if not self.resolutions:
             raise ValueError("need at least one resolution")
+        if min(self.resolutions) < 1:
+            raise ValueError(f"resolutions (--scales) must be >= 1, got {list(self.resolutions)}")
+        if self.channels < 1:
+            raise ValueError(f"channels (--channels) must be >= 1, got {self.channels}")
 
     @property
     def scales(self) -> int:

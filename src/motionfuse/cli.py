@@ -35,7 +35,9 @@ from .tensor import SeededRng, ShapeError
 
 
 class UsageError(Exception):
-    pass
+    def __init__(self, message, parser):
+        super().__init__(message)
+        self.parser = parser  # whose usage line the error shows
 
 
 class _Parser(argparse.ArgumentParser):
@@ -44,7 +46,14 @@ class _Parser(argparse.ArgumentParser):
         super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
-        raise UsageError(message)
+        raise UsageError(message, self)
+
+    def parse_args(self, args=None, namespace=None):
+        # a flag that a subcommand does not take is that subcommand's error
+        args, extra = self.parse_known_args(args, namespace)
+        if extra:
+            self.commands[args.command].error(f"unrecognized arguments: {' '.join(extra)}")
+        return args
 
 
 _SECTIONS = ("model", "train", "optimizer", "weights")
@@ -91,6 +100,7 @@ def _int_list(text):
 def build_parser() -> _Parser:
     parser = _Parser(prog="motionfuse")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # by name, for their usage lines
 
     p = sub.add_parser("gen-data", help="generate a shape-motion dataset")
     p.add_argument("--classes", default="4", help="class count or comma-separated names")
@@ -298,7 +308,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
     except UsageError as exc:
-        parser.print_usage(sys.stderr)
+        exc.parser.print_usage(sys.stderr)
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, ShapeError, KeyError, TypeError, RuntimeError) as exc:

@@ -12,9 +12,14 @@ kernel subnet. Fusing the pyramid with those fields and re-decoding the
 finest map predicts the next frame.
 
 Every network is a plain list of layer objects, built once per
-`ModelConfig`; `forward_next_frame` / `backward_next_frame` wire the
-networks together and expose per-phase gradient propagation (content,
-motion, or both for the end-to-end gradient check).
+`ModelConfig`, and two passes, each with its own backward, wire them: the
+content pass (encode a frame, draw the latent, decode the pyramid and, if
+asked, the frame) and the motion pass (decode kernel fields and masks, fuse
+them into a pyramid, decode the next frame). Every caller composes these:
+the trainer's content phase runs the content pass; `forward_next_frame` /
+`backward_next_frame` add the motion encoder and one convLSTM step for the
+motion phase, eval and the end-to-end gradient check; `training.rollout`
+loops the motion pass over the pyramid it carries.
 """
 
 from __future__ import annotations
@@ -583,22 +588,116 @@ def motion_fields_backward(bundle: ModelBundle, cache: GeneratorCache, d_kernels
 
 
 # ---------------------------------------------------------------------------
-# full next-frame pipeline
+# the content pass, the motion pass and the next-frame step
+#
+# A pass returns its outputs with the caches of every network it ran; its
+# `backward` method takes loss gradients on those outputs (None for none)
+# and accumulates parameter gradients.
+
+
+def _posterior_backward(params, enc_cache, q: GaussianParams, eta, d_eps, d_q):
+    """Through the draw eps = mean + exp(logvar / 2) * eta and the encoder
+    that produced q; d_q is an extra (d mean, d logvar) pair, or None."""
+    dmean = d_eps
+    dlogvar = d_eps * eta * 0.5 * np.exp(0.5 * q.logvar)
+    if d_q is not None:
+        dmean, dlogvar = dmean + d_q[0], dlogvar + d_q[1]
+    encode_backward(params, enc_cache, dmean, dlogvar)
+
+
+def _with_head_grad(bundle, head_cache, d_maps, d_x):
+    """Per-scale map gradients (None entries allowed), with the head
+    backward of the frame gradient d_x added at the finest scale."""
+    grads = list(d_maps) if d_maps is not None else [None] * bundle.config.scales
+    if d_x is not None:
+        d_top = decode_head_backward(bundle, head_cache, d_x)
+        grads[-1] = d_top if grads[-1] is None else grads[-1] + d_top
+    return grads
+
+
+@dataclass
+class ContentPass:
+    """One frame through the content stream: its posterior q, the draw
+    eps = q.sample(eta), the pyramid decoded from eps (coarsest first) and,
+    if the head ran, the reconstructed frame x."""
+
+    q: GaussianParams
+    eta: np.ndarray
+    eps: np.ndarray
+    pyramid: list
+    x: np.ndarray
+    caches: tuple = field(repr=False)  # (encoder, generator, head); None if frozen
+
+    def backward(self, bundle: ModelBundle, d_x=None, d_pyramid=None, d_eps=None, d_q=None):
+        """Into enc_c and gen_c: d_x on the frame, d_pyramid per scale,
+        d_eps on the draw from its other reader (the motion generator) and
+        d_q on the posterior."""
+        enc, gen, head = self.caches
+        taps = _with_head_grad(bundle, head, d_pyramid, d_x)
+        if any(g is not None for g in taps):
+            d_dec = decode_content_backward(bundle, gen, taps)
+            d_eps = d_dec if d_eps is None else d_dec + d_eps
+        if d_eps is None:
+            d_eps = np.zeros_like(self.eps)
+        _posterior_backward(bundle.enc_c, enc, self.q, self.eta, d_eps, d_q)
+
+
+def content_pass(bundle: ModelBundle, x, onehot, eta, head: bool = True) -> ContentPass:
+    """Encode frame x, draw eps with noise eta (zeros give the posterior
+    mean), decode the pyramid and, with `head`, its finest map into a frame."""
+    cfg = bundle.config
+    q, enc = encode(bundle.enc_c, cfg, x, onehot, cfg.latent_c)
+    eps = q.sample(eta)
+    pyramid, gen = decode_content(bundle, eps, onehot)
+    x_out, head_cache = decode_head(bundle, pyramid[-1]) if head else (None, None)
+    return ContentPass(q, eta, eps, pyramid, x_out, (enc, gen, head_cache))
+
+
+@dataclass
+class MotionPass:
+    """The kernel fields and masks decoded from (eps_c, e_m), the pyramid
+    they refined, and the frame x the head decodes from its finest map."""
+
+    kernels: list
+    masks: list
+    refined: list
+    x: np.ndarray
+    caches: tuple = field(repr=False)  # (motion generator, fusion, head)
+
+    def backward(self, bundle: ModelBundle, d_x=None, d_refined=None, content: bool = True):
+        """Into gen_m (and the head, in gen_c): d_x on the frame and
+        d_refined per scale. Returns (d pyramid, d eps_c, d e_m); d pyramid
+        is None unless `content`."""
+        gen, fuse, head = self.caches
+        d_ref = _with_head_grad(bundle, head, d_refined, d_x)
+        d_ref = [np.zeros_like(r) if g is None else g for g, r in zip(d_ref, self.refined)]
+        d_pyramid, d_kernels, d_masks = fusion.fuse_pyramid_backward(d_ref, fuse, content)
+        return (d_pyramid, *motion_fields_backward(bundle, gen, d_kernels, d_masks))
+
+
+def motion_pass(bundle: ModelBundle, pyramid, eps_c, e_m, onehot) -> MotionPass:
+    """Decode kernel fields and masks from (eps_c, e_m), fuse them into
+    `pyramid` and decode the refined finest map into the next frame."""
+    kernels, masks, gen = motion_fields(bundle, eps_c, e_m, onehot)
+    refined, fuse = fusion.fuse_pyramid_forward(pyramid, kernels, masks)
+    x, head = decode_head(bundle, refined[-1])
+    return MotionPass(kernels, masks, refined, x, (gen, fuse, head))
 
 
 @dataclass
 class ForwardResult:
-    x_next: np.ndarray
-    x_recon: np.ndarray
-    pyramid: list
-    refined: list
-    q_c: GaussianParams
+    """The two passes of one next-frame step and the motion posterior."""
+
+    content: ContentPass
+    motion: MotionPass
     q_m: GaussianParams
-    eps_c: np.ndarray
-    eps_m: np.ndarray
-    kernels: list
-    masks: list
-    cache: dict = field(repr=False, default=None)
+    eta_m: np.ndarray
+    caches: tuple = field(repr=False)  # (motion encoder, convLSTM step)
+
+    x_recon = property(lambda self: self.content.x)
+    q_c = property(lambda self: self.content.q)
+    x_next = property(lambda self: self.motion.x)
+    refined = property(lambda self: self.motion.refined)
 
 
 def forward_next_frame(
@@ -608,10 +707,13 @@ def forward_next_frame(
     labels,
     eta_c: np.ndarray,
     eta_m: np.ndarray,
+    content: bool = True,
 ) -> ForwardResult:
     """Predict the next frame from the current frame and its forward
     difference map, with the reparameterization noise eta_c / eta_m of
-    the content and motion posteriors (zeros give the posterior means)."""
+    the content and motion posteriors (zeros give the posterior means).
+    With `content` False the content stream is frozen: its pass decodes no
+    x_recon and keeps no caches, for a backward with content=False."""
     cfg = bundle.config
     if x_t.shape != dx.shape:
         raise ShapeError(
@@ -625,51 +727,13 @@ def forward_next_frame(
             (x_t.shape,),
         )
     onehot = one_hot(labels, cfg.classes, x_t.dtype)
-
-    q_c, enc_c_cache = encode(bundle.enc_c, cfg, x_t, onehot, cfg.latent_c)
-    eps_c = q_c.sample(eta_c)
-    pyramid, gen_c_cache = decode_content(bundle, eps_c, onehot)
-    x_recon, head_cache_recon = decode_head(bundle, pyramid[-1])
-
-    q_m, enc_m_cache = encode(bundle.enc_m, cfg, dx, onehot, cfg.latent_m)
-    eps_m = q_m.sample(eta_m)
-    e_m, _, lstm_cache = lstm_embed(bundle, eps_m)
-    kernels, masks, gen_m_cache = motion_fields(bundle, eps_c, e_m, onehot)
-
-    refined, fuse_cache = fusion.fuse_pyramid_forward(pyramid, kernels, masks)
-    x_next, head_cache_next = decode_head(bundle, refined[-1])
-
-    cache = {
-        "eta_c": eta_c,
-        "eta_m": eta_m,
-        "enc_c": enc_c_cache,
-        "enc_m": enc_m_cache,
-        "gen_c": gen_c_cache,
-        "gen_m": gen_m_cache,
-        "lstm": lstm_cache,
-        "fuse": fuse_cache,
-        "head_recon": head_cache_recon,
-        "head_next": head_cache_next,
-    }
-    return ForwardResult(
-        x_next=x_next,
-        x_recon=x_recon,
-        pyramid=pyramid,
-        refined=refined,
-        q_c=q_c,
-        q_m=q_m,
-        eps_c=eps_c,
-        eps_m=eps_m,
-        kernels=kernels,
-        masks=masks,
-        cache=cache,
-    )
-
-
-def _reparam_backward(q: GaussianParams, eta, d_eps):
-    dmean = d_eps
-    dlogvar = d_eps * eta * 0.5 * np.exp(0.5 * q.logvar)
-    return dmean, dlogvar
+    cp = content_pass(bundle, x_t, onehot, eta_c, head=content)
+    if not content:
+        cp.caches = None
+    q_m, enc_m = encode(bundle.enc_m, cfg, dx, onehot, cfg.latent_m)
+    e_m, _, lstm = lstm_embed(bundle, q_m.sample(eta_m))
+    mp = motion_pass(bundle, cp.pyramid, cp.eps, e_m, onehot)
+    return ForwardResult(cp, mp, q_m, eta_m, (enc_m, lstm))
 
 
 def backward_next_frame(
@@ -686,61 +750,21 @@ def backward_next_frame(
     """Accumulate parameter gradients for the requested loss gradients.
 
     `content` / `motion` gate propagation into the content stream
-    (enc_c, gen_c) and motion stream (enc_m, gen_m, lstm); the training
-    loop freezes one side per phase, the end-to-end check enables both.
+    (enc_c, gen_c) and motion stream (enc_m, gen_m, lstm); the motion phase
+    freezes content, the end-to-end check enables both. Next-frame and
+    refined gradients reach either stream only through the motion pass,
+    so they need `motion`.
     """
-    cfg = bundle.config
-    cache = result.cache
-
-    d_eps_c_total = None
-    d_pyramid = None
-
-    if d_x_next is not None or d_refined is not None:
-        d_ref = [None] * cfg.scales
-        if d_refined is not None:
-            d_ref = [g.copy() if g is not None else None for g in d_refined]
-        if d_x_next is not None:
-            d_last = decode_head_backward(bundle, cache["head_next"], d_x_next)
-            d_ref[-1] = d_last if d_ref[-1] is None else d_ref[-1] + d_last
-        d_ref = [
-            np.zeros_like(r) if g is None else g for g, r in zip(d_ref, result.refined)
-        ]
-        d_pyramid, d_kernels, d_masks = fusion.fuse_pyramid_backward(
-            d_ref, cache["fuse"], content
-        )
-        if motion:
-            d_eps_c_gm, d_e_m = motion_fields_backward(
-                bundle, cache["gen_m"], d_kernels, d_masks
-            )
-            d_eps_m = lstm_embed_backward(bundle, cache["lstm"], d_e_m)
-            dmean_m, dlogvar_m = _reparam_backward(result.q_m, cache["eta_m"], d_eps_m)
-            if d_q_m is not None:
-                dmean_m = dmean_m + d_q_m[0]
-                dlogvar_m = dlogvar_m + d_q_m[1]
-            encode_backward(bundle.enc_m, cache["enc_m"], dmean_m, dlogvar_m)
-            d_eps_c_total = d_eps_c_gm
-    elif motion and d_q_m is not None:
-        encode_backward(bundle.enc_m, cache["enc_m"], d_q_m[0], d_q_m[1])
-
+    d_pyramid = d_eps_c = None
+    if motion:
+        d_pyramid, d_eps_c, d_e_m = result.motion.backward(bundle, d_x_next, d_refined, content)
+        enc_m, lstm = result.caches
+        d_eps_m = lstm_embed_backward(bundle, lstm, d_e_m)
+        _posterior_backward(bundle.enc_m, enc_m, result.q_m, result.eta_m, d_eps_m, d_q_m)
+    elif d_x_next is not None or d_refined is not None:
+        raise ValueError("next-frame and refined gradients need motion=True")
     if content:
-        d_trunk = None
-        if d_x_recon is not None:
-            d_trunk = decode_head_backward(bundle, cache["head_recon"], d_x_recon)
-        tap_grads = list(d_pyramid) if d_pyramid is not None else [None] * cfg.scales
-        if d_trunk is not None:
-            tap_grads[-1] = d_trunk if tap_grads[-1] is None else tap_grads[-1] + d_trunk
-        if any(g is not None for g in tap_grads) or d_q_c is not None:
-            if any(g is not None for g in tap_grads):
-                d_eps_c = decode_content_backward(bundle, cache["gen_c"], tap_grads)
-            else:
-                d_eps_c = np.zeros_like(result.eps_c)
-            if d_eps_c_total is not None:
-                d_eps_c = d_eps_c + d_eps_c_total
-            dmean_c, dlogvar_c = _reparam_backward(result.q_c, cache["eta_c"], d_eps_c)
-            if d_q_c is not None:
-                dmean_c = dmean_c + d_q_c[0]
-                dlogvar_c = dlogvar_c + d_q_c[1]
-            encode_backward(bundle.enc_c, cache["enc_c"], dmean_c, dlogvar_c)
+        result.content.backward(bundle, d_x_recon, d_pyramid, d_eps_c, d_q_c)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import fusion, losses, model, ops
+from . import losses, model, ops
 from .synthdata import Dataset, VideoClip
 from .tensor import SeededRng, split_seed
 
@@ -169,74 +169,47 @@ class Trainer:
         x_t, x_next = random_shift(self.batch_rng, self.cfg.crop_jitter, x_t, x_next)
         return x_t, x_next, labels
 
-    def _content_step(self, x_t, labels):
-        cfg = self.bundle.config
+    def _content_step(self, x_t, onehot, eta_c):
         w = self.cfg.weights
-        bsz = x_t.shape[0]
-        onehot = model.one_hot(labels, cfg.classes, x_t.dtype)
-        eta_c = self.noise_rng.normals((bsz, cfg.latent_c), dtype=x_t.dtype)
-        # keep the noise stream aligned across phases
-        self.noise_rng.normals((bsz, cfg.latent_m), dtype=x_t.dtype)
-
-        q_c, enc_cache = model.encode(self.bundle.enc_c, cfg, x_t, onehot, cfg.latent_c)
-        eps_c = q_c.sample(eta_c)
-        pyramid, gen_cache = model.decode_content(self.bundle, eps_c, onehot)
-        x_recon, head_cache = model.decode_head(self.bundle, pyramid[-1])
-
-        recon = losses.l2_loss(x_recon, x_t)
-        kl = losses.kl_to_standard_normal(q_c)
+        cp = model.content_pass(self.bundle, x_t, onehot, eta_c)
+        recon = losses.l2_loss(cp.x, x_t)
+        kl = losses.kl_to_standard_normal(cp.q)
         total = losses.total_content_loss(w, recon, kl)
         self._guard_finite(total, {"recon": recon, "kl": kl})
 
         self.bundle.zero_grads()
-        d_trunk = model.decode_head_backward(
-            self.bundle, head_cache, w.l1 * losses.l2_loss_grad(x_recon, x_t)
-        )
-        taps = [None] * cfg.scales
-        taps[-1] = d_trunk
-        d_eps_c = model.decode_content_backward(self.bundle, gen_cache, taps)
-        dmean, dlogvar = model._reparam_backward(q_c, eta_c, d_eps_c)
-        kg_mean, kg_logvar = losses.kl_to_standard_normal_grad(q_c)
-        model.encode_backward(
-            self.bundle.enc_c, enc_cache, dmean + w.l2 * kg_mean, dlogvar + w.l2 * kg_logvar
+        kg_mean, kg_logvar = losses.kl_to_standard_normal_grad(cp.q)
+        cp.backward(
+            self.bundle,
+            d_x=w.l1 * losses.l2_loss_grad(cp.x, x_t),
+            d_q=(w.l2 * kg_mean, w.l2 * kg_logvar),
         )
         self.opt_content.step()
         return {"phase": "content", "recon": recon, "kl": kl, "total": total}
 
-    def _motion_step(self, x_t, x_next, labels):
-        cfg = self.bundle.config
+    def _motion_step(self, x_t, x_next, labels, onehot, eta_c, eta_m):
         w = self.cfg.weights
-        bsz = x_t.shape[0]
-        onehot = model.one_hot(labels, cfg.classes, x_t.dtype)
-        eta_c = self.noise_rng.normals((bsz, cfg.latent_c), dtype=x_t.dtype)
-        eta_m = self.noise_rng.normals((bsz, cfg.latent_m), dtype=x_t.dtype)
-        dx = x_next - x_t
-
+        # the content stream is frozen: its pass decodes no x_recon and
+        # keeps no caches, as the motion backward reads none of them
         res = model.forward_next_frame(
-            self.bundle, x_t, dx, labels, eta_c=eta_c, eta_m=eta_m
+            self.bundle, x_t, x_next - x_t, labels, eta_c, eta_m, content=False
         )
-        # the motion backward (content=False) reads none of the frozen
-        # content stream's caches, so they go before the next forward
-        for key in ("enc_c", "gen_c", "head_recon"):
-            del res.cache[key]
-        # consistency target: the frozen content pathway viewing the next
-        # frame; its caches are dropped at once, as nothing backpropagates
-        q_next = model.encode(self.bundle.enc_c, cfg, x_next, onehot, cfg.latent_c)[0]
-        target_pyramid = model.decode_content(self.bundle, q_next.mean, onehot)[0]
+        # consistency target: the frozen content pass on the next frame at
+        # its posterior mean; nothing backpropagates into it
+        zeros = np.zeros_like(eta_c)
+        target_pyramid = model.content_pass(self.bundle, x_next, onehot, zeros, head=False).pyramid
 
         consistency = losses.content_consistency_loss(res.refined, target_pyramid)
         video_recon = losses.l2_loss(res.x_next, x_next)
         kl = losses.kl_to_standard_normal(res.q_m)
         lam5 = w.lambda5_at(self.iteration, self.cfg.iterations)
         total = losses.total_motion_loss(w, consistency, video_recon, kl, lam5)
-        self._guard_finite(
-            total, {"consistency": consistency, "video_recon": video_recon, "kl": kl}
-        )
+        terms = {"consistency": consistency, "video_recon": video_recon, "kl": kl}
+        self._guard_finite(total, terms)
 
         self.bundle.zero_grads()
         d_refined = [
-            w.l3 * g
-            for g in losses.content_consistency_loss_grad(res.refined, target_pyramid)
+            w.l3 * g for g in losses.content_consistency_loss_grad(res.refined, target_pyramid)
         ]
         kg_mean, kg_logvar = losses.kl_to_standard_normal_grad(res.q_m)
         model.backward_next_frame(
@@ -249,14 +222,7 @@ class Trainer:
             motion=True,
         )
         self.opt_motion.step()
-        return {
-            "phase": "motion",
-            "consistency": consistency,
-            "video_recon": video_recon,
-            "kl": kl,
-            "lambda5": lam5,
-            "total": total,
-        }
+        return {"phase": "motion", **terms, "lambda5": lam5, "total": total}
 
     def _guard_finite(self, total, terms):
         if not np.isfinite(total):
@@ -267,12 +233,15 @@ class Trainer:
 
     def train_step(self) -> dict:
         x_t, x_next, labels = self._sample_batch()
-        phase = self.phase(self.iteration)
-        stats = (
-            self._content_step(x_t, labels)
-            if phase == "content"
-            else self._motion_step(x_t, x_next, labels)
-        )
+        cfg, bsz = self.bundle.config, x_t.shape[0]
+        onehot = model.one_hot(labels, cfg.classes, x_t.dtype)
+        # both phases draw both noises, so the stream stays aligned across them
+        eta_c = self.noise_rng.normals((bsz, cfg.latent_c), dtype=x_t.dtype)
+        eta_m = self.noise_rng.normals((bsz, cfg.latent_m), dtype=x_t.dtype)
+        if self.phase(self.iteration) == "content":
+            stats = self._content_step(x_t, onehot, eta_c)
+        else:
+            stats = self._motion_step(x_t, x_next, labels, onehot, eta_c, eta_m)
         self.iteration += 1
         stats["iteration"] = self.iteration
         return stats
@@ -308,21 +277,13 @@ def model_next_frame_l2(bundle: model.ModelBundle, dataset: Dataset, ids) -> flo
     cfg = bundle.config
     vals = []
     for i in ids:
-        clip = dataset.clips[i]
-        t_max = clip.shape[0] - 1
-        x_t = clip[:-1]
-        x_next = clip[1:]
-        labels = np.full(t_max, dataset.labels[i])
-        res = model.forward_next_frame(
-            bundle,
-            x_t,
-            x_next - x_t,
-            labels,
-            eta_c=np.zeros((t_max, cfg.latent_c), dtype=x_t.dtype),
-            eta_m=np.zeros((t_max, cfg.latent_m), dtype=x_t.dtype),
-        )
-        for t in range(t_max):
-            vals.append(losses.l2_loss(res.x_next[t], x_next[t]))
+        x_t, x_next = dataset.clips[i][:-1], dataset.clips[i][1:]
+        n = len(x_t)
+        zeros_c = np.zeros((n, cfg.latent_c), dtype=x_t.dtype)
+        zeros_m = np.zeros((n, cfg.latent_m), dtype=x_t.dtype)
+        labels = np.full(n, dataset.labels[i])
+        res = model.forward_next_frame(bundle, x_t, x_next - x_t, labels, zeros_c, zeros_m)
+        vals += [losses.l2_loss(pred, true) for pred, true in zip(res.x_next, x_next)]
     return float(np.mean(vals))
 
 
@@ -359,10 +320,10 @@ def rollout(
     for _ in range(heatup + frames - 1):
         eps_m = rng.normals((1, cfg.latent_m), dtype=dtype)
         h, c, _ = model.lstm_embed(bundle, eps_m, h, c)
-        q, _ = model.encode(bundle.enc_c, cfg, x, onehot, cfg.latent_c)
-        kernels, masks, _ = model.motion_fields(bundle, q.mean, h, onehot)
-        pyramid, _ = fusion.fuse_pyramid_forward(pyramid, kernels, masks)
-        x, _ = model.decode_head(bundle, pyramid[-1])
+        q = model.encode(bundle.enc_c, cfg, x, onehot, cfg.latent_c)[0]
+        step = model.motion_pass(bundle, pyramid, q.mean, h, onehot)
+        pyramid, x = step.refined, step.x
+        del step  # and its caches: nothing backpropagates through a rollout
         seq.append(x[0])
     out = np.stack(seq[heatup : heatup + frames]).astype(np.float32)
     return VideoClip(

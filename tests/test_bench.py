@@ -27,6 +27,10 @@ class TestBenchCase:
             bench.BenchCase("dense", 3, (8,), warmup=0)
         with pytest.raises(ValueError):
             bench.BenchCase("dense", 3, ())
+        with pytest.raises(ValueError, match="--scales"):
+            bench.BenchCase("dense", 3, (8, 0))
+        with pytest.raises(ValueError, match="--channels"):
+            bench.BenchCase("dense", 3, (8,), channels=0)
 
 
 class TestRunCase:

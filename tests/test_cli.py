@@ -303,6 +303,27 @@ class TestUsageErrors:
 
     def test_unknown_command_exits_one(self, capsys):
         assert cli.main(["frobnicate"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: motionfuse [-h]") and "{gen-data," in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bench", "--n", "5,x"],
+            ["rollout", "--ckpt", "m.tsvc", "--out", "r.smv", "--frames", "x"],
+            ["gen-data", "--out", "d.smv", "--bogus-flag", "1"],
+            ["train", "--data", "d.smv", "--out", "m.tsvc", "--iters"],
+        ],
+    )
+    def test_subcommand_error_shows_the_subcommand_usage(self, argv, capsys, tmp_path,
+                                                         monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: motionfuse {argv[0]} [-h]")
+        assert "{gen-data," not in err
+        assert_clean_failure(1, err)
+        assert list(tmp_path.iterdir()) == []
 
     def test_io_error_exit_code(self, tmp_path):
         rc = cli.main(
@@ -468,9 +489,11 @@ class TestInputContract:
 
     @pytest.mark.parametrize(
         "command, flag, value",
-        [("export-frames", "--clips", ""), ("bench", "--n", "5,x"), ("bench", "--scales", "")],
+        [("export-frames", "--clips", ""), ("bench", "--n", "5,x"), ("bench", "--scales", ""),
+         ("bench", "--channels", "0"), ("bench", "--channels", "-2"),
+         ("bench", "--scales", "0"), ("bench", "--scales", "8,-1")],
     )
-    def test_bad_integer_list_names_its_flag(self, command, flag, value, workspace, tmp_path,
+    def test_bad_flag_value_names_its_flag(self, command, flag, value, workspace, tmp_path,
                                              capsys):
         _, argv = self.commands(workspace, tmp_path)[command]
         argv = self.with_input(self.with_input(argv, flag, value), "--out", str(tmp_path / "out"))

@@ -217,10 +217,10 @@ class TestForward:
         x, dx, eta_c, eta_m, labels = micro_batch()
         res = model.forward_next_frame(bundle, x, dx, labels, eta_c=eta_c, eta_m=eta_m)
         assert res.x_next.shape == x.shape and res.x_recon.shape == x.shape
-        assert [p.shape for p in res.pyramid] == [(2, 4, 8, 8), (2, 4, 16, 16)]
-        for mask in res.masks:
+        assert [p.shape for p in res.content.pyramid] == [(2, 4, 8, 8), (2, 4, 16, 16)]
+        for mask in res.motion.masks:
             assert np.min(mask) >= 0.0 and np.max(mask) <= 1.0
-        for field in res.kernels:
+        for field in res.motion.kernels:
             assert field.wv.shape[-1] == MICRO.kernel_size
 
     def test_mask_zero_reduces_to_content_reconstruction(self):
@@ -228,9 +228,9 @@ class TestForward:
         close_masks(bundle)
         x, dx, eta_c, eta_m, labels = micro_batch()
         res = model.forward_next_frame(bundle, x, dx, labels, eta_c=eta_c, eta_m=eta_m)
-        assert all(np.array_equal(m, np.zeros_like(m)) for m in res.masks)
+        assert all(np.array_equal(m, np.zeros_like(m)) for m in res.motion.masks)
         assert np.array_equal(res.x_next, res.x_recon)
-        for refined, content in zip(res.refined, res.pyramid):
+        for refined, content in zip(res.refined, res.content.pyramid):
             assert np.array_equal(refined, content)
 
     def test_zero_noise_is_deterministic(self):
@@ -402,6 +402,14 @@ class TestPhaseGating:
         for ps in (bundle.enc_m, bundle.gen_m, bundle.lstm):
             assert all(np.all(ps.grad(n) == 0) for n in ps.names())
         assert any(np.any(bundle.enc_c.grad(n) != 0) for n in bundle.enc_c.names())
+
+    def test_next_frame_gradient_needs_the_motion_stream(self):
+        # it reaches either stream only through the motion pass
+        bundle = micro_bundle()
+        x, dx, eta_c, eta_m, labels = micro_batch()
+        res = model.forward_next_frame(bundle, x, dx, labels, eta_c=eta_c, eta_m=eta_m)
+        with pytest.raises(ValueError, match="motion=True"):
+            model.backward_next_frame(bundle, res, d_x_next=np.ones_like(x), motion=False)
 
 
 class TestClassifier:

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from motionfuse import checkpoint, model, training
+from motionfuse import checkpoint, fusion, losses, model, training
 from motionfuse.losses import LossWeights
 from motionfuse.synthdata import ClipSpec, gen_dataset, load_dataset
 from motionfuse.tensor import SeededRng
@@ -195,20 +195,21 @@ class TestTrainer:
     def test_motion_backward_holds_no_frozen_content_caches(self, tiny_dataset, monkeypatch):
         # the motion backward runs with content=False and reads none of the
         # content encoder's, content generator's or x_recon head's caches,
-        # so the step releases them before it
+        # so the content pass of the motion step keeps none
         seen = []
         real = model.backward_next_frame
 
         def spy(bundle, result, **kwargs):
-            seen.append((set(result.cache), kwargs["content"]))
+            seen.append((result, kwargs["content"]))
             return real(bundle, result, **kwargs)
 
         monkeypatch.setattr(model, "backward_next_frame", spy)
         _, trainer = make_trainer(tiny_dataset)
         assert [trainer.train_step()["phase"] for _ in range(4)][-1] == "motion"
         assert len(seen) == 1 and seen[0][1] is False
-        assert not {"enc_c", "gen_c", "head_recon"} & seen[0][0]
-        assert {"enc_m", "gen_m", "lstm", "fuse", "head_next"} <= seen[0][0]
+        res = seen[0][0]
+        assert res.content.caches is None and res.x_recon is None
+        assert all(c is not None for c in res.motion.caches + res.caches)
 
     def test_losses_reported_finite_and_decreasing_headroom(self, tiny_dataset):
         _, trainer = make_trainer(tiny_dataset, iterations=10)
@@ -231,6 +232,115 @@ class TestTrainer:
         bundle.enc_c.value("enc.conv1.w")[0, 0, 0, 0] = np.nan
         with pytest.raises(ValueError):
             trainer.train_step()
+
+
+# The hand wirings that the content pass and the motion pass replaced, kept
+# as oracles: the content step's forward and backward, and the rollout loop.
+
+
+def reference_content_grads(bundle, x_t, labels, eta_c, w):
+    """Content-set gradients of the content loss, chained by hand."""
+    cfg = bundle.config
+    onehot = model.one_hot(labels, cfg.classes, x_t.dtype)
+    q_c, enc_cache = model.encode(bundle.enc_c, cfg, x_t, onehot, cfg.latent_c)
+    eps_c = q_c.sample(eta_c)
+    pyramid, gen_cache = model.decode_content(bundle, eps_c, onehot)
+    x_recon, head_cache = model.decode_head(bundle, pyramid[-1])
+    bundle.zero_grads()
+    d_x = w.l1 * losses.l2_loss_grad(x_recon, x_t)
+    d_trunk = model.decode_head_backward(bundle, head_cache, d_x)
+    taps = [None] * cfg.scales
+    taps[-1] = d_trunk
+    d_eps_c = model.decode_content_backward(bundle, gen_cache, taps)
+    dmean = d_eps_c
+    dlogvar = d_eps_c * eta_c * 0.5 * np.exp(0.5 * q_c.logvar)
+    kg_mean, kg_logvar = losses.kl_to_standard_normal_grad(q_c)
+    model.encode_backward(
+        bundle.enc_c, enc_cache, dmean + w.l2 * kg_mean, dlogvar + w.l2 * kg_logvar
+    )
+    return x_recon, content_grads(bundle)
+
+
+def reference_rollout_frames(bundle, action, rng, frames=10, heatup=2):
+    cfg = bundle.config
+    dtype = bundle.gen_c.value("head.out.w").dtype
+    onehot = model.one_hot([action], cfg.classes, dtype)
+    eps_c = rng.normals((1, cfg.latent_c), dtype=dtype)
+    pyramid, _ = model.decode_content(bundle, eps_c, onehot)
+    x, _ = model.decode_head(bundle, pyramid[-1])
+    h = c = None
+    seq = [x[0]]
+    for _ in range(heatup + frames - 1):
+        eps_m = rng.normals((1, cfg.latent_m), dtype=dtype)
+        h, c, _ = model.lstm_embed(bundle, eps_m, h, c)
+        q, _ = model.encode(bundle.enc_c, cfg, x, onehot, cfg.latent_c)
+        kernels, masks, _ = model.motion_fields(bundle, q.mean, h, onehot)
+        pyramid, _ = fusion.fuse_pyramid_forward(pyramid, kernels, masks)
+        x, _ = model.decode_head(bundle, pyramid[-1])
+        seq.append(x[0])
+    return np.stack(seq[heatup : heatup + frames]).astype(np.float32)
+
+
+def content_grads(bundle):
+    return {
+        (sn, n): ps.grad(n).copy() for sn, ps in bundle.content_sets().items() for n in ps.names()
+    }
+
+
+class TestOneWiring:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_content_pass_gradients_match_the_hand_chain(self, tiny_dataset, dtype):
+        bundle, trainer = make_trainer(tiny_dataset)
+        trainer.train(5)  # off the initial weights
+        bundle = model.ModelBundle(
+            config=MCFG, **{k: ps.astype(dtype) for k, ps in bundle.param_sets().items()}
+        )
+        x_t = tiny_dataset.clips[:6, 2].astype(dtype)
+        labels = tiny_dataset.labels[:6]
+        eta_c = SeededRng(5).normals((6, MCFG.latent_c), dtype=dtype)
+        w = trainer.cfg.weights
+        want_x, want = reference_content_grads(bundle, x_t, labels, eta_c, w)
+
+        bundle.zero_grads()
+        onehot = model.one_hot(labels, MCFG.classes, dtype)
+        cp = model.content_pass(bundle, x_t, onehot, eta_c)
+        kg_mean, kg_logvar = losses.kl_to_standard_normal_grad(cp.q)
+        cp.backward(
+            bundle,
+            d_x=w.l1 * losses.l2_loss_grad(cp.x, x_t),
+            d_q=(w.l2 * kg_mean, w.l2 * kg_logvar),
+        )
+        assert np.array_equal(cp.x, want_x)
+        got = content_grads(bundle)
+        assert any(np.any(g != 0) for g in got.values())
+        for key, g in want.items():
+            assert np.array_equal(got[key], g), key
+
+    @pytest.mark.parametrize("seed", [3, 33])
+    def test_rollout_matches_the_hand_wired_loop(self, tiny_dataset, seed):
+        bundle, trainer = make_trainer(tiny_dataset)
+        trainer.train(5)
+        got = training.rollout(bundle, 1, SeededRng(seed), frames=6, heatup=2)
+        want = reference_rollout_frames(bundle, 1, SeededRng(seed), frames=6, heatup=2)
+        assert np.array_equal(got.frames, want)
+        assert not np.array_equal(got.frames[0], got.frames[-1])
+
+    def test_one_head_decode_per_training_step(self, tiny_dataset, monkeypatch):
+        calls = []
+        real = model.decode_head
+
+        def spy(bundle, h):
+            calls.append(h.shape)
+            return real(bundle, h)
+
+        monkeypatch.setattr(model, "decode_head", spy)
+        _, trainer = make_trainer(tiny_dataset)
+        per_step = []
+        for _ in range(5):
+            calls.clear()
+            phase = trainer.train_step()["phase"]
+            per_step.append((phase, len(calls)))
+        assert per_step == [("content", 1)] * 3 + [("motion", 1)] * 2
 
 
 class TestEvaluation:

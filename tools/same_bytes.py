@@ -1,0 +1,70 @@
+"""Print the sha256 of the artifacts a refactor must leave byte for byte.
+
+Run it on two trees (say, a `git archive` of the parent commit and the
+working tree) and compare the output:
+
+    python tools/same_bytes.py
+
+It runs the checkout's own `src/` at one BLAS thread, the setting under
+which the README promises identical training bytes, and prints five lines:
+the 10-iteration checkpoint of the default model and its config sidecar,
+one rollout clip from the reloaded checkpoint, and the 20-iteration clip
+classifier and its sidecar.
+"""
+
+import os
+
+os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy loads its BLAS
+
+import hashlib  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from motionfuse import checkpoint  # noqa: E402
+from motionfuse.model import ModelConfig, build_model  # noqa: E402
+from motionfuse.synthdata import ClipSpec, gen_dataset, load_dataset  # noqa: E402
+from motionfuse.tensor import SeededRng  # noqa: E402
+from motionfuse.training import (  # noqa: E402
+    ClassifierConfig,
+    TrainConfig,
+    Trainer,
+    rollout,
+    train_classifier,
+)
+
+
+def sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def main():
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        gen_dataset(4, 50, 7, ClipSpec(frames=10, size=32, channels=1), tmp / "data.smv")
+        ds = load_dataset(tmp / "data.smv")
+
+        bundle = build_model(ModelConfig(), SeededRng(7))
+        Trainer(bundle, ds, TrainConfig(iterations=10, seed=7)).train()
+        model_path = tmp / "model.tsvc"
+        checkpoint.save_model(model_path, bundle)
+        clip = rollout(checkpoint.load_model(model_path), 1, SeededRng(3))
+
+        cls_path = tmp / "cls.tsvc"
+        cls = train_classifier(ds, ModelConfig(), ClassifierConfig(iterations=20))
+        checkpoint.save_classifier(cls_path, cls, ModelConfig())
+
+        for name, data in (
+            ("checkpoint", model_path.read_bytes()),
+            ("checkpoint sidecar", checkpoint.config_sidecar(model_path).read_bytes()),
+            ("rollout clip", clip.frames.tobytes()),
+            ("classifier", cls_path.read_bytes()),
+            ("classifier sidecar", checkpoint.config_sidecar(cls_path).read_bytes()),
+        ):
+            print(f"{name:20s} {sha(data)}")
+
+
+if __name__ == "__main__":
+    main()
