@@ -78,12 +78,14 @@ class BenchResult:
     def csv_row(self) -> str:
         return (
             f"{self.descriptor},{self.case.kernel_size},{self.case.scales},"
-            f"{self.case.mode},{self.params_per_pixel},{self.median_ns},"
-            f"{self.min_ns},{self.residual:.3e}"
+            f"{self.case.mode},{self.params_per_pixel},{self.total_kernel_values},"
+            f"{self.median_ns},{self.min_ns},{self.residual:.3e},{self.peak_bytes}"
         )
 
 
-CSV_HEADER = "case,n,S,mode,params_per_pixel,median_ns,min_ns,residual"
+CSV_HEADER = (
+    "case,n,S,mode,params_per_pixel,total_kernel_values,median_ns,min_ns,residual,peak_bytes"
+)
 
 
 def _case_inputs(case: BenchCase, seed: int):

@@ -1,11 +1,12 @@
 """Checkpoint container and frame image export.
 
-TSVC layout: magic "TSVC", little-endian u32 version, u64 manifest byte
-length, a UTF-8 JSON manifest listing [{name, shape, offset}] entries
-(offsets into the blob section), then the raw little-endian float32 blobs
-in manifest order. Parameter names are "<set>/<param>". A checkpoint and
-its JSON config sidecar are each written whole to a temporary file, then
-renamed over the target.
+TSVC version 2 layout: magic "TSVC", little-endian u32 version, u64
+manifest byte length, a UTF-8 JSON manifest {"config": {every ModelConfig
+field}, "params": [{name, shape, offset}]} (offsets into the blob section),
+then the raw little-endian float32 blobs in manifest order. Parameter names
+are "<set>/<param>"; the set names tell a model from a classifier. A
+checkpoint is one file, written whole to a temporary file and renamed over
+the target, so its config and its weights are always replaced together.
 
 Frames export as binary PGM (P5) for grayscale and PPM (P6) for RGB, with
 [-1, 1] mapped to [0, 255] by round-half-up.
@@ -24,11 +25,12 @@ from . import model, ops
 from .synthdata import atomic_write
 
 _MAGIC = b"TSVC"
-_VERSION = 1
+_VERSION = 2
 _HEAD = struct.Struct("<IQ")
+_CONFIG_KEYS = {f.name for f in dataclasses.fields(model.ModelConfig)}
 
 
-def save_param_sets(path, param_sets: dict[str, ops.ParamSet]):
+def _save(path, cfg: model.ModelConfig, param_sets: dict[str, ops.ParamSet]):
     entries = []
     blobs = []
     offset = 0
@@ -40,7 +42,8 @@ def save_param_sets(path, param_sets: dict[str, ops.ParamSet]):
             )
             blobs.append(blob)
             offset += len(blob)
-    manifest = json.dumps(entries, sort_keys=True, separators=(",", ":")).encode()
+    doc = {"config": dataclasses.asdict(cfg), "params": entries}
+    manifest = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
     with atomic_write(path) as fh:
         fh.write(_MAGIC)
         fh.write(_HEAD.pack(_VERSION, len(manifest)))
@@ -49,10 +52,12 @@ def save_param_sets(path, param_sets: dict[str, ops.ParamSet]):
             fh.write(blob)
 
 
-def load_param_sets(path) -> dict[str, ops.ParamSet]:
-    """Read every parameter set of a TSVC file. A file whose length differs
-    from what its manifest describes (truncated, or with trailing bytes) is
-    rejected with a ValueError naming it."""
+def _load(path, layout) -> tuple[model.ModelConfig, dict[str, ops.ParamSet]]:
+    """The config and every parameter set of a TSVC file. The file is
+    rejected, with a ValueError naming it, if its config does not hold
+    exactly the ModelConfig fields, if its length differs from what its
+    manifest describes (truncated, or with trailing bytes), or if its sets,
+    names and shapes differ from `layout(config)`."""
     raw = Path(path).read_bytes()
     if raw[:4] != _MAGIC:
         raise ValueError(f"{path}: not a TSVC checkpoint")
@@ -61,13 +66,21 @@ def load_param_sets(path) -> dict[str, ops.ParamSet]:
         raise ValueError(f"{path}: {len(raw)} bytes, shorter than the {start}-byte TSVC header")
     version, mlen = _HEAD.unpack_from(raw, 4)
     if version != _VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {version}")
+        raise ValueError(f"{path}: TSVC version {version}; only version {_VERSION} is read")
     blob_start = start + mlen
     try:
         if len(raw) < blob_start:
             raise ValueError(f"manifest of {mlen} bytes runs past the end")
-        manifest = json.loads(raw[start:blob_start].decode())
-        entries = [(e["name"].split("/", 1), tuple(e["shape"]), e["offset"]) for e in manifest]
+        doc = json.loads(raw[start:blob_start].decode())
+        entries = [
+            (e["name"].split("/", 1), tuple(e["shape"]), e["offset"]) for e in doc["params"]
+        ]
+        meta = doc["config"]
+        if meta.keys() != _CONFIG_KEYS:
+            unknown, missing = meta.keys() - _CONFIG_KEYS, _CONFIG_KEYS - meta.keys()
+            raise ValueError(f"config keys: unknown {sorted(unknown)}, missing {sorted(missing)}")
+        cfg = model.ModelConfig(**meta)
+        expected = layout(cfg)
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"{path}: unreadable TSVC manifest ({exc})") from exc
     offset = 0
@@ -84,12 +97,13 @@ def load_param_sets(path) -> dict[str, ops.ParamSet]:
         count = int(np.prod(shape))
         value = np.frombuffer(raw, dtype="<f4", count=count, offset=blob_start + at)
         sets.setdefault(sname, ops.ParamSet()).add(pname, value.reshape(shape).copy())
-    return sets
+    _check_layout(path, sets, expected)
+    return cfg, sets
 
 
 def _check_layout(path, sets, expected):
     """Every set, parameter name and shape of the loaded `sets` must match
-    the `expected` layout, the one the config sidecar builds."""
+    the `expected` layout, the one the file's own config builds."""
     got = {sname: {n: v.shape for n, v in ps.items()} for sname, ps in sets.items()}
     if set(got) != set(expected):
         raise ValueError(f"{path}: parameter sets {sorted(got)} != {sorted(expected)}")
@@ -99,58 +113,27 @@ def _check_layout(path, sets, expected):
             wrong = sorted(n for n in have.keys() | need.keys() if have.get(n) != need.get(n))
             detail = ", ".join(f"{n}: {have.get(n)} vs {need.get(n)}" for n in wrong[:3])
             raise ValueError(
-                f"{path}: set {sname!r} does not match its config sidecar "
+                f"{path}: set {sname!r} does not match its config "
                 f"(file vs config: {detail})"
             )
 
 
-def _read_sidecar(path) -> model.ModelConfig:
-    sidecar = config_sidecar(path)
-    if not sidecar.exists():
-        raise ValueError(f"{path}: missing config sidecar {sidecar}")
-    try:
-        meta = json.loads(sidecar.read_text())
-        meta.pop("kind", None)
-        return model.ModelConfig(**meta)
-    except (ValueError, TypeError, AttributeError) as exc:
-        raise ValueError(f"{path}: bad config sidecar {sidecar} ({exc})") from exc
-
-
-def config_sidecar(path) -> Path:
-    return Path(str(path) + ".config.json")
-
-
-def _write_sidecar(path, cfg: model.ModelConfig, **extra):
-    """Every ModelConfig field, plus `extra`, as the checkpoint's sidecar."""
-    meta = dict(dataclasses.asdict(cfg), **extra)
-    with atomic_write(config_sidecar(path)) as fh:
-        fh.write(json.dumps(meta, sort_keys=True).encode())
-
-
 def save_model(path, bundle: model.ModelBundle):
-    """Checkpoint + JSON config sidecar, enough to rebuild the bundle."""
-    save_param_sets(path, bundle.param_sets())
-    _write_sidecar(path, bundle.config)
+    """One file holding the config and weights, enough to rebuild the bundle."""
+    _save(path, bundle.config, bundle.param_sets())
 
 
 def load_model(path) -> model.ModelBundle:
-    cfg = _read_sidecar(path)
-    sets = load_param_sets(path)
-    _check_layout(path, sets, model.model_layout(cfg))
+    cfg, sets = _load(path, model.model_layout)
     return model.ModelBundle(config=cfg, **sets)
 
 
 def save_classifier(path, params: ops.ParamSet, cfg: model.ModelConfig):
-    save_param_sets(path, {"cls": params})
-    _write_sidecar(path, cfg, kind="classifier")
+    _save(path, cfg, {"cls": params})
 
 
 def load_classifier(path):
-    cfg = _read_sidecar(path)
-    sets = load_param_sets(path)
-    if set(sets) != {"cls"}:
-        raise ValueError(f"{path}: expected a classifier checkpoint")
-    _check_layout(path, sets, model.classifier_layout(cfg))
+    cfg, sets = _load(path, model.classifier_layout)
     return sets["cls"], cfg
 
 

@@ -217,9 +217,9 @@ def _cmd_rollout(args):
         clips.append(clip.frames)
         labels.append(action)
         seeds.append(clip.seed)
-    synthdata.write_dataset(
-        args.out, np.stack(clips), np.asarray(labels), np.asarray(seeds, dtype=np.uint64)
-    )
+    classes = [f"class-{c}" for c in range(k)]
+    ids = list(range(args.count))
+    synthdata.write_dataset(args.out, np.stack(clips), labels, seeds, classes, ids, [])
     print(f"wrote {args.count} generated clips to {args.out}")
     return 0
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ops import _BLOCK_BYTES, _work_buffer
+from .ops import _BLOCK_BYTES, _windows, _work_buffer
 from .tensor import ShapeError
 
 __all__ = [
@@ -219,8 +219,7 @@ def adaptive_conv_forward(h, kernels):
     hp = _replicate_pad(h4, n // 2)
     out = np.empty(h4.shape, dtype=np.result_type(h4, k))
     # [u, v, b] is sample b of the padded content shifted by tap (u, v)
-    win = np.lib.stride_tricks.sliding_window_view(hp, (hh, ww), axis=(2, 3))
-    win = win.transpose(2, 3, 0, 1, 4, 5)
+    win = _windows(hp, hh, ww).transpose(2, 3, 0, 1, 4, 5)
     k6 = k.reshape(n, n, k.shape[1], 1, hh, ww)
     step = max(1, _BLOCK_BYTES // (n * n * c * hh * ww * out.itemsize))
     for b0 in range(0, bsz, step):

@@ -181,12 +181,8 @@ def _batch_major(y_mat, bsz, h, w):
 def _im2col(xp, k, stride, ho, wo):
     """(C, B, Hp, Wp) padded input -> contiguous (C*k*k, B*Ho*Wo) matrix
     whose rows follow the conv weight layout (C, k, k)."""
-    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]
-    c, bsz = xp.shape[0], xp.shape[1]
-    return np.ascontiguousarray(win.transpose(0, 4, 5, 1, 2, 3)).reshape(
-        c * k * k, bsz * ho * wo
-    )
+    win = _windows(xp, k, k, stride).transpose(0, 4, 5, 1, 2, 3)
+    return np.ascontiguousarray(win).reshape(xp.shape[0] * k * k, xp.shape[1] * ho * wo)
 
 
 def _col2im(dcols, padded_shape, k, stride, ho, wo):
@@ -213,6 +209,21 @@ def _blocks(n, rows, inner, itemsize):
     width = _BLOCK_BYTES // ((2 * rows + 2 * inner) * itemsize)
     width = max(64, width - width % 64)
     return tuple((j0, min(j0 + width, n)) for j0 in range(0, n, width))
+
+
+def _windows(x, kh, kw, stride=1):
+    """Read-only (A, B, Ho, Wo, kh, kw) view of a C-contiguous (A, B, H, W)
+    array, [a, b, i, j, u, v] = x[a, b, i*stride + u, j*stride + v]: numpy's
+    sliding-window view of the last two axes at every `stride`-th window,
+    without that function's per-call argument handling (about 20 us a call)."""
+    a, b, h, w = x.shape
+    s_a, s_b, s_h, s_w = x.strides
+    win = np.ndarray(
+        (a, b, (h - kh) // stride + 1, (w - kw) // stride + 1, kh, kw), x.dtype, x, 0,
+        (s_a, s_b, s_h * stride, s_w * stride, s_h, s_w),
+    )
+    win.flags.writeable = False
+    return win
 
 
 def _tap_window(flat, base, taps_u, taps_v, wp, n):

@@ -10,7 +10,9 @@ and whole datasets are bit-reproducible.
 
 Frames are float32 in [-1, 1], rendered at 4x supersampling and average-
 pooled, which keeps sub-pixel motion smooth. Datasets are stored in the SMV1
-container (see `write_dataset`) with a JSON manifest sidecar.
+container with a JSON manifest beside it (`<file>.manifest.json`);
+`write_dataset` is their one writer, and `load_dataset` requires the
+manifest and checks it against the container.
 """
 
 from __future__ import annotations
@@ -371,7 +373,7 @@ def manifest_path(path) -> Path:
 
 
 def gen_dataset(classes, clips_per_class: int, master_seed: int, spec: ClipSpec, path) -> dict:
-    """Generate a balanced dataset, write the SMV1 file + manifest, return the manifest.
+    """Generate a balanced dataset, write it (`write_dataset`), return the manifest.
 
     Clip ids run class-major; each clip's seed is `split_seed(master_seed, id)`.
     The train/test split is 80/20 within every class, by clip id.
@@ -379,36 +381,23 @@ def gen_dataset(classes, clips_per_class: int, master_seed: int, spec: ClipSpec,
     names = class_names(classes)
     if clips_per_class < 1:
         raise ValueError("need at least one clip per class")
-    clips, labels, seeds = [], [], []
-    train_ids, test_ids = [], []
+    ids = range(len(names) * clips_per_class)
+    labels = [i // clips_per_class for i in ids]
+    seeds = [split_seed(master_seed, i) for i in ids]
+    clips = np.stack([gen_clip(names[labels[i]], seeds[i], spec).frames for i in ids])
     n_train = int(round(clips_per_class * 0.8))
-    for ci, name in enumerate(names):
-        for j in range(clips_per_class):
-            clip_id = ci * clips_per_class + j
-            seed = split_seed(master_seed, clip_id)
-            clip = gen_clip(name, seed, spec)
-            clips.append(clip.frames)
-            labels.append(ci)
-            seeds.append(seed)
-            (train_ids if j < n_train else test_ids).append(clip_id)
-    data = np.stack(clips)
-    manifest = {
-        "classes": names,
-        "clips": [
-            {"id": i, "action": int(labels[i]), "seed": int(seeds[i])}
-            for i in range(len(labels))
-        ],
-        "split": {"train": train_ids, "test": test_ids},
-    }
-    write_dataset(path, data, np.asarray(labels), np.asarray(seeds, dtype=np.uint64))
-    with atomic_write(manifest_path(path)) as fh:
-        fh.write(json.dumps(manifest, sort_keys=True, indent=1).encode())
-    return manifest
+    train_ids = [i for i in ids if i % clips_per_class < n_train]
+    test_ids = [i for i in ids if i % clips_per_class >= n_train]
+    return write_dataset(path, clips, labels, seeds, names, train_ids, test_ids)
 
 
-def write_dataset(path, clips: np.ndarray, labels, seeds):
-    """SMV1 container: magic, 7 LE u32 header fields, then per clip a u16
-    label, u64 seed and T*C*H*W LE f32 values in (frame, channel, row) order."""
+def write_dataset(path, clips: np.ndarray, labels, seeds, classes, train_ids, test_ids) -> dict:
+    """Write the SMV1 container and then its manifest; return the manifest.
+
+    SMV1: magic, 7 LE u32 header fields, then per clip a u16 label, u64 seed
+    and T*C*H*W LE f32 values in (frame, channel, row) order. The JSON
+    manifest lists the class names, each clip's {id, action, seed} and the
+    train/test split by clip id."""
     n, t, c, h, w = clips.shape
     with atomic_write(path) as fh:
         fh.write(_MAGIC)
@@ -416,9 +405,26 @@ def write_dataset(path, clips: np.ndarray, labels, seeds):
         for i in range(n):
             fh.write(_CLIP_HEADER.pack(int(labels[i]), int(seeds[i])))
             fh.write(np.ascontiguousarray(clips[i], dtype="<f4").tobytes())
+    split = {"train": list(train_ids), "test": list(test_ids)}
+    manifest = {"classes": list(classes), "clips": _clip_entries(labels, seeds), "split": split}
+    with atomic_write(manifest_path(path)) as fh:
+        fh.write(json.dumps(manifest, sort_keys=True, indent=1).encode())
+    return manifest
+
+
+def _clip_entries(labels, seeds) -> list[dict]:
+    """The manifest's {id, action, seed} entry of every clip, in id order."""
+    pairs = enumerate(zip(labels, seeds))
+    return [{"id": i, "action": int(label), "seed": int(seed)} for i, (label, seed) in pairs]
 
 
 def load_dataset(path) -> Dataset:
+    """Read an SMV1 container and its manifest, and check them against each
+    other: the manifest must list every clip, in order, as {id, action,
+    seed} with the container's label and seed, name a class for every
+    label, and split the clip ids into train and test ids that cover each id
+    once. Any disagreement, or a container whose length differs from what
+    its header describes, is a ValueError naming the file."""
     path = Path(path)
     raw = path.read_bytes()
     if raw[:4] != _MAGIC:
@@ -429,39 +435,35 @@ def load_dataset(path) -> Dataset:
     version, n, t, c, h, w, dtype = _HEADER.unpack_from(raw, 4)
     if version != 1 or dtype != 0:
         raise ValueError(f"{path}: unsupported SMV1 version {version} / dtype {dtype}")
-    expected = head + n * (_CLIP_HEADER.size + 4 * t * c * h * w)
+    # one packed record per clip, as `_CLIP_HEADER` and the frames lay it out
+    record = np.dtype([("label", "<u2"), ("seed", "<u8"), ("frames", "<f4", (t, c, h, w))])
+    expected = head + n * record.itemsize
     if len(raw) != expected:
         raise ValueError(
             f"{path}: {len(raw)} bytes, but its header describes {n} clips of "
             f"{t}x{c}x{h}x{w} in {expected} bytes"
         )
-    clips = np.empty((n, t, c, h, w), dtype=np.float32)
-    labels = np.empty(n, dtype=np.int64)
-    seeds = np.empty(n, dtype=np.uint64)
-    offset = 4 + _HEADER.size
-    frame_bytes = t * c * h * w * 4
-    for i in range(n):
-        labels[i], seeds[i] = _CLIP_HEADER.unpack_from(raw, offset)
-        offset += _CLIP_HEADER.size
-        clips[i] = np.frombuffer(raw, dtype="<f4", count=t * c * h * w, offset=offset).reshape(
-            t, c, h, w
-        )
-        offset += frame_bytes
+    records = np.frombuffer(raw, dtype=record, count=n, offset=head)
+    labels = records["label"].astype(np.int64)
+    seeds = records["seed"].astype(np.uint64)
+    clips = records["frames"].astype(np.float32)
 
     mpath = manifest_path(path)
-    if mpath.exists():
-        manifest = json.loads(mpath.read_text())
-        classes = manifest["classes"]
-        train_ids = list(manifest["split"]["train"])
-        test_ids = list(manifest["split"]["test"])
-    else:
-        classes = [MOTION_CLASSES[i] for i in sorted(set(labels.tolist()))]
-        train_ids, test_ids = list(range(n)), []
-    return Dataset(
-        clips=clips,
-        labels=labels,
-        seeds=seeds,
-        classes=classes,
-        train_ids=train_ids,
-        test_ids=test_ids,
-    )
+    try:
+        doc = json.loads(mpath.read_text())
+        classes, entries = list(doc["classes"]), list(doc["clips"])
+        train_ids, test_ids = list(doc["split"]["train"]), list(doc["split"]["test"])
+        split_ids = sorted(train_ids + test_ids)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"{mpath}: unreadable dataset manifest ({exc})") from exc
+    if len(entries) != n:
+        raise ValueError(f"{mpath}: lists {len(entries)} clips, but {path} holds {n}")
+    held = _clip_entries(labels.tolist(), seeds.tolist())
+    if entries != held:
+        i = next(i for i, (listed, clip) in enumerate(zip(entries, held)) if listed != clip)
+        raise ValueError(f"{mpath}: entry {i} is {entries[i]}, but clip {i} of {path} is {held[i]}")
+    if n and labels.max() >= len(classes):
+        raise ValueError(f"{mpath}: action {labels.max()} outside its {len(classes)} classes")
+    if split_ids != list(range(n)):
+        raise ValueError(f"{mpath}: train and test ids do not split clip ids 0..{n - 1}")
+    return Dataset(clips, labels, seeds, classes, train_ids, test_ids)

@@ -74,10 +74,17 @@ class TestRunBench:
         )
         csv = bench.results_to_csv(results)
         lines = csv.strip().split("\n")
-        assert lines[0] == "case,n,S,mode,params_per_pixel,median_ns,min_ns,residual"
+        assert lines[0] == (
+            "case,n,S,mode,params_per_pixel,total_kernel_values,median_ns,min_ns,residual,"
+            "peak_bytes"
+        )
         assert len(lines) == 3
-        assert lines[1].startswith("dense-n3-S2,3,2,dense,9,")
-        assert lines[2].startswith("separable-n3-S2,3,2,separable,6,")
+        assert lines[1].startswith("dense-n3-S2,3,2,dense,9,720,")
+        assert lines[2].startswith("separable-n3-S2,3,2,separable,6,480,")
+        for line, res in zip(lines[1:], results):
+            fields = line.split(",")
+            assert len(fields) == 10
+            assert int(fields[-1]) == res.peak_bytes > 0
 
 
 def test_published_configuration_counts():

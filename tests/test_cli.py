@@ -7,7 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from motionfuse import cli
+from motionfuse import cli, synthdata
+from motionfuse.checkpoint import load_model
+from motionfuse.model import ModelConfig
 from motionfuse.synthdata import load_dataset, manifest_path
 
 MICRO_MODEL = {"ngf": 4, "latent_c": 8, "latent_m": 16, "scales": 2, "kernel_size": 3}
@@ -133,10 +135,54 @@ class TestGenData:
 
 
 class TestTrainRolloutEval:
-    def test_checkpoint_sidecar_written(self, workspace):
-        assert workspace["ckpt"].exists()
-        sidecar = json.loads((workspace["root"] / "model.tsvc.config.json").read_text())
-        assert sidecar["classes"] == 2 and sidecar["size"] == 16
+    def test_checkpoint_config_written(self, workspace):
+        cfg = load_model(workspace["ckpt"]).config
+        assert cfg == ModelConfig(**MICRO_MODEL, classes=2, size=16, channels=1)
+        assert not list(workspace["root"].glob("*.config.json"))
+
+    def test_rollout_of_a_three_class_model_keeps_its_classes(self, tmp_path):
+        data, ckpt = tmp_path / "d.smv", tmp_path / "m.tsvc"
+        rc = cli.main(["gen-data", "--classes", "rotate,static,diagonal", "--clips-per-class",
+                       "2", "--frames", "4", "--size", "16", "--out", str(data)])
+        assert rc == 0
+        train = ["train", "--config", MICRO_CONFIG, "--data", str(data), "--out"]
+        assert cli.main(train + [str(ckpt)]) == 0
+        # over the dataset the model learnt from: the rollout's manifest replaces its own
+        rc = cli.main(["rollout", "--ckpt", str(ckpt), "--action", "2", "--count", "2",
+                       "--frames", "4", "--out", str(data)])
+        assert rc == 0
+        ds = load_dataset(data)
+        assert ds.classes == ["class-0", "class-1", "class-2"]
+        assert ds.labels.tolist() == [2, 2]
+        assert (ds.train_ids, ds.test_ids) == ([0, 1], [])
+        assert cli.main(train + [str(tmp_path / "again.tsvc")]) == 0
+
+    def test_stale_manifest_beside_a_rollout_is_a_one_line_error(self, workspace, tmp_path,
+                                                                  capsys, monkeypatch):
+        data = tmp_path / "d.smv"
+        rc = cli.main(["gen-data", "--classes", "2", "--clips-per-class", "4", "--frames", "4",
+                       "--size", "16", "--out", str(data)])
+        assert rc == 0
+
+        def open_but_the_manifest(path, mode="r", *args, **kwargs):
+            if ".manifest.json" in str(path):
+                raise OSError(28, "No space left on device")
+            return open(path, mode, *args, **kwargs)
+
+        # the rollout replaces the container, then fails to replace its manifest
+        monkeypatch.setattr(synthdata, "open", open_but_the_manifest, raising=False)
+        rc = cli.main(["rollout", "--ckpt", str(workspace["ckpt"]), "--count", "2",
+                       "--frames", "4", "--out", str(data)])
+        monkeypatch.undo()
+        assert rc == 2
+        capsys.readouterr()
+        rc = cli.main(["train", "--data", str(data), "--config", MICRO_CONFIG,
+                       "--out", str(tmp_path / "t.tsvc")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert_clean_failure(rc, err)
+        assert str(manifest_path(data)) in err and "lists 8 clips" in err
+        assert not (tmp_path / "t.tsvc").exists()
 
     def test_rollout_writes_clips(self, workspace):
         out = workspace["root"] / "gen.smv"

@@ -506,6 +506,22 @@ def _same_bits(got, want):
     return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize(
+    "shape, kh, kw, stride",
+    [((2, 3, 6, 7), 3, 3, 1), ((2, 3, 6, 7), 3, 3, 2), ((1, 4, 9, 9), 4, 4, 3),
+     ((3, 1, 5, 5), 1, 1, 2), ((1, 8, 34, 34), 32, 32, 1), ((2, 2, 8, 10), 5, 2, 1)],
+)
+def test_windows_match_sliding_window_view(shape, kh, kw, stride, dtype):
+    # the view `_im2col` and adaptive conv read: the same shape and values
+    # as numpy's sliding-window view it replaces, and read-only
+    x = np.arange(np.prod(shape), dtype=dtype).reshape(shape)
+    want = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
+    got = ops._windows(x, kh, kw, stride)
+    assert _same_bits(got, want[:, :, ::stride, ::stride])
+    assert not got.flags.writeable
+
+
 class TestTapStacks:
     """The forward shifted GEMMs run each conv's, or each stride phase's,
     kernel taps as one strided product and one reduction on a one-block

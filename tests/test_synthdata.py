@@ -191,6 +191,60 @@ class TestDataset:
         with pytest.raises(ValueError):
             load_dataset(path)
 
+    def test_missing_manifest_is_an_error(self, tmp_path):
+        path = tmp_path / "d.smv"
+        gen_dataset(2, 1, 3, ClipSpec(frames=3, size=16), path)
+        synthdata.manifest_path(path).unlink()
+        with pytest.raises(FileNotFoundError, match="manifest"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc["clips"].pop(), "lists 3 clips, but"),
+            (lambda doc: doc["clips"][1].update(action=1), "entry 1 is {'action': 1, 'id': 1,"),
+            (lambda doc: doc["clips"][2].update(seed=5), "'id': 2, 'seed': 5}, but clip 2"),
+            (lambda doc: doc["clips"][0].update(id=3), "entry 0 is {'action': 0, 'id': 3,"),
+            (lambda doc: doc["clips"][0].update(id="0"), "entry 0 is {'action': 0, 'id': '0',"),
+            (lambda doc: doc["clips"][1].update(action=0.9), "entry 1 is {'action': 0.9,"),
+            (lambda doc: doc["clips"][3].update(shape=2), "entry 3 is"),
+            (lambda doc: doc["classes"].pop(), "action 1 outside its 1 classes"),
+            (lambda doc: doc["split"]["test"].append(0), "do not split clip ids 0..3"),
+            (lambda doc: doc["split"]["train"].remove(0), "do not split clip ids 0..3"),
+            (lambda doc: doc["split"]["train"].append(1.5), "do not split clip ids 0..3"),
+            (lambda doc: doc["split"]["train"].append("3"), "unreadable dataset manifest"),
+            (lambda doc: doc.pop("split"), "unreadable dataset manifest"),
+        ],
+    )
+    def test_manifest_must_match_the_container(self, edit, message, tmp_path):
+        path = tmp_path / "d.smv"
+        gen_dataset(2, 2, 3, ClipSpec(frames=3, size=16), path)
+        mpath = synthdata.manifest_path(path)
+        doc = json.loads(mpath.read_text())
+        edit(doc)
+        mpath.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as err:
+            load_dataset(path)
+        assert str(mpath) in str(err.value) and message in str(err.value)
+
+    def test_unparsable_manifest_names_it(self, tmp_path):
+        path = tmp_path / "d.smv"
+        gen_dataset(1, 2, 3, ClipSpec(frames=3, size=16), path)
+        synthdata.manifest_path(path).write_text('{"classes": ')
+        with pytest.raises(ValueError, match="unreadable dataset manifest"):
+            load_dataset(path)
+
+    def test_written_dataset_reads_back(self, tmp_path):
+        path = tmp_path / "w.smv"
+        clips = np.arange(2 * 2 * 1 * 4 * 4, dtype=np.float32).reshape(2, 2, 1, 4, 4)
+        seeds = [7, 2**64 - 1]
+        doc = synthdata.write_dataset(path, clips, [1, 0], seeds, ["a", "b"], [1], [0])
+        ds = load_dataset(path)
+        assert json.loads(synthdata.manifest_path(path).read_text()) == doc
+        assert np.array_equal(ds.clips, clips) and ds.labels.tolist() == [1, 0]
+        assert ds.seeds.tolist() == seeds and ds.classes == ["a", "b"]
+        assert (ds.train_ids, ds.test_ids) == ([1], [0])
+
     def test_class_names_resolution(self):
         assert synthdata.class_names(4) == [
             "translate-horizontal",
@@ -227,7 +281,7 @@ def _write_model(root, seed):
         ngf=4, latent_c=8, latent_m=16, scales=2, kernel_size=3, size=16, classes=1 + seed
     )
     checkpoint.save_model(root / "m.tsvc", model.build_model(cfg, SeededRng(seed)))
-    return [root / "m.tsvc", checkpoint.config_sidecar(root / "m.tsvc")]
+    return [root / "m.tsvc"]
 
 
 def _write_dataset(root, seed):
@@ -236,12 +290,13 @@ def _write_dataset(root, seed):
 
 
 class TestAtomicWrites:
-    """The checkpoint, its config sidecar, the dataset and its manifest are
-    each written to a temporary file that replaces the target only once
-    it is complete."""
+    """The checkpoint (one file), the dataset and its manifest are each
+    written to a temporary file that replaces the target only once it is
+    complete."""
 
-    @pytest.mark.parametrize("write", [_write_model, _write_dataset])
-    @pytest.mark.parametrize("which", [0, 1])
+    @pytest.mark.parametrize(
+        "write, which", [(_write_model, 0), (_write_dataset, 0), (_write_dataset, 1)]
+    )
     def test_failed_write_keeps_the_previous_file(self, write, which, tmp_path, monkeypatch):
         targets = write(tmp_path, 1)
         before = [p.read_bytes() for p in targets]

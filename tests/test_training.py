@@ -1,5 +1,6 @@
 import hashlib
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -390,6 +391,17 @@ class TestRollout:
         assert not np.array_equal(a.frames, b.frames)
 
 
+def with_config(raw, drop=None, **changes):
+    """The bytes of TSVC checkpoint `raw` with its in-file config edited:
+    `changes` set, `drop` removed, and the manifest length rewritten."""
+    version, mlen = struct.unpack_from("<IQ", raw, 4)
+    doc = json.loads(raw[16 : 16 + mlen])
+    doc["config"].update(changes)
+    doc["config"].pop(drop, None)
+    manifest = json.dumps(doc).encode()
+    return b"TSVC" + struct.pack("<IQ", version, len(manifest)) + manifest + raw[16 + mlen :]
+
+
 class TestCheckpoint:
     def test_round_trip_restores_bit_exact(self, tiny_dataset, tmp_path):
         bundle, trainer = make_trainer(tiny_dataset)
@@ -414,52 +426,74 @@ class TestCheckpoint:
         bad = tmp_path / "bad.tsvc"
         bad.write_bytes(b"NOPE" + b"\x00" * 32)
         with pytest.raises(ValueError):
-            checkpoint.load_param_sets(bad)
-        import struct
-
+            checkpoint.load_model(bad)
         bad.write_bytes(b"TSVC" + struct.pack("<IQ", 9, 2) + b"[]")
         with pytest.raises(ValueError):
-            checkpoint.load_param_sets(bad)
+            checkpoint.load_model(bad)
+
+    def test_version_1_is_rejected_naming_file_and_version(self, tiny_dataset, tmp_path):
+        # a version-1 file held only the parameter list; its config was a sidecar
+        bundle, _ = make_trainer(tiny_dataset)
+        path = tmp_path / "m.tsvc"
+        checkpoint.save_model(path, bundle)
+        raw = path.read_bytes()
+        _, mlen = struct.unpack_from("<IQ", raw, 4)
+        params = json.dumps(json.loads(raw[16 : 16 + mlen])["params"]).encode()
+        old = tmp_path / "v1.tsvc"
+        old.write_bytes(b"TSVC" + struct.pack("<IQ", 1, len(params)) + params + raw[16 + mlen :])
+        for load in (checkpoint.load_model, checkpoint.load_classifier):
+            with pytest.raises(ValueError) as err:
+                load(old)
+            assert str(old) in str(err.value) and "version 1" in str(err.value)
+
+    def test_save_model_writes_exactly_one_file(self, tiny_dataset, tmp_path):
+        bundle, _ = make_trainer(tiny_dataset)
+        checkpoint.save_model(tmp_path / "m.tsvc", bundle)
+        assert [p.name for p in tmp_path.iterdir()] == ["m.tsvc"]
 
     def test_damaged_files_rejected_naming_the_file(self, tiny_dataset, tmp_path):
         bundle, _ = make_trainer(tiny_dataset)
         good = tmp_path / "good.tsvc"
         checkpoint.save_model(good, bundle)
         raw = good.read_bytes()
-        sidecar = checkpoint.config_sidecar(good).read_text()
         damaged = {"trailing": raw + bytes(8), "truncated": raw[:-4], "headless": raw[:10]}
         for name, blob in damaged.items():
             bad = tmp_path / f"{name}.tsvc"
             bad.write_bytes(blob)
-            checkpoint.config_sidecar(bad).write_text(sidecar)
             with pytest.raises(ValueError) as err:
                 checkpoint.load_model(bad)
             assert str(bad) in str(err.value) and f"{len(blob)} bytes" in str(err.value)
 
-    def test_sidecar_must_match_the_weights(self, tiny_dataset, tmp_path):
+    def test_config_must_match_the_weights(self, tiny_dataset, tmp_path):
         bundle, _ = make_trainer(tiny_dataset)
         path = tmp_path / "m.tsvc"
         checkpoint.save_model(path, bundle)
-        sidecar = checkpoint.config_sidecar(path)
-        meta = json.loads(sidecar.read_text())
-        for key, value in (("ngf", 8), ("kernel_size", 5), ("classes", 3)):
-            sidecar.write_text(json.dumps(dict(meta, **{key: value})))
+        edits = {"ngf": {"ngf": 8}, "kernel_size": {"kernel_size": 5}, "classes": {"classes": 3},
+                 "unknown": {"colour": "red"}, "missing": {"drop": "ngf"}}
+        for name, edit in edits.items():
+            bad = tmp_path / f"{name}.tsvc"
+            bad.write_bytes(with_config(path.read_bytes(), **edit))
             with pytest.raises(ValueError) as err:
-                checkpoint.load_model(path)
-            assert str(path) in str(err.value)
-        sidecar.write_text(json.dumps(dict(meta, colour="red")))
-        with pytest.raises(ValueError) as err:
-            checkpoint.load_model(path)
-        assert str(path) in str(err.value)
+                checkpoint.load_model(bad)
+            assert str(bad) in str(err.value)
 
     def test_classifier_shapes_checked(self, tmp_path):
         path = tmp_path / "cls.tsvc"
         checkpoint.save_classifier(path, model.build_classifier(MCFG, SeededRng(2)), MCFG)
-        meta = json.loads(checkpoint.config_sidecar(path).read_text())
-        checkpoint.config_sidecar(path).write_text(json.dumps(dict(meta, classes=5)))
+        path.write_bytes(with_config(path.read_bytes(), classes=5))
         with pytest.raises(ValueError) as err:
             checkpoint.load_classifier(path)
         assert str(path) in str(err.value)
+
+    def test_model_and_classifier_files_are_not_interchangeable(self, tiny_dataset, tmp_path):
+        bundle, _ = make_trainer(tiny_dataset)
+        checkpoint.save_model(tmp_path / "m.tsvc", bundle)
+        checkpoint.save_classifier(
+            tmp_path / "c.tsvc", model.build_classifier(MCFG, SeededRng(2)), MCFG
+        )
+        for load, name in ((checkpoint.load_classifier, "m"), (checkpoint.load_model, "c")):
+            with pytest.raises(ValueError, match="parameter sets"):
+                load(tmp_path / f"{name}.tsvc")
 
     def test_classifier_round_trip(self, tmp_path):
         params = model.build_classifier(MCFG, SeededRng(2))

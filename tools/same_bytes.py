@@ -7,9 +7,12 @@ working tree) and compare the output:
 
 It runs the checkout's own `src/` at one BLAS thread, the setting under
 which the README promises identical training bytes, and prints five lines:
-the 10-iteration checkpoint of the default model and its config sidecar,
-one rollout clip from the reloaded checkpoint, and the 20-iteration clip
-classifier and its sidecar.
+the 10-iteration checkpoint of the default model, its parameter values, one
+rollout clip from the reloaded checkpoint, and the 20-iteration clip
+classifier and its parameter values. A file hash covers the whole
+checkpoint, format included; a parameter hash covers only the float32
+values, in the order the checkpoint stores them, so it stays put across a
+change of file format that leaves training as it is.
 """
 
 import os
@@ -20,6 +23,8 @@ import hashlib  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
@@ -40,6 +45,15 @@ def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def param_bytes(param_sets) -> bytes:
+    """The little-endian float32 values of every parameter, set by set."""
+    return b"".join(
+        np.ascontiguousarray(value, dtype="<f4").tobytes()
+        for ps in param_sets.values()
+        for _, value in ps.items()
+    )
+
+
 def main():
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -50,18 +64,20 @@ def main():
         Trainer(bundle, ds, TrainConfig(iterations=10, seed=7)).train()
         model_path = tmp / "model.tsvc"
         checkpoint.save_model(model_path, bundle)
-        clip = rollout(checkpoint.load_model(model_path), 1, SeededRng(3))
+        loaded = checkpoint.load_model(model_path)
+        clip = rollout(loaded, 1, SeededRng(3))
 
         cls_path = tmp / "cls.tsvc"
         cls = train_classifier(ds, ModelConfig(), ClassifierConfig(iterations=20))
         checkpoint.save_classifier(cls_path, cls, ModelConfig())
+        cls_loaded, _ = checkpoint.load_classifier(cls_path)
 
         for name, data in (
             ("checkpoint", model_path.read_bytes()),
-            ("checkpoint sidecar", checkpoint.config_sidecar(model_path).read_bytes()),
+            ("checkpoint params", param_bytes(loaded.param_sets())),
             ("rollout clip", clip.frames.tobytes()),
             ("classifier", cls_path.read_bytes()),
-            ("classifier sidecar", checkpoint.config_sidecar(cls_path).read_bytes()),
+            ("classifier params", param_bytes({"cls": cls_loaded})),
         ):
             print(f"{name:20s} {sha(data)}")
 
