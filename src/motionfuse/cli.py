@@ -10,19 +10,20 @@ the flags it reads ([--out] is optional):
   bench          --modes --n --scales --channels --reps --warmup --seed [--out]
   export-frames  --data --clips --out
 
-`train --config` (inline JSON, or a JSON file) applies its "model", "train",
-"optimizer" and "weights" sections to ModelConfig, TrainConfig,
-OptimizerConfig and LossWeights ("optimizer" and "weights" sit beside
-"train"); under --classifier only "model.ngf" applies and --log-every is
-rejected. Other sections, non-object sections, the keys that the dataset or
---seed sets (model.classes, model.size, model.channels, train.seed) and,
-under --classifier, the other model keys are rejected. Exit codes: 0 success,
-1 validation/usage error, 2 I/O error.
+`train --config` (inline JSON, or a JSON file) overrides the named keys of
+ModelConfig, TrainConfig() and its OptimizerConfig and LossWeights with its
+"model", "train", "optimizer" and "weights" sections ("optimizer" and
+"weights" sit beside "train"); under --classifier only "model.ngf" applies
+and --log-every is rejected. Other sections, non-object sections, the keys
+that the dataset or --seed sets (model.classes, model.size, model.channels,
+train.seed) and, under --classifier, the other model keys are rejected.
+Exit codes: 0 success, 1 validation/usage error, 2 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -30,7 +31,6 @@ from pathlib import Path
 import numpy as np
 
 from . import bench, checkpoint, gradcheck, metrics, model, synthdata, training
-from .losses import LossWeights
 from .tensor import SeededRng, ShapeError
 
 
@@ -188,11 +188,11 @@ def _cmd_train(args):
         checkpoint.save_classifier(args.out, params, mcfg)
         print(f"classifier accuracy on held-out clips: {acc:.3f}; saved {args.out}")
         return 0
+    desk = training.TrainConfig()
     fields = dict(cfg_doc.get("train", {}), **given, seed=args.seed)
-    if "optimizer" in cfg_doc:
-        fields["optimizer"] = training.OptimizerConfig(**cfg_doc["optimizer"])
-    if "weights" in cfg_doc:
-        fields["weights"] = LossWeights(**cfg_doc["weights"])
+    for name in ("optimizer", "weights"):
+        if name in cfg_doc:
+            fields[name] = dataclasses.replace(getattr(desk, name), **cfg_doc[name])
     tcfg = training.TrainConfig(**fields)
     bundle = model.build_model(mcfg, SeededRng(args.seed))
     trainer = training.Trainer(bundle, dataset, tcfg)

@@ -12,14 +12,17 @@ kernel subnet. Fusing the pyramid with those fields and re-decoding the
 finest map predicts the next frame.
 
 Every network is a plain list of layer objects, built once per
-`ModelConfig`, and two passes, each with its own backward, wire them: the
-content pass (encode a frame, draw the latent, decode the pyramid and, if
-asked, the frame) and the motion pass (decode kernel fields and masks, fuse
-them into a pyramid, decode the next frame). Every caller composes these:
-the trainer's content phase runs the content pass; `forward_next_frame` /
-`backward_next_frame` add the motion encoder and one convLSTM step for the
-motion phase, eval and the end-to-end gradient check; `training.rollout`
-loops the motion pass over the pyramid it carries.
+`ModelConfig`; the label and motion-embedding joins, the kernel and mask
+heads and the convLSTM step are layers too. `_forward` runs every layer and
+records the chain that `_backward` walks back. Two passes, each with its
+own backward, wire the networks: the content pass (encode a frame, draw the
+latent, decode the pyramid and, if asked, the frame) and the motion pass
+(decode kernel fields and masks, fuse them into a pyramid, decode the next
+frame). Every caller composes these: the trainer's content phase runs the
+content pass; `forward_next_frame` / `backward_next_frame` add the motion
+encoder and one convLSTM step for the motion phase, eval and the end-to-end
+gradient check; `training.rollout` loops the motion pass over the pyramid
+it carries.
 """
 
 from __future__ import annotations
@@ -40,12 +43,15 @@ from .tensor import SeededRng, ShapeError
 # A layer holds no arrays: it reads its parameters by their full names from
 # the ParamSet passed to each call, so one layer list serves every bundle of
 # a config (float32, a float64 copy, a loaded checkpoint), and it looks up
-# its `ops` function on the module at call time, so a tracer that swaps
-# module attributes sees every call. `forward(params, x, taps)` returns
-# (y, cache); `backward(params, dy, cache, tap_grads)` accumulates the
-# parameter gradients and returns dx. Only `_Tap` reads the tap arguments.
-# `shapes` ({name: shape}) is a layer's parameter layout, the one source
-# of both `init` and the layout a checkpoint is checked against.
+# its `ops` or `fusion` function on the module at call time, so a tracer
+# that swaps module attributes sees every call. `forward(params, x, side)`
+# returns (y, cache); `backward(params, dy, cache, side)` accumulates the
+# parameter gradients and returns dx. `side` holds what a network reads
+# besides x: forward, `labels`, the motion embedding `e_m`, the convLSTM
+# `state` and the `taps` list; backward, the tap gradients as `taps` and the
+# gradient of each side input it names (`e_m`). `shapes` ({name: shape}) is
+# a layer's parameter layout, the one source of both `init` and the layout
+# a checkpoint is checked against.
 
 
 class _Layer:
@@ -74,58 +80,55 @@ class _Weighted(_Layer):
 
 
 class _Conv(_Weighted):
-    transposed = False  # weights (C_out, C_in, k, k); transposed (C_in, C_out, k, k)
+    """`ops.conv2d_*`, or with `transposed` `ops.conv_transpose2d_*`."""
 
-    def __init__(self, name, spec: ops.ConvSpec):
+    def __init__(self, name, spec: ops.ConvSpec, transposed=False):
         i, o, k = spec.in_channels, spec.out_channels, spec.kernel_size
-        w_shape = (i, o, k, k) if self.transposed else (o, i, k, k)
+        # weights (C_out, C_in, k, k); transposed (C_in, C_out, k, k)
+        w_shape = (i, o, k, k) if transposed else (o, i, k, k)
         super().__init__(name, w_shape, i * k * k, o * k * k, o)
-        self.spec = spec
+        self.spec, self.op = spec, "conv_transpose2d" if transposed else "conv2d"
 
-    def forward(self, params, x, taps):
+    def forward(self, params, x, side):
         w, b = params.value(self.w), params.value(self.b)
-        return ops.conv2d_forward(x, w, b, self.spec.stride, self.spec.padding)
+        return getattr(ops, f"{self.op}_forward")(x, w, b, self.spec.stride, self.spec.padding)
 
-    def backward(self, params, dy, cache, tap_grads):
-        return self._accumulate(params, *ops.conv2d_backward(dy, cache))
-
-
-class _Deconv(_Conv):
-    transposed = True
-
-    def forward(self, params, x, taps):
-        w, b = params.value(self.w), params.value(self.b)
-        return ops.conv_transpose2d_forward(x, w, b, self.spec.stride, self.spec.padding)
-
-    def backward(self, params, dy, cache, tap_grads):
-        return self._accumulate(params, *ops.conv_transpose2d_backward(dy, cache))
+    def backward(self, params, dy, cache, side):
+        return self._accumulate(params, *getattr(ops, f"{self.op}_backward")(dy, cache))
 
 
 class _Linear(_Weighted):
     def __init__(self, name, fan_in, fan_out):
         super().__init__(name, (fan_in, fan_out), fan_in, fan_out, fan_out)
 
-    def forward(self, params, x, taps):
+    def forward(self, params, x, side):
         return ops.linear_forward(x, params.value(self.w), params.value(self.b))
 
-    def backward(self, params, dy, cache, tap_grads):
+    def backward(self, params, dy, cache, side):
         return self._accumulate(params, *ops.linear_backward(dy, cache))
 
 
-class _Relu(_Layer):
-    def forward(self, params, x, taps):
-        return ops.relu_forward(x)
+class _Activation(_Layer):
+    """The elementwise `ops.<name>_forward` / `ops.<name>_backward`."""
 
-    def backward(self, params, dy, cache, tap_grads):
-        return ops.relu_backward(dy, cache)
+    def __init__(self, name):
+        self.name = name
+
+    def forward(self, params, x, side):
+        return getattr(ops, f"{self.name}_forward")(x)
+
+    def backward(self, params, dy, cache, side):
+        return getattr(ops, f"{self.name}_backward")(dy, cache)
 
 
-class _Tanh(_Layer):
-    def forward(self, params, x, taps):
-        return ops.tanh_forward(x)
+class _Mask(_Layer):
+    """(B, 1, H, W) mask logits to (B, H, W) masks in [0, 1]."""
 
-    def backward(self, params, dy, cache, tap_grads):
-        return ops.tanh_backward(dy, cache)
+    def forward(self, params, x, side):
+        return fusion.mask_activation_forward(x[:, 0])
+
+    def backward(self, params, dy, cache, side):
+        return fusion.mask_activation_backward(dy, cache)[:, None]
 
 
 class _Reshape(_Layer):
@@ -134,32 +137,100 @@ class _Reshape(_Layer):
     def __init__(self, shape):
         self.shape = tuple(shape)
 
-    def forward(self, params, x, taps):
+    def forward(self, params, x, side):
         return x.reshape((x.shape[0],) + self.shape), x.shape
 
-    def backward(self, params, dy, cache, tap_grads):
+    def backward(self, params, dy, cache, side):
         return dy.reshape(cache)
 
 
+class _ChannelsLast(_Layer):
+    """(B, C, H, W) maps to contiguous (B, H, W, C), the kernel-field layout."""
+
+    def forward(self, params, x, side):
+        return np.ascontiguousarray(np.moveaxis(x, 1, 3)), None
+
+    def backward(self, params, dy, cache, side):
+        return np.moveaxis(dy, 3, 1)
+
+
 class _Tap(_Layer):
-    """Pyramid level `index`: forward appends the activation to `taps`,
-    backward adds `tap_grads[index]` (None for no gradient) to dy."""
+    """Pyramid level `index`: forward appends the activation to `side.taps`,
+    backward adds `side.taps[index]` (None for no gradient) to dy. A stage
+    stack's output is read only through its taps, so its backward starts
+    from dy None, taken as zeros."""
 
     def __init__(self, index):
         self.index = index
 
-    def forward(self, params, x, taps):
-        taps.append(x)
-        return x, None
+    def forward(self, params, x, side):
+        side.taps.append(x)
+        return x, (x.shape, x.dtype)
 
-    def backward(self, params, dy, cache, tap_grads):
-        extra = tap_grads[self.index]
+    def backward(self, params, dy, cache, side):
+        if dy is None:
+            dy = np.zeros(*cache)
+        extra = side.taps[self.index]
         return dy if extra is None else dy + extra
 
 
+class _Join(_Layer):
+    """Concatenate the side input `key` after the features or channels of x:
+    a flat side input joins a map as constant planes, and a map joins
+    nearest-upsampled by `factor`. Backward returns the share of x; the side
+    input's share is added to the backward side's `key`, if it has one."""
+
+    def __init__(self, key, factor=1):
+        self.key, self.factor = key, factor
+
+    def forward(self, params, x, side):
+        extra, f = getattr(side, self.key), self.factor
+        planes = extra.ndim < x.ndim
+        if planes:
+            extra = np.broadcast_to(extra[:, :, None, None], extra.shape + x.shape[2:])
+        elif f > 1:
+            extra = np.repeat(np.repeat(extra, f, axis=2), f, axis=3)
+        joined = np.concatenate([x, extra.astype(x.dtype, copy=False)], axis=1)
+        return joined, (x.shape[1], planes)
+
+    def backward(self, params, dy, cache, side):
+        split, planes = cache
+        if hasattr(side, self.key):
+            d, f = dy[:, split:], self.factor
+            if planes:
+                d = d.sum(axis=(2, 3))
+            elif f > 1:
+                b, c, h, w = d.shape
+                d = d.reshape(b, c, h // f, f, w // f, f).sum(axis=(3, 5))
+            setattr(side, self.key, getattr(side, self.key) + d)
+        return dy[:, :split]
+
+
+class _Heads(_Layer):
+    """Several layer lists run on one input; y is the tuple of their
+    outputs, and dx the sum of their input gradients in branch order."""
+
+    def __init__(self, *branches):
+        self.branches = branches
+        self.shapes = _shapes(branches)
+
+    def init(self, params, rng, dtype):
+        _init(params, rng, dtype, self.branches)
+
+    def forward(self, params, x, side):
+        ys, chains = zip(*(_forward(layers, params, x, side) for layers in self.branches))
+        return ys, chains
+
+    def backward(self, params, dy, cache, side):
+        dxs = [_backward(params, d, chain, side) for d, chain in zip(dy, cache)]
+        return sum(dxs[1:], dxs[0])
+
+
 class _LstmCell(_Layer):
-    """Parameters of the convLSTM step (`lstm_embed` runs it): Xavier-uniform
-    3x3 input and recurrent gate weights `wx`, `wh` and one zero gate bias."""
+    """One convLSTM step from `side.state` = (h, c), None for zeros, which
+    it replaces with the new state; y is h. Xavier-uniform 3x3 input and
+    recurrent gate weights `wx`, `wh` and one zero gate bias `b`. No
+    gradient reaches the new cell state or the previous state."""
 
     def __init__(self, in_channels, hidden):
         g = 4 * hidden  # input, forget, output and candidate gates
@@ -172,29 +243,53 @@ class _LstmCell(_Layer):
             params.add(name, ops.xavier_uniform(rng, shape, cin * k * k, g * k * k, dtype))
         params.add("b", np.zeros(self.shapes["b"], dtype=dtype))
 
+    def forward(self, params, x, side):
+        h_prev, c_prev = side.state
+        if h_prev is None:
+            h_prev = np.zeros((len(x), self.shapes["wh"][1], *x.shape[2:]), x.dtype)
+        if c_prev is None:
+            c_prev = np.zeros_like(h_prev)
+        wx, wh, b = (params.value(n) for n in ("wx", "wh", "b"))
+        h, c, cache = ops.convlstm_step_forward(x, h_prev, c_prev, wx, wh, b)
+        side.state = (h, c)
+        return h, cache
 
-def _forward(layers, params: ops.ParamSet, x, taps=None):
+    def backward(self, params, dy, cache, side):
+        dx, _, _, *grads = ops.convlstm_step_backward(dy, np.zeros_like(dy), cache)
+        for name, g in zip(("wx", "wh", "b"), grads):
+            params.accumulate(name, g)
+        return dx
+
+
+def _forward(layers, params: ops.ParamSet, x, side=None):
     """Run a list of layers; the cache is the list of (layer, cache) pairs."""
     chain = []
     for layer in layers:
-        x, cache = layer.forward(params, x, taps)
+        x, cache = layer.forward(params, x, side)
         chain.append((layer, cache))
     return x, chain
 
 
-def _backward(params: ops.ParamSet, dy, chain, tap_grads=None):
+def _backward(params: ops.ParamSet, dy, chain, side=None):
     for layer, cache in reversed(chain):
-        dy = layer.backward(params, dy, cache, tap_grads)
+        dy = layer.backward(params, dy, cache, side)
     return dy
 
 
-def _params(rng: SeededRng, dtype, *chains) -> ops.ParamSet:
-    """A new ParamSet holding the initial parameters of these layer lists."""
-    params = ops.ParamSet()
+def _shapes(chains) -> dict:
+    return {n: shape for layers in chains for layer in layers for n, shape in layer.shapes.items()}
+
+
+def _init(params, rng, dtype, chains):
     for layers in chains:
         for layer in layers:
             layer.init(params, rng, dtype)
     return params
+
+
+def _params(rng: SeededRng, dtype, *chains) -> ops.ParamSet:
+    """A new ParamSet holding the initial parameters of these layer lists."""
+    return _init(ops.ParamSet(), rng, dtype, chains)
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +308,11 @@ class ModelConfig:
     channels: int = 1
 
     def __post_init__(self):
-        if self.latent_c < 1 or self.latent_m < 1:
-            raise ValueError("latent dimensions must be >= 1")
+        for name in ("ngf", "latent_c", "latent_m", "scales", "classes", "channels"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.kernel_size < 1 or self.kernel_size % 2 == 0:
+            raise ValueError(f"kernel_size must be odd and positive, got {self.kernel_size}")
         if self.latent_m % 16:
             raise ValueError("latent_m must be divisible by 16 (reshaped to 4x4 maps)")
         if self.size % (1 << (self.scales - 1)):
@@ -248,7 +346,7 @@ class ModelConfig:
         return self.latent_m // 16
 
 
-_RELU, _TANH = _Relu(), _Tanh()
+_RELU, _TANH = _Activation("relu"), _Activation("tanh")
 
 
 def _conv3(name, cin, cout, stride=1):
@@ -282,7 +380,7 @@ def _generator_stages(cfg: ModelConfig, in_channels: int):
     for i in range(cfg.up_stages):
         cout = g if i >= first_tap else 2 * g
         layers += [
-            _Deconv(f"stage.up{i}", ops.ConvSpec(cin, cout, 4, 2, 1)),
+            _Conv(f"stage.up{i}", ops.ConvSpec(cin, cout, 4, 2, 1), transposed=True),
             _RELU,
             _conv3(f"stage.post{i}", cout, cout),
             _RELU,
@@ -298,33 +396,42 @@ def _networks(cfg: ModelConfig) -> SimpleNamespace:
     """Every network of a config as a list of layers, built once per config."""
     g, n, k = cfg.ngf, cfg.kernel_size, cfg.classes
     in_channels = cfg.channels + k
-    stem = [
+    stem = [  # the same parameter names in gen_c and gen_m
+        _Join("labels"),
         _Linear("stem.fc1", cfg.latent_c + k, 32 * g),
         _RELU,
         _Linear("stem.fc2", 32 * g, 4 * g * 16),
         _RELU,
         _Reshape((4 * g, 4, 4)),
     ]
-    # per fusion scale, (trunk, wv, wh, mask): the trunk reads the stage tap
-    # and the upsampled motion embedding
+    # per fusion scale, a trunk on the stage tap and the upsampled motion
+    # embedding, then the wv, wh and mask heads. e_m enters every subnet
+    # directly, one short conv away from the kernels: reached only through
+    # the decoder stages, its effect on the kernels is too weak and too
+    # entangled to learn, and training shuts the motion latent off
+    # (posterior collapse)
     subnets = [
-        (
-            [_conv3(f"sub.subnet{s}.trunk", g + cfg.lstm_hidden, g), _RELU],
-            [_conv3(f"sub.subnet{s}.wv", g, n)],
-            [_conv3(f"sub.subnet{s}.wh", g, n)],
-            [_conv3(f"sub.subnet{s}.mask", g, 1)],
-        )
+        [
+            _Join("e_m", cfg.resolutions[s] // 4),
+            _conv3(f"sub.subnet{s}.trunk", g + cfg.lstm_hidden, g),
+            _RELU,
+            _Heads(
+                [_conv3(f"sub.subnet{s}.wv", g, n), _ChannelsLast()],
+                [_conv3(f"sub.subnet{s}.wh", g, n), _ChannelsLast()],
+                [_conv3(f"sub.subnet{s}.mask", g, 1), _Mask()],
+            ),
+        ]
         for s in range(cfg.scales)
     ]
+    mc = cfg.motion_map_channels
     return SimpleNamespace(
-        enc_c=_downsampler("enc", cfg, in_channels, 32 * g, 2 * cfg.latent_c),
-        enc_m=_downsampler("enc", cfg, in_channels, 32 * g, 2 * cfg.latent_m),
-        stem=stem,  # the same parameter names in gen_c and gen_m
-        stage_c=_generator_stages(cfg, 4 * g),
-        stage_m=_generator_stages(cfg, 4 * g + cfg.lstm_hidden),
+        enc_c=[_Join("labels"), *_downsampler("enc", cfg, in_channels, 32 * g, 2 * cfg.latent_c)],
+        enc_m=[_Join("labels"), *_downsampler("enc", cfg, in_channels, 32 * g, 2 * cfg.latent_m)],
+        gen_c=stem + _generator_stages(cfg, 4 * g),
+        gen_m=stem + [_Join("e_m"), *_generator_stages(cfg, 4 * g + cfg.lstm_hidden)],
         head=[_conv3("head.out", g, cfg.channels), _TANH],
         subnets=subnets,
-        lstm=[_LstmCell(cfg.motion_map_channels, cfg.lstm_hidden)],
+        lstm=[_Reshape((mc, 4, 4)), _LstmCell(mc, cfg.lstm_hidden)],
         classifier=_downsampler("cls", cfg, 2 * cfg.channels, 8 * g, k),
     )
 
@@ -361,18 +468,13 @@ class ModelBundle:
 def _set_chains(cfg: ModelConfig) -> dict:
     """The layer lists behind each parameter set of a model, in init order."""
     nets = _networks(cfg)
-    subnets = [layers for subnet in nets.subnets for layers in subnet]
     return {
         "enc_c": [nets.enc_c],
-        "gen_c": [nets.stem, nets.stage_c, nets.head],
+        "gen_c": [nets.gen_c, nets.head],
         "enc_m": [nets.enc_m],
-        "gen_m": [nets.stem, nets.stage_m, *subnets],
+        "gen_m": [nets.gen_m, *nets.subnets],
         "lstm": [nets.lstm],
     }
-
-
-def _shapes(chains) -> dict:
-    return {n: shape for layers in chains for layer in layers for n, shape in layer.shapes.items()}
 
 
 def model_layout(cfg: ModelConfig) -> dict:
@@ -424,16 +526,10 @@ def one_hot(labels, k: int, dtype=np.float32) -> np.ndarray:
     return out
 
 
-def _with_label_channels(x, onehot):
-    bsz, _, h, w = x.shape
-    planes = np.broadcast_to(onehot[:, :, None, None], (bsz, onehot.shape[1], h, w))
-    return np.concatenate([x, planes.astype(x.dtype)], axis=1)
-
-
 def encode(params: ops.ParamSet, cfg: ModelConfig, x, onehot, latent: int):
     nets = _networks(cfg)
     layers = nets.enc_c if latent == cfg.latent_c else nets.enc_m
-    out, cache = _forward(layers, params, _with_label_channels(x, onehot))
+    out, cache = _forward(layers, params, x, SimpleNamespace(labels=onehot))
     q = GaussianParams(mean=out[:, :latent].copy(), logvar=out[:, latent:].copy())
     return q, cache
 
@@ -442,43 +538,16 @@ def encode_backward(params, enc_cache: list, dmean, dlogvar):
     _backward(params, np.concatenate([dmean, dlogvar], axis=1), enc_cache)
 
 
-@dataclass
-class GeneratorCache:
-    stem: list
-    stage: list
-    out_shape: tuple
-    subnets: list = None  # motion generator: one SubnetCache per scale
-
-
-def _generate(params, stage_layers, cfg: ModelConfig, eps_c, onehot, e_m=None):
-    """Stem and stage stack of a generator; `e_m` joins the stem output.
-    Returns the tapped pyramid, coarsest first."""
-    zin = np.concatenate([eps_c, onehot.astype(eps_c.dtype)], axis=1)
-    h, stem = _forward(_networks(cfg).stem, params, zin)
-    if e_m is not None:
-        h = np.concatenate([h, e_m], axis=1)
-    taps = []
-    trunk_out, stage = _forward(stage_layers, params, h, taps)
-    return taps, GeneratorCache(stem, stage, trunk_out.shape)
-
-
-def _generate_backward(params, cache: GeneratorCache, cfg: ModelConfig, tap_grads):
-    """Returns d eps_c and the gradient of what joined the stem output."""
-    dzero = np.zeros(cache.out_shape, dtype=params.value("stem.fc1.w").dtype)
-    d_stage_in = _backward(params, dzero, cache.stage, tap_grads)
-    split = 4 * cfg.ngf  # the stem's output channels
-    dzin = _backward(params, d_stage_in[:, :split], cache.stem)
-    return dzin[:, : cfg.latent_c], d_stage_in[:, split:]
-
-
 def decode_content(bundle: ModelBundle, eps_c, onehot):
-    cfg = bundle.config
-    return _generate(bundle.gen_c, _networks(cfg).stage_c, cfg, eps_c, onehot)
+    """The content generator's pyramid (coarsest first) and cache."""
+    side = SimpleNamespace(labels=onehot, taps=[])
+    _, chain = _forward(_networks(bundle.config).gen_c, bundle.gen_c, eps_c, side)
+    return side.taps, chain
 
 
-def decode_content_backward(bundle: ModelBundle, cache: GeneratorCache, d_pyramid):
+def decode_content_backward(bundle: ModelBundle, cache: list, d_pyramid):
     """d_pyramid: per-scale grads (None allowed); returns d eps_c."""
-    return _generate_backward(bundle.gen_c, cache, bundle.config, d_pyramid)[0]
+    return _backward(bundle.gen_c, None, cache, SimpleNamespace(taps=d_pyramid))
 
 
 def decode_head(bundle: ModelBundle, h):
@@ -490,101 +559,33 @@ def decode_head_backward(bundle: ModelBundle, head_cache: list, dy):
 
 
 def lstm_embed(bundle: ModelBundle, eps_m, h_prev=None, c_prev=None):
-    cfg = bundle.config
-    bsz = eps_m.shape[0]
-    x = eps_m.reshape(bsz, cfg.motion_map_channels, 4, 4)
-    if h_prev is None:
-        h_prev = np.zeros((bsz, cfg.lstm_hidden, 4, 4), dtype=eps_m.dtype)
-    if c_prev is None:
-        c_prev = np.zeros_like(h_prev)
-    h, c, cache = ops.convlstm_step_forward(
-        x, h_prev, c_prev, bundle.lstm.value("wx"), bundle.lstm.value("wh"), bundle.lstm.value("b")
-    )
-    return h, c, (cache, eps_m.shape)
-
-
-def lstm_embed_backward(bundle: ModelBundle, lstm_cache, dh):
-    """Returns d eps_m; no gradient reaches the cell output."""
-    cache, eps_shape = lstm_cache
-    dx, _, _, dwx, dwh, db = ops.convlstm_step_backward(dh, np.zeros_like(dh), cache)
-    bundle.lstm.accumulate("wx", dwx)
-    bundle.lstm.accumulate("wh", dwh)
-    bundle.lstm.accumulate("b", db)
-    return dx.reshape(eps_shape)
-
-
-def _upsample(x, f: int):
-    """Nearest-neighbour upsampling of (B, C, H, W) maps by an integer factor."""
-    return np.repeat(np.repeat(x, f, axis=2), f, axis=3)
-
-
-def _upsample_backward(dy, f: int):
-    b, c, h, w = dy.shape
-    return dy.reshape(b, c, h // f, f, w // f, f).sum(axis=(3, 5))
-
-
-def _field_from_heads(wv_maps, wh_maps):
-    # (B, n, H, W) conv outputs -> (B, H, W, n) kernel fields
-    wv = np.ascontiguousarray(np.moveaxis(wv_maps, 1, 3))
-    wh = np.ascontiguousarray(np.moveaxis(wh_maps, 1, 3))
-    return fusion.SeparableKernelField(wv=wv, wh=wh)
-
-
-@dataclass
-class SubnetCache:
-    trunk: list
-    wv: list
-    wh: list
-    mask: list
-    mask_act: np.ndarray
+    """One convLSTM step from (h_prev, c_prev), None for zeros: (h, c, cache)."""
+    side = SimpleNamespace(state=(h_prev, c_prev))
+    h, chain = _forward(_networks(bundle.config).lstm, bundle.lstm, eps_m, side)
+    return h, side.state[1], chain
 
 
 def motion_fields(bundle: ModelBundle, eps_c, e_m, onehot):
     """Decode per-scale separable kernels and masks from (eps_c, e_m)."""
-    cfg = bundle.config
-    nets = _networks(cfg)
-    taps, cache = _generate(bundle.gen_m, nets.stage_m, cfg, eps_c, onehot, e_m)
-
-    # e_m also enters every subnet directly, one short conv away from the
-    # kernels: reached only through the decoder stages, its effect on the
-    # kernels is too weak and too entangled to learn, and training shuts
-    # the motion latent off (posterior collapse)
-    kernels, masks, subnets = [], [], []
-    for s, (trunk_net, wv_net, wh_net, mask_net) in enumerate(nets.subnets):
-        sub_in = np.concatenate([taps[s], _upsample(e_m, cfg.resolutions[s] // 4)], axis=1)
-        feat, trunk = _forward(trunk_net, bundle.gen_m, sub_in)
-        wv_maps, wv = _forward(wv_net, bundle.gen_m, feat)
-        wh_maps, wh = _forward(wh_net, bundle.gen_m, feat)
-        raw_mask, mask_conv = _forward(mask_net, bundle.gen_m, feat)
-        mask, mask_act = fusion.mask_activation_forward(raw_mask[:, 0])
-        kernels.append(_field_from_heads(wv_maps, wh_maps))
-        masks.append(mask)
-        subnets.append(SubnetCache(trunk, wv, wh, mask_conv, mask_act))
-    cache.subnets = subnets
-    return kernels, masks, cache
+    nets = _networks(bundle.config)
+    side = SimpleNamespace(labels=onehot, e_m=e_m, taps=[])
+    _, gen = _forward(nets.gen_m, bundle.gen_m, eps_c, side)
+    heads = [_forward(sub, bundle.gen_m, tap, side) for sub, tap in zip(nets.subnets, side.taps)]
+    kernels = [fusion.SeparableKernelField(wv=wv, wh=wh) for (wv, wh, _), _ in heads]
+    masks = [mask for (_, _, mask), _ in heads]
+    return kernels, masks, (gen, [chain for _, chain in heads])
 
 
-def motion_fields_backward(bundle: ModelBundle, cache: GeneratorCache, d_kernels, d_masks):
+def motion_fields_backward(bundle: ModelBundle, cache, d_kernels, d_masks):
     """Returns (d eps_c, d e_m)."""
-    cfg = bundle.config
-    gen_m = bundle.gen_m
-    tap_grads = []
-    d_e_m_direct = 0.0
-    for s, sub in enumerate(cache.subnets):
-        dwv_maps = np.moveaxis(d_kernels[s].wv, 3, 1)
-        dwh_maps = np.moveaxis(d_kernels[s].wh, 3, 1)
-        draw = fusion.mask_activation_backward(d_masks[s], sub.mask_act)[:, None]
-        dfeat = _backward(gen_m, dwv_maps, sub.wv)
-        dfeat = dfeat + _backward(gen_m, dwh_maps, sub.wh)
-        dfeat = dfeat + _backward(gen_m, draw, sub.mask)
-        d_sub_in = _backward(gen_m, dfeat, sub.trunk)
-        tap_grads.append(d_sub_in[:, : cfg.ngf])
-        d_e_m_direct = d_e_m_direct + _upsample_backward(
-            d_sub_in[:, cfg.ngf :], cfg.resolutions[s] // 4
-        )
-
-    d_eps_c, d_e_m = _generate_backward(gen_m, cache, cfg, tap_grads)
-    return d_eps_c, d_e_m + d_e_m_direct
+    gen, subnets = cache
+    side = SimpleNamespace(e_m=0.0)  # the subnets add their e_m shares first
+    side.taps = [
+        _backward(bundle.gen_m, (dk.wv, dk.wh, dm), chain, side)
+        for chain, dk, dm in zip(subnets, d_kernels, d_masks)
+    ]
+    d_eps_c = _backward(bundle.gen_m, None, gen, side)
+    return d_eps_c, side.e_m
 
 
 # ---------------------------------------------------------------------------
@@ -759,7 +760,7 @@ def backward_next_frame(
     if motion:
         d_pyramid, d_eps_c, d_e_m = result.motion.backward(bundle, d_x_next, d_refined, content)
         enc_m, lstm = result.caches
-        d_eps_m = lstm_embed_backward(bundle, lstm, d_e_m)
+        d_eps_m = _backward(bundle.lstm, d_e_m, lstm)
         _posterior_backward(bundle.enc_m, enc_m, result.q_m, result.eta_m, d_eps_m, d_q_m)
     elif d_x_next is not None or d_refined is not None:
         raise ValueError("next-frame and refined gradients need motion=True")

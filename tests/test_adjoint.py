@@ -2,13 +2,16 @@
 
 A conv, a linear layer and adaptive convolution are each linear in their
 input and in their weights, and the backward applies the adjoint of each:
-for upstream y, <op(x; w), y> = <x, dx> = <w, dw>. Hypothesis draws batch
+for upstream y, <op(x; w), y> = <x, dx> = <w, dw>. The model's join layer
+is linear in (x, side input) together: <join(x, s), y> = <x, dx> + <s, ds>. Hypothesis draws batch
 sizes, channel counts, rectangular maps, kernel sizes, strides and pads, up
 to sizes where a finite-difference check of every input would take minutes.
 The fusion invariants (a zero mask and the identity kernel field each return
 the content map bit for bit) are checked at random shapes and dtypes, with
 and without a batch axis.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,7 +20,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from motionfuse import fusion, ops  # noqa: E402
+from motionfuse import fusion, model, ops  # noqa: E402
 
 CONVS = dict(
     bsz=st.integers(1, 64),
@@ -109,6 +112,37 @@ def test_adaptive_conv_backward_is_the_adjoint(bsz, c, h, w, n, seed):
     dh, dk = fusion.adaptive_conv_backward(y, cache)
     assert dh.shape == hmap.shape and dk.w.shape == field.w.shape
     _check_adjoint(hmap, field.w, out, y, dh, dk.w)
+
+
+@pytest.mark.parametrize("form", ["labels-as-features", "labels-as-planes", 1, 4, 8])
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(bsz=st.integers(1, 8), c=st.integers(1, 6), k=st.integers(1, 6), h=st.integers(1, 5),
+       w=st.integers(1, 5), seed=st.integers(0, 2**16))
+def test_join_backward_is_the_adjoint(form, bsz, c, k, h, w, seed):
+    # labels join a flat input as features or a map as planes; e_m, an
+    # h x w map, joins a map nearest-upsampled by the factor `form`
+    rng = np.random.default_rng(seed)
+    key, factor, s = "labels", 1, rng.standard_normal((bsz, k))
+    if form == "labels-as-features":
+        x = rng.standard_normal((bsz, c))
+    elif form == "labels-as-planes":
+        x = rng.standard_normal((bsz, c, h, w))
+    else:
+        key, factor, s = "e_m", form, rng.standard_normal((bsz, k, h, w))
+        x = rng.standard_normal((bsz, c, h * factor, w * factor))
+    join = model._Join(key, factor)
+    out, cache = join.forward(None, x, SimpleNamespace(**{key: s}))
+    assert out.shape == x.shape[:1] + (c + k,) + x.shape[2:]
+    y = rng.standard_normal(out.shape)
+    grads = SimpleNamespace(**{key: 0.0})
+    dx = join.backward(None, y, cache, grads)
+    ds = getattr(grads, key)
+    assert dx.shape == x.shape and ds.shape == s.shape
+    lhs = _dot(out, y)
+    tol = 1e-11 * float(np.linalg.norm(out) * np.linalg.norm(y)) + 1e-300
+    assert abs(lhs - _dot(x, dx) - _dot(s, ds)) <= tol
+    # a backward side without the key collects nothing and returns the same dx
+    assert np.array_equal(join.backward(None, y, cache, SimpleNamespace()), dx)
 
 
 def _content(rng, batched, bsz, c, h, w, dtype):

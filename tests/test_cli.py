@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from motionfuse import cli, synthdata
+from motionfuse import cli, synthdata, training
 from motionfuse.checkpoint import load_model
 from motionfuse.model import ModelConfig
 from motionfuse.synthdata import load_dataset, manifest_path
@@ -570,6 +570,23 @@ class TestInputContract:
         assert_clean_failure(rc, err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("model_section", [{"kernel_size": 4}, {"scales": 0}, {"ngf": 0}])
+    def test_model_config_it_cannot_run_fails_before_training(
+        self, model_section, workspace, tmp_path, capsys, monkeypatch
+    ):
+        steps = []
+        monkeypatch.setattr(training.Trainer, "train_step", lambda self: steps.append(1))
+        out = tmp_path / "t.tsvc"
+        config = json.dumps({"model": model_section})
+        rc, err = self.run(
+            ["train", "--data", str(workspace["data"]), "--config", config, "--out", str(out)],
+            capsys,
+        )
+        assert rc == 1
+        assert_clean_failure(rc, err)
+        assert next(iter(model_section)) in err
+        assert steps == [] and not out.exists()
+
     def test_process_stderr_has_no_traceback(self, workspace, tmp_path):
         config = json.dumps({"train": {"weights": {"l1": 1}}})
         argv = ["train", "--data", str(workspace["data"]), "--config", config,
@@ -579,6 +596,31 @@ class TestInputContract:
         assert proc.returncode == 1
         assert_clean_failure(proc.returncode, proc.stderr)
         assert "weights must be a LossWeights" in proc.stderr
+
+
+class TestConfigSections:
+    """A train --config section overrides only the keys it names; the others
+    keep the desk run's TrainConfig values, not the published dataclass
+    defaults of OptimizerConfig and LossWeights."""
+
+    @pytest.mark.parametrize(
+        "sections",
+        [
+            {"optimizer": {"alpha": 0.002}},  # keeps beta1 0.9, not the published 0.5
+            {"weights": {"l1": 10000.0}},  # keeps l2 0.5 and l5 0 -> 5 after half the run
+            {"optimizer": {"beta1": 0.9}, "weights": {"l5_end": 5.0}},
+        ],
+    )
+    def test_restating_desk_values_writes_the_same_checkpoint(self, sections, workspace,
+                                                              tmp_path):
+        def train(out, extra):
+            config = json.dumps({"model": MICRO_MODEL, **extra})
+            argv = ["train", "--data", str(workspace["data"]), "--iters", "5", "--batch", "4",
+                    "--seed", "3", "--config", config, "--out", str(out)]
+            assert cli.main(argv) == 0
+            return out.read_bytes()
+
+        assert train(tmp_path / "restated.tsvc", sections) == train(tmp_path / "plain.tsvc", {})
 
 
 class TestRangeErrors:

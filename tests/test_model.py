@@ -49,6 +49,26 @@ class TestConfig:
         with pytest.raises(ValueError):
             model.ModelConfig(size=16, scales=3)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("kernel_size", 4), ("kernel_size", 0), ("kernel_size", -3), ("ngf", 0), ("scales", 0),
+         ("classes", 0), ("channels", 0), ("latent_c", 0), ("latent_m", -16)],
+    )
+    def test_rejects_what_it_cannot_run_naming_the_field(self, name, value):
+        # an even kernel has no centre tap and scales 0 no fusion scale:
+        # rejected here, not once training reaches them
+        with pytest.raises(ValueError, match=name):
+            model.ModelConfig(**{name: value})
+
+    @pytest.mark.parametrize("kernel_size", [1, 5])
+    def test_odd_kernel_sizes_run(self, kernel_size):
+        cfg = model.ModelConfig(ngf=4, latent_c=8, classes=2, size=16, kernel_size=kernel_size)
+        bundle = model.build_model(cfg, SeededRng(1))
+        x = np.zeros((1, 1, 16, 16), dtype=np.float32)
+        eta_c, eta_m = np.zeros((1, 8), np.float32), np.zeros((1, 16), np.float32)
+        res = model.forward_next_frame(bundle, x, x, [1], eta_c, eta_m)
+        assert res.motion.kernels[0].wv.shape == (1, 8, 8, kernel_size)
+
 
 # (set, parameter, shape) of build_model(ModelConfig()), in ParamSet order:
 # the order init draws from the RNG, the checkpoint manifest lists and

@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from motionfuse import checkpoint, fusion, losses, model, training
+from motionfuse import checkpoint, fusion, losses, model, ops, training
 from motionfuse.losses import LossWeights
 from motionfuse.synthdata import ClipSpec, gen_dataset, load_dataset
 from motionfuse.tensor import SeededRng
@@ -288,6 +288,224 @@ def content_grads(bundle):
     }
 
 
+# The next-frame step as it was wired before every piece of it became a
+# layer, kept as an oracle: the label planes and features, both joins of the
+# motion embedding e_m, the kernel and mask heads and the convLSTM step are
+# chained by hand over `ops`, with each backward mirrored by hand, in the
+# float order the layer chains keep: d e_m is d_stage + ((0.0 + up_0) +
+# up_1), the heads add wv + wh + mask, and each stage stack's backward
+# starts from zeros + tap gradient.
+
+
+def _ref_op(name):
+    """(forward, backward, stride and pad) of a named layer."""
+    if ".fc" in name:
+        return ops.linear_forward, ops.linear_backward, ()
+    if ".up" in name:
+        return ops.conv_transpose2d_forward, ops.conv_transpose2d_backward, (2, 1)
+    return ops.conv2d_forward, ops.conv2d_backward, (2 if name.startswith("enc.") else 1, 1)
+
+
+def _ref_fwd(params, x, names, relu=True):
+    caches = []
+    for name in names:
+        fwd, _, args = _ref_op(name)
+        x, cache = fwd(x, params.value(name + ".w"), params.value(name + ".b"), *args)
+        mask = None
+        if relu:
+            x, mask = ops.relu_forward(x)
+        caches.append((name, cache, mask))
+    return x, caches
+
+
+def _ref_bwd(params, dy, caches):
+    for name, cache, mask in reversed(caches):
+        if mask is not None:
+            dy = ops.relu_backward(dy, mask)
+        dy, dw, db = _ref_op(name)[1](dy, cache)
+        params.accumulate(name + ".w", dw)
+        params.accumulate(name + ".b", db)
+    return dy
+
+
+def ref_encode(params, x, onehot, latent):
+    bsz, _, h, w = x.shape
+    planes = np.broadcast_to(onehot[:, :, None, None], (bsz, onehot.shape[1], h, w))
+    x_in = np.concatenate([x, planes.astype(x.dtype)], axis=1)
+    y, convs = _ref_fwd(params, x_in, ["enc.conv1", "enc.conv2", "enc.conv3"])
+    hidden, fc1 = _ref_fwd(params, y.reshape(bsz, -1), ["enc.fc1"])
+    out, fc2 = _ref_fwd(params, hidden, ["enc.fc2"], relu=False)
+    q = losses.GaussianParams(mean=out[:, :latent].copy(), logvar=out[:, latent:].copy())
+    return q, (convs, y.shape, fc1 + fc2)
+
+
+def ref_posterior_backward(params, enc_cache, q, eta, d_eps, d_q):
+    convs, conv_shape, fcs = enc_cache
+    dmean = d_eps
+    dlogvar = d_eps * eta * 0.5 * np.exp(0.5 * q.logvar)
+    if d_q is not None:
+        dmean, dlogvar = dmean + d_q[0], dlogvar + d_q[1]
+    d_flat = _ref_bwd(params, np.concatenate([dmean, dlogvar], axis=1), fcs)
+    _ref_bwd(params, d_flat.reshape(conv_shape), convs)
+
+
+def ref_generate(params, cfg, eps_c, onehot, e_m=None):
+    """Stem and stage stack; `e_m` joins the stem output. Returns the
+    tapped pyramid, coarsest first."""
+    zin = np.concatenate([eps_c, onehot.astype(eps_c.dtype)], axis=1)
+    h, stem = _ref_fwd(params, zin, ["stem.fc1", "stem.fc2"])
+    h = h.reshape(len(h), 4 * cfg.ngf, 4, 4)
+    if e_m is not None:
+        h = np.concatenate([h, e_m], axis=1)
+    first_tap = cfg.up_stages - cfg.scales
+    taps, stages = [], []
+    for i in range(cfg.up_stages):
+        h, stage = _ref_fwd(params, h, [f"stage.up{i}", f"stage.post{i}"])
+        stages.append(stage)
+        if i >= first_tap:
+            taps.append(h)
+    return taps, (stem, stages, h.shape)
+
+
+def ref_generate_backward(params, cache, cfg, tap_grads):
+    """Returns d eps_c and the gradient of what joined the stem output."""
+    stem, stages, out_shape = cache
+    dy = np.zeros(out_shape, dtype=params.value("stem.fc1.w").dtype)
+    first_tap = cfg.up_stages - cfg.scales
+    for i in reversed(range(cfg.up_stages)):
+        if i >= first_tap and tap_grads[i - first_tap] is not None:
+            dy = dy + tap_grads[i - first_tap]
+        dy = _ref_bwd(params, dy, stages[i])
+    split = 4 * cfg.ngf  # the stem's output channels
+    dzin = _ref_bwd(params, dy[:, :split].reshape(len(dy), -1), stem)
+    return dzin[:, : cfg.latent_c], dy[:, split:]
+
+
+def ref_head(bundle, h):
+    y, conv = _ref_fwd(bundle.gen_c, h, ["head.out"], relu=False)
+    x, t = ops.tanh_forward(y)
+    return x, (conv, t)
+
+
+def ref_head_backward(bundle, cache, dy):
+    conv, t = cache
+    return _ref_bwd(bundle.gen_c, ops.tanh_backward(dy, t), conv)
+
+
+def ref_motion_fields(bundle, eps_c, e_m, onehot):
+    cfg, gen = bundle.config, bundle.gen_m
+    taps, gen_cache = ref_generate(gen, cfg, eps_c, onehot, e_m)
+    kernels, masks, subnets = [], [], []
+    for s in range(cfg.scales):
+        f = cfg.resolutions[s] // 4
+        sub_in = np.concatenate([taps[s], np.repeat(np.repeat(e_m, f, axis=2), f, axis=3)], axis=1)
+        feat, trunk = _ref_fwd(gen, sub_in, [f"sub.subnet{s}.trunk"])
+        (wv, wv_c), (wh, wh_c), (raw, mask_c) = (
+            _ref_fwd(gen, feat, [f"sub.subnet{s}.{head}"], relu=False) for head in ("wv", "wh", "mask")
+        )
+        mask, act = fusion.mask_activation_forward(raw[:, 0])
+        kernels.append(
+            fusion.SeparableKernelField(
+                wv=np.ascontiguousarray(np.moveaxis(wv, 1, 3)),
+                wh=np.ascontiguousarray(np.moveaxis(wh, 1, 3)),
+            )
+        )
+        masks.append(mask)
+        subnets.append((trunk, wv_c, wh_c, mask_c, act))
+    return kernels, masks, (gen_cache, subnets)
+
+
+def ref_motion_fields_backward(bundle, cache, d_kernels, d_masks):
+    """Returns (d eps_c, d e_m)."""
+    cfg, gen = bundle.config, bundle.gen_m
+    gen_cache, subnets = cache
+    tap_grads = []
+    d_e_m_direct = 0.0
+    for s, (trunk, wv_c, wh_c, mask_c, act) in enumerate(subnets):
+        draw = fusion.mask_activation_backward(d_masks[s], act)[:, None]
+        dfeat = _ref_bwd(gen, np.moveaxis(d_kernels[s].wv, 3, 1), wv_c)
+        dfeat = dfeat + _ref_bwd(gen, np.moveaxis(d_kernels[s].wh, 3, 1), wh_c)
+        dfeat = dfeat + _ref_bwd(gen, draw, mask_c)
+        d_sub_in = _ref_bwd(gen, dfeat, trunk)
+        tap_grads.append(d_sub_in[:, : cfg.ngf])
+        f = cfg.resolutions[s] // 4
+        b, c, h, w = d_sub_in[:, cfg.ngf :].shape
+        d_e_m_direct = d_e_m_direct + d_sub_in[:, cfg.ngf :].reshape(
+            b, c, h // f, f, w // f, f
+        ).sum(axis=(3, 5))
+    d_eps_c, d_e_m = ref_generate_backward(gen, gen_cache, cfg, tap_grads)
+    return d_eps_c, d_e_m + d_e_m_direct
+
+
+def ref_lstm_embed(bundle, eps_m):
+    cfg, lstm = bundle.config, bundle.lstm
+    x = eps_m.reshape(len(eps_m), cfg.motion_map_channels, 4, 4)
+    h0 = np.zeros((len(eps_m), cfg.lstm_hidden, 4, 4), dtype=eps_m.dtype)
+    wx, wh, b = lstm.value("wx"), lstm.value("wh"), lstm.value("b")
+    h, _, cache = ops.convlstm_step_forward(x, h0, np.zeros_like(h0), wx, wh, b)
+    return h, (cache, eps_m.shape)
+
+
+def ref_lstm_embed_backward(bundle, lstm_cache, dh):
+    """Returns d eps_m; no gradient reaches the cell output."""
+    cache, eps_shape = lstm_cache
+    dx, _, _, dwx, dwh, db = ops.convlstm_step_backward(dh, np.zeros_like(dh), cache)
+    bundle.lstm.accumulate("wx", dwx)
+    bundle.lstm.accumulate("wh", dwh)
+    bundle.lstm.accumulate("b", db)
+    return dx.reshape(eps_shape)
+
+
+def reference_next_frame_grads(bundle, x_t, dx, labels, eta_c, eta_m, up, content):
+    """x_next and every gradient of `backward_next_frame(content=content,
+    motion=True)` for the loss gradients `up`, chained by hand."""
+    cfg = bundle.config
+    onehot = model.one_hot(labels, cfg.classes, x_t.dtype)
+    q_c, enc_c = ref_encode(bundle.enc_c, x_t, onehot, cfg.latent_c)
+    eps_c = q_c.sample(eta_c)
+    pyramid, gen_c = ref_generate(bundle.gen_c, cfg, eps_c, onehot)
+    _, head_c = ref_head(bundle, pyramid[-1])
+    q_m, enc_m = ref_encode(bundle.enc_m, dx, onehot, cfg.latent_m)
+    e_m, lstm = ref_lstm_embed(bundle, q_m.sample(eta_m))
+    kernels, masks, gen_m = ref_motion_fields(bundle, eps_c, e_m, onehot)
+    refined, fuse = fusion.fuse_pyramid_forward(pyramid, kernels, masks)
+    x_next, head_m = ref_head(bundle, refined[-1])
+
+    bundle.zero_grads()
+    d_ref = list(up["d_refined"])
+    d_ref[-1] = d_ref[-1] + ref_head_backward(bundle, head_m, up["d_x_next"])
+    d_pyramid, d_kernels, d_masks = fusion.fuse_pyramid_backward(d_ref, fuse, content)
+    d_eps_c, d_e_m = ref_motion_fields_backward(bundle, gen_m, d_kernels, d_masks)
+    d_eps_m = ref_lstm_embed_backward(bundle, lstm, d_e_m)
+    ref_posterior_backward(bundle.enc_m, enc_m, q_m, eta_m, d_eps_m, up["d_q_m"])
+    if content:
+        d_pyramid[-1] = d_pyramid[-1] + ref_head_backward(bundle, head_c, up["d_x_recon"])
+        d_eps = ref_generate_backward(bundle.gen_c, gen_c, cfg, d_pyramid)[0] + d_eps_c
+        ref_posterior_backward(bundle.enc_c, enc_c, q_c, eta_c, d_eps, up["d_q_c"])
+    return x_next, all_grads(bundle)
+
+
+def all_grads(bundle):
+    return {(sn, n): ps.grad(n).copy() for sn, ps in bundle.param_sets().items() for n in ps.names()}
+
+
+def loss_grads(res, rng, dtype, content):
+    """Seeded normal loss gradients on every output of a next-frame step."""
+
+    def like(a):
+        return rng.normals(a.shape, dtype)
+
+    up = {
+        "d_x_next": like(res.x_next),
+        "d_refined": [like(r) for r in res.refined],
+        "d_q_m": (like(res.q_m.mean), like(res.q_m.logvar)),
+    }
+    if content:
+        up["d_x_recon"] = like(res.x_recon)
+        up["d_q_c"] = (like(res.q_c.mean), like(res.q_c.logvar))
+    return up
+
+
 class TestOneWiring:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_content_pass_gradients_match_the_hand_chain(self, tiny_dataset, dtype):
@@ -325,6 +543,51 @@ class TestOneWiring:
         want = reference_rollout_frames(bundle, 1, SeededRng(seed), frames=6, heatup=2)
         assert np.array_equal(got.frames, want)
         assert not np.array_equal(got.frames[0], got.frames[-1])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("content", [False, True], ids=["motion-step", "both-streams"])
+    def test_next_frame_gradients_match_the_hand_chain(self, tiny_dataset, dtype, content):
+        # content=False is the motion phase's backward: every enc_m, gen_m
+        # and lstm gradient must match; content=True, every gradient
+        bundle, trainer = make_trainer(tiny_dataset)
+        trainer.train(5)  # off the initial weights
+        bundle = model.ModelBundle(
+            config=MCFG, **{k: ps.astype(dtype) for k, ps in bundle.param_sets().items()}
+        )
+        x_t = tiny_dataset.clips[:6, 2].astype(dtype)
+        dx = tiny_dataset.clips[:6, 3].astype(dtype) - x_t
+        labels = tiny_dataset.labels[:6]
+        rng = SeededRng(5)
+        eta_c = rng.normals((6, MCFG.latent_c), dtype=dtype)
+        eta_m = rng.normals((6, MCFG.latent_m), dtype=dtype)
+
+        res = model.forward_next_frame(bundle, x_t, dx, labels, eta_c, eta_m, content=content)
+        up = loss_grads(res, SeededRng(6), dtype, content)
+        bundle.zero_grads()
+        model.backward_next_frame(bundle, res, **up, content=content, motion=True)
+        got = all_grads(bundle)
+        want_x, want = reference_next_frame_grads(bundle, x_t, dx, labels, eta_c, eta_m, up, content)
+
+        assert np.array_equal(res.x_next, want_x)
+        sets = bundle.param_sets() if content else bundle.motion_sets()
+        for sname, ps in sets.items():
+            assert any(np.any(got[sname, n] != 0) for n in ps.names()), sname
+            for n in ps.names():
+                assert np.array_equal(got[sname, n], want[sname, n]), (sname, n)
+
+    def test_motion_step_trains_no_forget_gate_and_no_recurrent_weight(self, tiny_dataset):
+        # every motion step starts the convLSTM from a zero state: h_prev = 0
+        # zeroes the gradient of wh, and c_prev = 0 that of the forget gate
+        # (rows hc:2hc of wx and b); the i, o and g rows do train
+        bundle, trainer = make_trainer(tiny_dataset)
+        assert [trainer.train_step()["phase"] for _ in range(4)][-1] == "motion"
+        hc = MCFG.lstm_hidden
+        wx, b = bundle.lstm.grad("wx"), bundle.lstm.grad("b")
+        assert not np.any(bundle.lstm.grad("wh"))
+        assert not np.any(wx[hc : 2 * hc]) and not np.any(b[hc : 2 * hc])
+        for gate in (0, 2, 3):  # input, output, candidate
+            rows = slice(gate * hc, (gate + 1) * hc)
+            assert np.any(wx[rows]) and np.any(b[rows]), gate
 
     def test_one_head_decode_per_training_step(self, tiny_dataset, monkeypatch):
         calls = []

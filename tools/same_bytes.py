@@ -6,10 +6,13 @@ working tree) and compare the output:
     python tools/same_bytes.py
 
 It runs the checkout's own `src/` at one BLAS thread, the setting under
-which the README promises identical training bytes, and prints five lines:
+which the README promises identical training bytes, and prints six lines:
 the 10-iteration checkpoint of the default model, its parameter values, one
-rollout clip from the reloaded checkpoint, and the 20-iteration clip
-classifier and its parameter values. A file hash covers the whole
+rollout clip from the reloaded checkpoint, the 20-iteration clip classifier
+and its parameter values, and every gradient of one backward through both
+streams of the reloaded model. Training never runs that backward (its
+motion step freezes the content stream); the end-to-end gradient checks
+do. A file hash covers the whole
 checkpoint, format included; a parameter hash covers only the float32
 values, in the order the checkpoint stores them, so it stays put across a
 change of file format that leaves training as it is.
@@ -29,7 +32,12 @@ import numpy as np  # noqa: E402
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from motionfuse import checkpoint  # noqa: E402
-from motionfuse.model import ModelConfig, build_model  # noqa: E402
+from motionfuse.model import (  # noqa: E402
+    ModelConfig,
+    backward_next_frame,
+    build_model,
+    forward_next_frame,
+)
 from motionfuse.synthdata import ClipSpec, gen_dataset, load_dataset  # noqa: E402
 from motionfuse.tensor import SeededRng  # noqa: E402
 from motionfuse.training import (  # noqa: E402
@@ -51,6 +59,38 @@ def param_bytes(param_sets) -> bytes:
         np.ascontiguousarray(value, dtype="<f4").tobytes()
         for ps in param_sets.values()
         for _, value in ps.items()
+    )
+
+
+def both_streams_grads(bundle, ds) -> bytes:
+    """The little-endian float32 gradients, set by set, of one `backward_next_frame(content=True, motion=True)`
+    on eight training transitions, with seeded normal gradients on every
+    output: the next frame, the reconstruction, each refined scale and both
+    posteriors."""
+    cfg, rng = bundle.config, SeededRng(11)
+    ids = np.asarray(ds.train_ids[:8])
+    x_t, x_next = ds.clips[ids, 3], ds.clips[ids, 4]
+    eta_c = rng.normals((8, cfg.latent_c), np.float32)
+    eta_m = rng.normals((8, cfg.latent_m), np.float32)
+    res = forward_next_frame(bundle, x_t, x_next - x_t, ds.labels[ids], eta_c, eta_m)
+
+    def like(a):
+        return rng.normals(a.shape, np.float32)
+
+    bundle.zero_grads()
+    backward_next_frame(
+        bundle,
+        res,
+        d_x_next=like(res.x_next),
+        d_x_recon=like(res.x_recon),
+        d_refined=[like(r) for r in res.refined],
+        d_q_c=(like(res.q_c.mean), like(res.q_c.logvar)),
+        d_q_m=(like(res.q_m.mean), like(res.q_m.logvar)),
+    )
+    return b"".join(
+        np.ascontiguousarray(ps.grad(n), dtype="<f4").tobytes()
+        for ps in bundle.param_sets().values()
+        for n in ps.names()
     )
 
 
@@ -78,6 +118,7 @@ def main():
             ("rollout clip", clip.frames.tobytes()),
             ("classifier", cls_path.read_bytes()),
             ("classifier params", param_bytes({"cls": cls_loaded})),
+            ("both-stream grads", both_streams_grads(loaded, ds)),
         ):
             print(f"{name:20s} {sha(data)}")
 
