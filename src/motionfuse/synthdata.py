@@ -22,6 +22,7 @@ import os
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -63,7 +64,12 @@ def _half_extent(size, k):
 
 _MAGIC = b"SMV1"
 _HEADER = struct.Struct("<7I")
-_CLIP_HEADER = struct.Struct("<HQ")
+
+
+def _clip_record(t, c, h, w) -> np.dtype:
+    """One packed SMV1 clip record: u16 label, u64 seed, then the clip's
+    T*C*H*W LE f32 values in (frame, channel, row) order."""
+    return np.dtype([("label", "<u2"), ("seed", "<u8"), ("frames", "<f4", (t, c, h, w))])
 
 
 def max_frames(size: int) -> int:
@@ -106,66 +112,103 @@ class VideoClip:
 
 
 def class_names(classes) -> list[str]:
-    """Resolve an int (first K of the registry) or an explicit name list."""
+    """Resolve an int (first K of the registry) or an explicit list of
+    distinct names."""
     if isinstance(classes, int):
         if not 1 <= classes <= len(MOTION_CLASSES):
-            raise ValueError(f"class count must be in 1..{len(MOTION_CLASSES)}")
+            raise ValueError(f"class count must be in 1..{len(MOTION_CLASSES)}, got {classes}")
         return list(MOTION_CLASSES[:classes])
     names = list(classes)
-    for name in names:
+    if not names:
+        raise ValueError(f"need at least one motion class, got {names}")
+    for i, name in enumerate(names):
         if name not in MOTION_CLASSES:
             raise ValueError(f"unknown motion class {name!r}")
+        if name in names[:i]:
+            raise ValueError(f"motion class {name!r} named twice in {names}")
     return names
 
 
-def _supergrid(size: int):
+@cache
+def _sample_coords(size: int) -> np.ndarray:
+    """Centres of the supersamples along either axis of a `size` px frame,
+    in pixel units; one read-only array shared by every frame of the size."""
     coords = (np.arange(size * SUPERSAMPLE, dtype=np.float64) + 0.5) / SUPERSAMPLE
-    return np.meshgrid(coords, coords, indexing="ij")  # (y, x) in pixel units
+    coords.flags.writeable = False
+    return coords
 
 
 def _shape_coverage(shape_id, cx, cy, half, aspect, angle, scl, size):
-    yy, xx = _supergrid(size)
-    dx, dy = xx - cx, yy - cy
+    """Share of each pixel's supersamples that fall inside the shape, as a
+    (size, size) float64 array.
+
+    Only the pixels within `reach` of the centre are sampled. In units of
+    `half * scl` the shape reaches from its centre: the rectangle's corner
+    sqrt(1 + aspect^2); the triangle, bounded by yr >= -half and
+    sqrt(3) |xr| + yr <= half, its base vertices (+-2/sqrt(3), -1) at
+    sqrt(7/3) ~ 1.53; the cross's arm ends (1, 0.38) at 1.07; the disc 1.
+    Each is at most 1 + aspect for aspect >= 0.75, the least in `gen_clip`'s
+    palette, and the extra pixel covers rounding in the rotated coordinates.
+    """
+    ss = SUPERSAMPLE
+    reach = half * scl * (1.0 + aspect) + 1.0
+    x0, x1 = max(0, int(cx - reach)), min(size, int(cx + reach) + 1)
+    y0, y1 = max(0, int(cy - reach)), min(size, int(cy + reach) + 1)
+    coords = _sample_coords(size)
+    dx = coords[x0 * ss : x1 * ss] - cx
+    dy = (coords[y0 * ss : y1 * ss] - cy)[:, None]
     ca, sa = np.cos(-angle), np.sin(-angle)
-    xr = (dx * ca - dy * sa) / scl
-    yr = (dx * sa + dy * ca) / scl
+    xr = dx * ca - dy * sa
+    yr = dx * sa + dy * ca
+    if scl != 1.0:  # x / 1.0 is x, bit for bit
+        xr /= scl
+        yr /= scl
     name = SHAPE_NAMES[shape_id]
     if name == "rectangle":
         inside = (np.abs(xr) <= half) & (np.abs(yr) <= half * aspect)
     elif name == "disc":
         inside = xr * xr + yr * yr <= half * half
     elif name == "triangle":
-        # equilateral, apex up, circumradius `half`
-        top = yr >= -half
-        left = (np.sqrt(3.0) * xr + yr) <= half
-        right = (-np.sqrt(3.0) * xr + yr) <= half
-        inside = top & left & right
+        # equilateral, apex up at (0, half); -t + yr is yr - t, bit for bit
+        tilt = np.sqrt(3.0) * xr
+        inside = (yr >= -half) & (tilt + yr <= half) & (yr - tilt <= half)
     else:  # cross
         arm = half * 0.38
         inside = ((np.abs(xr) <= arm) & (np.abs(yr) <= half)) | (
             (np.abs(yr) <= arm) & (np.abs(xr) <= half)
         )
-    cov = inside.astype(np.float64)
-    ss = SUPERSAMPLE
-    return cov.reshape(size, ss, size, ss).mean(axis=(1, 3))
+    # count each pixel's inside-samples in integers (at most ss * ss = 16),
+    # summing its ss sample rows and then its ss columns: count / ss^2 is
+    # exact, so it equals the float mean of the samples bit for bit
+    h, w = y1 - y0, x1 - x0
+    rows = inside.view(np.uint8).reshape(h, ss, w * ss)
+    per_column = sum(rows[:, k] for k in range(ss)).reshape(h, w, ss)
+    cov = np.zeros((size, size))
+    cov[y0:y1, x0:x1] = sum(per_column[..., k] for k in range(ss)) / (ss * ss)
+    return cov
 
 
 # fixed palette per background id: three flat levels and three ramps
+@cache
 def _background(background_id, size):
+    """The (size, size) background of `background_id`, built once and read-only."""
     yy, xx = np.meshgrid(
         np.linspace(0.0, 1.0, size), np.linspace(0.0, 1.0, size), indexing="ij"
     )
     if background_id == 0:
-        return np.full((size, size), -0.75)
-    if background_id == 1:
-        return np.full((size, size), -0.5)
-    if background_id == 2:
-        return np.full((size, size), -0.25)
-    if background_id == 3:
-        return -0.55 + 0.4 * (xx - 0.5)
-    if background_id == 4:
-        return -0.55 + 0.4 * (yy - 0.5)
-    return -0.55 + 0.4 * (xx + yy - 1.0) * 0.5
+        bg = np.full((size, size), -0.75)
+    elif background_id == 1:
+        bg = np.full((size, size), -0.5)
+    elif background_id == 2:
+        bg = np.full((size, size), -0.25)
+    elif background_id == 3:
+        bg = -0.55 + 0.4 * (xx - 0.5)
+    elif background_id == 4:
+        bg = -0.55 + 0.4 * (yy - 0.5)
+    else:
+        bg = -0.55 + 0.4 * (xx + yy - 1.0) * 0.5
+    bg.flags.writeable = False
+    return bg
 
 
 def _signed(rng, lo, hi):
@@ -394,17 +437,15 @@ def gen_dataset(classes, clips_per_class: int, master_seed: int, spec: ClipSpec,
 def write_dataset(path, clips: np.ndarray, labels, seeds, classes, train_ids, test_ids) -> dict:
     """Write the SMV1 container and then its manifest; return the manifest.
 
-    SMV1: magic, 7 LE u32 header fields, then per clip a u16 label, u64 seed
-    and T*C*H*W LE f32 values in (frame, channel, row) order. The JSON
-    manifest lists the class names, each clip's {id, action, seed} and the
-    train/test split by clip id."""
+    SMV1: magic, 7 LE u32 header fields, then one `_clip_record` per clip.
+    The JSON manifest lists the class names, each clip's {id, action, seed}
+    and the train/test split by clip id."""
     n, t, c, h, w = clips.shape
+    records = np.empty(n, _clip_record(t, c, h, w))
+    records["label"], records["seed"], records["frames"] = labels, seeds, clips
     with atomic_write(path) as fh:
-        fh.write(_MAGIC)
-        fh.write(_HEADER.pack(1, n, t, c, h, w, 0))
-        for i in range(n):
-            fh.write(_CLIP_HEADER.pack(int(labels[i]), int(seeds[i])))
-            fh.write(np.ascontiguousarray(clips[i], dtype="<f4").tobytes())
+        fh.write(_MAGIC + _HEADER.pack(1, n, t, c, h, w, 0))
+        fh.write(records.view(np.uint8))
     split = {"train": list(train_ids), "test": list(test_ids)}
     manifest = {"classes": list(classes), "clips": _clip_entries(labels, seeds), "split": split}
     with atomic_write(manifest_path(path)) as fh:
@@ -435,8 +476,7 @@ def load_dataset(path) -> Dataset:
     version, n, t, c, h, w, dtype = _HEADER.unpack_from(raw, 4)
     if version != 1 or dtype != 0:
         raise ValueError(f"{path}: unsupported SMV1 version {version} / dtype {dtype}")
-    # one packed record per clip, as `_CLIP_HEADER` and the frames lay it out
-    record = np.dtype([("label", "<u2"), ("seed", "<u8"), ("frames", "<f4", (t, c, h, w))])
+    record = _clip_record(t, c, h, w)
     expected = head + n * record.itemsize
     if len(raw) != expected:
         raise ValueError(

@@ -127,6 +127,21 @@ class TestGenData:
     def test_missing_out_is_validation_error(self):
         assert cli.main(["gen-data", "--classes", "2"]) == 1
 
+    @pytest.mark.parametrize(
+        "classes, message",
+        [
+            ("", "need at least one motion class, got []"),
+            (",", "need at least one motion class, got []"),
+            ("rotate,rotate", "motion class 'rotate' named twice in ['rotate', 'rotate']"),
+        ],
+    )
+    def test_empty_or_repeated_class_names_are_rejected(self, classes, message, tmp_path,
+                                                         capsys):
+        out = tmp_path / "d.smv"
+        assert cli.main(["gen-data", "--classes", classes, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_too_many_frames_for_the_size_is_rejected_up_front(self, tmp_path, capsys):
         out = tmp_path / "d.smv"
         assert cli.main(["gen-data", "--size", "16", "--out", str(out)]) == 1

@@ -89,6 +89,56 @@ class TestMotionVisible:
             gen_clip("small-jitter", 3, motion_params={"amplitude": 0.1})
 
 
+def _full_grid_coverage(shape_id, cx, cy, half, aspect, angle, scl, size):
+    """The renderer that `synthdata._shape_coverage` replaced, kept as its
+    oracle: every supersample of the frame on a full meshgrid, pooled by a
+    float64 mean."""
+    ss = synthdata.SUPERSAMPLE
+    coords = (np.arange(size * ss, dtype=np.float64) + 0.5) / ss
+    yy, xx = np.meshgrid(coords, coords, indexing="ij")
+    dx, dy = xx - cx, yy - cy
+    ca, sa = np.cos(-angle), np.sin(-angle)
+    xr = (dx * ca - dy * sa) / scl
+    yr = (dx * sa + dy * ca) / scl
+    name = synthdata.SHAPE_NAMES[shape_id]
+    if name == "rectangle":
+        inside = (np.abs(xr) <= half) & (np.abs(yr) <= half * aspect)
+    elif name == "disc":
+        inside = xr * xr + yr * yr <= half * half
+    elif name == "triangle":
+        top = yr >= -half
+        left = (np.sqrt(3.0) * xr + yr) <= half
+        right = (-np.sqrt(3.0) * xr + yr) <= half
+        inside = top & left & right
+    else:  # cross
+        arm = half * 0.38
+        inside = ((np.abs(xr) <= arm) & (np.abs(yr) <= half)) | (
+            (np.abs(yr) <= arm) & (np.abs(xr) <= half)
+        )
+    return inside.astype(np.float64).reshape(size, ss, size, ss).mean(axis=(1, 3))
+
+
+class TestShapeCoverage:
+    @pytest.mark.parametrize("size", [16, 32, 64])
+    @pytest.mark.parametrize("shape_id", range(len(synthdata.SHAPE_NAMES)))
+    def test_same_bytes_as_the_full_grid_oracle(self, shape_id, size):
+        rng = np.random.default_rng(100 * size + shape_id)
+        for i in range(150):
+            half = synthdata._half_extent(size, int(rng.integers(0, 3)))
+            aspect = (0.75, 1.0, 1.25)[rng.integers(0, 3)]
+            scl = 0.78 + rng.random() * 0.44 if i % 3 else 1.0
+            angle = rng.random() * 2 * np.pi if i % 4 else 0.0
+            # odd draws put the centre at the margin gen_clip keeps from the
+            # frame edge, nearer to it than the sampled window reaches, so
+            # the edge clips the window; even draws anywhere between
+            lo, hi = synthdata.MARGIN + half * scl, size - synthdata.MARGIN - half * scl
+            cx, cy = (rng.choice([lo, hi]) if i % 2 else rng.uniform(lo, hi) for _ in "xy")
+            args = (shape_id, cx, cy, half, aspect, angle, scl, size)
+            cov = synthdata._shape_coverage(*args)
+            assert cov.shape == (size, size) and cov.dtype == np.float64
+            assert cov.tobytes() == _full_grid_coverage(*args).tobytes(), args
+
+
 class TestDifferenceMap:
     def test_static_clip_zero(self):
         clip = gen_clip("static", 2)
@@ -156,22 +206,26 @@ class TestDataset:
         assert doc["clips"][0].keys() == {"id", "action", "seed"}
         assert doc["clips"][0]["seed"] == synthdata.split_seed(1, 0)
 
-    # sha256 of gen_dataset(8 classes, 3 clips per class, seed, spec) files as
-    # rendered before ClipSpec bounded the frame count; a change to rendering
-    # or to the seed draws shows here
+    # sha256 of gen_dataset(8 classes, 3 clips per class, seed, spec) files.
+    # The 1-channel 16-32 px rows were rendered before ClipSpec bounded the
+    # frame count; the 3-channel and 64 px rows were taken from the
+    # full-grid renderer (`_full_grid_coverage`) before the windowed one
+    # replaced it. A change to rendering or to the seed draws shows here
     @pytest.mark.parametrize(
-        "frames,size,seed,digest",
+        "frames,size,channels,seed,digest",
         [
-            (3, 16, 1, "e131b0774aabfcdcfda9be2982a915d9dc63cce3391f6ea1d21371f243c37382"),
-            (4, 16, 99, "f3f57e96f28cb972e39b7c006114043add512b8ce052d67d46d1588900377069"),
-            (5, 16, 5, "556c67f4a93b85a04eb73b58f8ddd3b601c084ea30c0a17648bd24271beca74f"),
-            (5, 24, 2, "42c12d73572c4ba843105af7d0c3f000039a74edd149798c038cd0582846e6ff"),
-            (10, 32, 7, "b600512c402ef98527ba86eb4af5d695be5af44842bb552d161b87543ea89132"),
+            (3, 16, 1, 1, "e131b0774aabfcdcfda9be2982a915d9dc63cce3391f6ea1d21371f243c37382"),
+            (4, 16, 1, 99, "f3f57e96f28cb972e39b7c006114043add512b8ce052d67d46d1588900377069"),
+            (5, 16, 1, 5, "556c67f4a93b85a04eb73b58f8ddd3b601c084ea30c0a17648bd24271beca74f"),
+            (5, 24, 1, 2, "42c12d73572c4ba843105af7d0c3f000039a74edd149798c038cd0582846e6ff"),
+            (10, 32, 1, 7, "b600512c402ef98527ba86eb4af5d695be5af44842bb552d161b87543ea89132"),
+            (6, 32, 3, 11, "981930f41ddc937d11fc03fbddad0e40a5987f3d6d43575d7ddd96beb267f8c6"),
+            (10, 64, 1, 13, "6c007288b029d618b5cf73f323cbc8e630934c687d7b2b1ceb693f4534ed51de"),
         ],
     )
-    def test_pinned_bytes(self, tmp_path, frames, size, seed, digest):
+    def test_pinned_bytes(self, tmp_path, frames, size, channels, seed, digest):
         path = tmp_path / "d.smv"
-        gen_dataset(8, 3, seed, ClipSpec(frames=frames, size=size), path)
+        gen_dataset(8, 3, seed, ClipSpec(frames=frames, size=size, channels=channels), path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_truncated_files_name_the_file_and_length(self, tmp_path):
@@ -256,6 +310,10 @@ class TestDataset:
             synthdata.class_names(9)
         with pytest.raises(ValueError):
             synthdata.class_names(["spin"])
+        with pytest.raises(ValueError, match=r"need at least one motion class, got \[\]"):
+            synthdata.class_names([])
+        with pytest.raises(ValueError, match="'rotate' named twice in \\['rotate', 'static', 'rotate'\\]"):
+            synthdata.class_names(["rotate", "static", "rotate"])
 
 
 class _FailMidWrite:

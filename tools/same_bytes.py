@@ -6,16 +6,17 @@ working tree) and compare the output:
     python tools/same_bytes.py
 
 It runs the checkout's own `src/` at one BLAS thread, the setting under
-which the README promises identical training bytes, and prints six lines:
-the 10-iteration checkpoint of the default model, its parameter values, one
-rollout clip from the reloaded checkpoint, the 20-iteration clip classifier
-and its parameter values, and every gradient of one backward through both
-streams of the reloaded model. Training never runs that backward (its
-motion step freezes the content stream); the end-to-end gradient checks
-do. A file hash covers the whole
-checkpoint, format included; a parameter hash covers only the float32
-values, in the order the checkpoint stores them, so it stays put across a
-change of file format that leaves training as it is.
+which the README promises identical training bytes, and prints seven lines:
+the dataset file that everything below trains on, the 10-iteration
+checkpoint of the default model, its parameter values, one rollout clip
+from the reloaded checkpoint, the 20-iteration clip classifier and its
+parameter values, and every gradient of one backward through both streams
+of the reloaded model. Training never runs that backward (its motion step
+freezes the content stream); the end-to-end gradient checks do. The
+dataset line tells a change to rendering apart from a change to training.
+A file hash covers the whole checkpoint, format included; a parameter hash
+covers only the float32 values, in the order the checkpoint stores them, so
+it stays put across a change of file format that leaves training as it is.
 """
 
 import os
@@ -113,6 +114,7 @@ def main():
         cls_loaded, _ = checkpoint.load_classifier(cls_path)
 
         for name, data in (
+            ("dataset", (tmp / "data.smv").read_bytes()),
             ("checkpoint", model_path.read_bytes()),
             ("checkpoint params", param_bytes(loaded.param_sets())),
             ("rollout clip", clip.frames.tobytes()),
