@@ -16,7 +16,9 @@ ModelConfig, TrainConfig() and its OptimizerConfig and LossWeights with its
 "weights" sit beside "train"); under --classifier only "model.ngf" applies
 and --log-every is rejected. Other sections, non-object sections, the keys
 that the dataset or --seed sets (model.classes, model.size, model.channels,
-train.seed) and, under --classifier, the other model keys are rejected.
+train.seed) and, under --classifier, the other model keys are rejected, as
+is a value of the wrong kind: an int key takes an integer, not a bool, and a
+float key a finite number.
 Exit codes: 0 success, 1 validation/usage error, 2 I/O error.
 """
 
@@ -25,12 +27,14 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
 
-from . import bench, checkpoint, gradcheck, metrics, model, synthdata, training
+from . import bench, checkpoint, gradcheck, losses, metrics, model, synthdata, training
 from .tensor import SeededRng, ShapeError
 
 
@@ -60,6 +64,9 @@ _SECTIONS = ("model", "train", "optimizer", "weights")
 # config keys that the dataset or a flag always overrides, and what sets them
 _SET_ELSEWHERE = {"model.classes": "the dataset", "model.size": "the dataset",
                   "model.channels": "the dataset", "train.seed": "--seed"}
+# the dataclass each section fills, whose int and float fields `_load_config` checks
+_SECTION_TYPES = {"model": model.ModelConfig, "train": training.TrainConfig,
+                  "optimizer": training.OptimizerConfig, "weights": losses.LossWeights}
 # model keys the classifier network never reads: it reads only ngf
 _NOT_CLASSIFIER = ("model.latent_c", "model.latent_m", "model.scales", "model.kernel_size")
 
@@ -68,6 +75,8 @@ def _load_config(args):
     """Read `train --config`, rejecting every part the run would ignore."""
     if args.classifier and args.log_every:
         raise ValueError("--log-every does not apply to train --classifier")
+    if args.log_every < 0:
+        raise ValueError(f"--log-every must be at least 0, got {args.log_every}")
     if args.config is None:
         return {}
     text = args.config.strip()
@@ -80,12 +89,18 @@ def _load_config(args):
             raise ValueError(f"{run} reads no --config section {name!r}, only {', '.join(known)}")
         if not isinstance(section, dict):
             raise ValueError(f"--config section {name!r} must be a JSON object")
-        for key in section:
+        kinds = typing.get_type_hints(_SECTION_TYPES[name])
+        for key, value in section.items():
             path = f"{name}.{key}"
             if path in _SET_ELSEWHERE:
                 raise ValueError(f"--config key {path} is always set by {_SET_ELSEWHERE[path]}")
             if args.classifier and path in _NOT_CLASSIFIER:
                 raise ValueError(f"train --classifier reads no --config key {path}: only ngf")
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if kinds.get(key) is int and not (number and isinstance(value, int)):
+                raise ValueError(f"--config key {path} must be an integer, got {value!r}")
+            if kinds.get(key) is float and not (number and math.isfinite(value)):
+                raise ValueError(f"--config key {path} must be a finite number, got {value!r}")
     return cfg
 
 
@@ -192,7 +207,10 @@ def _cmd_train(args):
     fields = dict(cfg_doc.get("train", {}), **given, seed=args.seed)
     for name in ("optimizer", "weights"):
         if name in cfg_doc:
-            fields[name] = dataclasses.replace(getattr(desk, name), **cfg_doc[name])
+            try:
+                fields[name] = dataclasses.replace(getattr(desk, name), **cfg_doc[name])
+            except ValueError as exc:
+                raise ValueError(f"--config section {name!r}: {exc}") from None
     tcfg = training.TrainConfig(**fields)
     bundle = model.build_model(mcfg, SeededRng(args.seed))
     trainer = training.Trainer(bundle, dataset, tcfg)

@@ -26,8 +26,10 @@ shifts onto the padded map.
 
 Content maps are (C, H, W) or batched (B, C, H, W); kernel fields follow
 with (H, W, n)/(H, W, n*n) plus an optional leading batch axis; masks are
-(H, W) or (B, H, W). Forward functions return (output, cache) and the
-matching backward returns gradients for every input, as in `ops`.
+(H, W) or (B, H, W). An unbatched field or mask is shared by every sample;
+a batched one must have the batch of batched content. Forward functions
+return (output, cache) and the matching backward returns gradients for
+every input, as in `ops`.
 """
 
 from __future__ import annotations
@@ -159,28 +161,38 @@ def _replicate_pad_backward(dp, r, h, w):
     return out
 
 
-def _check_field(h4, f, n, what):
-    if n % 2 == 0 or n < 1:
-        raise ValueError(f"kernel size must be odd, got {n}")
-    if f.shape[-3:-1] != h4.shape[2:]:
+def _check_batch(h, f, batched, what):
+    """An unbatched kernel field or mask is shared by every sample; a batched
+    one must have the batch of batched content."""
+    if batched and (h.ndim != 4 or f.shape[0] != h.shape[0]):
         raise ShapeError(
-            f"{what} spatial extent {f.shape[-3:-1]} != content {h4.shape[2:]}",
-            (f.shape, h4.shape),
+            f"{what} {f.shape} does not match the batch of content {h.shape}", (f.shape, h.shape)
         )
 
 
-def _tap_weights(h4, kernels):
+def _check_field(h, f, n, what):
+    if n % 2 == 0 or n < 1:
+        raise ValueError(f"kernel size must be odd, got {n}")
+    if f.shape[-3:-1] != h.shape[-2:]:
+        raise ShapeError(
+            f"{what} spatial extent {f.shape[-3:-1]} != content {h.shape[-2:]}",
+            (f.shape, h.shape),
+        )
+    _check_batch(h, f, f.ndim == 4, what)
+
+
+def _tap_weights(h, kernels):
     """Per-tap weight maps (n*n, B, H, W), taps row-major over (u, v), plus
     the separable factors (n, B, H, W) each, or None for a dense field.
     An unbatched field gets a batch axis of 1, which broadcasts."""
     n = kernels.n
     if isinstance(kernels, SeparableKernelField):
-        _check_field(h4, kernels.wv, n, "separable kernel field")
+        _check_field(h, kernels.wv, n, "separable kernel field")
         wv = np.ascontiguousarray(np.moveaxis(_lift(kernels.wv, 4)[0], 3, 0))
         wh = np.ascontiguousarray(np.moveaxis(_lift(kernels.wh, 4)[0], 3, 0))
         return (wv[:, None] * wh[None]).reshape((n * n,) + wv.shape[1:]), (wv, wh)
     if isinstance(kernels, DenseKernelField):
-        _check_field(h4, kernels.w, n, "dense kernel field")
+        _check_field(h, kernels.w, n, "dense kernel field")
         return np.ascontiguousarray(np.moveaxis(_lift(kernels.w, 4)[0], 3, 0)), None
     raise TypeError(f"unsupported kernel field type {type(kernels).__name__}")
 
@@ -212,8 +224,8 @@ def adaptive_conv_forward(h, kernels):
     `kernels` is a SeparableKernelField or DenseKernelField; the per-pixel
     kernel is shared across all content channels.
     """
+    k, factors = _tap_weights(h, kernels)
     h4, lifted = _lift(h, 4)
-    k, factors = _tap_weights(h4, kernels)
     n = kernels.n
     bsz, c, hh, ww = h4.shape
     hp = _replicate_pad(h4, n // 2)
@@ -285,6 +297,7 @@ def mask_blend_forward(h, h_tilde, m):
             f"mask extent {m4.shape[-2:]} != content {h4.shape[2:]}",
             (m4.shape, h4.shape),
         )
+    _check_batch(h, m, m.ndim == 3, "mask")
     _check_mask_range(m4)
     mb = m4[:, None]
     out = mb * ht4 + (1.0 - mb) * h4

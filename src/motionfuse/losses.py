@@ -24,9 +24,6 @@ class GaussianParams:
     logvar: np.ndarray
 
     def __post_init__(self):
-        if self.mean.ndim == 1:
-            self.mean = self.mean[None]
-            self.logvar = np.atleast_1d(self.logvar)[None]
         if self.mean.shape != self.logvar.shape:
             raise ShapeError(
                 f"mean {self.mean.shape} and logvar {self.logvar.shape} must match",

@@ -315,10 +315,6 @@ class ModelConfig:
             raise ValueError(f"kernel_size must be odd and positive, got {self.kernel_size}")
         if self.latent_m % 16:
             raise ValueError("latent_m must be divisible by 16 (reshaped to 4x4 maps)")
-        if self.size % (1 << (self.scales - 1)):
-            raise ValueError(
-                f"size {self.size} not divisible by 2^(scales-1) = {1 << (self.scales - 1)}"
-            )
         if self.size < 4 << self.scales:
             raise ValueError(f"size {self.size} too small for {self.scales} fusion scales")
         if self.size & (self.size - 1) or self.size < 8:

@@ -93,16 +93,18 @@ def xavier_uniform(rng: SeededRng, shape, fan_in: int, fan_out: int, dtype=np.fl
 # Convolutions run their GEMMs over a channel-major layout: activations
 # move to (C, B, H, W), so every copy, gather and scatter walks whole rows
 # of contiguous memory, and a single transpose per call restores
-# (B, C, H, W). Stride-1 convs and every stride phase of a transpose conv
-# are shifted GEMMs with no im2col (see `_shifted_gemms`); only strided
-# convs build a column matrix. The kernel taps of a conv, or of a stride
-# phase, read the padded grid at a lattice of flat offsets, so the inputs
-# of all taps are one zero-copy (taps_u, taps_v, C_in, width) strided view
-# of it (`_tap_window`), and the weights one (taps_u, taps_v, C_out, C_in)
-# tap stack. The shifted GEMMs walk the grid in column blocks. A block is
-# as wide as `_BLOCK_BYTES` allows for a block's slices of the input,
-# output and gradient (2 C_in + 2 C_out values per column), rounded down to
-# a multiple of 64 columns; a batch-1 map at 32x32 fits in one block.
+# (B, C, H, W). A stride-1 conv is one stride-1 correlation, and a
+# transpose conv one per output stride phase: one loop each way runs them
+# all (`_correlate`, `_correlate_backward`) over a cached plan
+# (`_correlation_plan`), as shifted GEMMs with no im2col (`_shifted_gemms`);
+# only strided convs build a column matrix. A correlation's taps read the
+# padded grid at a lattice of flat offsets, so their inputs are one
+# zero-copy (taps_u, taps_v, C_in, width) strided view of it (`_tap_window`),
+# and the weights one (taps_u, taps_v, C_out, C_in) tap stack. The shifted
+# GEMMs walk the grid in column blocks. A block is as wide as `_BLOCK_BYTES`
+# allows for a block's slices of the input, output and gradient (2 C_in +
+# 2 C_out values per column), rounded down to a multiple of 64 columns; a
+# batch-1 map at 32x32 fits in one block.
 #
 # Forward: a grid of one block (every batch-1 map, and the smallest maps of
 # a training batch) takes one `np.matmul` of the tap stack with the view,
@@ -123,8 +125,7 @@ def xavier_uniform(rng: SeededRng, shape, fan_in: int, fan_out: int, dtype=np.fl
 # No float32 sum is reordered, and training turns on the low bits
 # (ROADMAP.md, item 1): each output column adds its taps in tap order from
 # +0.0, and only the grid's last block ends in a part of a 64-column tile,
-# as one product over the grid would. The plans that depend only on shapes
-# (tap offsets, block ranges, transpose-conv phases) are cached.
+# as one product over the grid would.
 #
 # The temporaries of these GEMMs (the output grid, the gradient grids and
 # the block buffer) come from work buffers that live across calls: one flat
@@ -166,16 +167,6 @@ def _channel_major_padded(x, pad):
     xp = np.zeros((c, bsz, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
     xp[:, :, pad : pad + h, pad : pad + w] = x.transpose(1, 0, 2, 3)
     return xp
-
-
-def _channel_major(x):
-    """(B, C, H, W) -> contiguous (C, B*H*W)."""
-    return np.ascontiguousarray(x.transpose(1, 0, 2, 3)).reshape(x.shape[1], -1)
-
-
-def _batch_major(y_mat, bsz, h, w):
-    """(C, B*H*W) -> contiguous (B, C, H, W)."""
-    return np.ascontiguousarray(y_mat.reshape(-1, bsz, h, w).transpose(1, 0, 2, 3))
 
 
 def _im2col(xp, k, stride, ho, wo):
@@ -226,16 +217,17 @@ def _windows(x, kh, kw, stride=1):
     return win
 
 
-def _tap_window(flat, base, taps_u, taps_v, wp, n):
+def _tap_window(flat, base, taps_u, taps_v, wp, n, step=1):
     """Read-only (taps_u, taps_v, C_in, n) view of a contiguous flattened
     padded (C_in, B*Hp*Wp) grid: [iu, iv] is the n columns from flat offset
-    base + iu*wp + iv on, the input that tap (iu, iv) of a row-major
-    (Hp, Wp) kernel lattice reads. The ndarray constructor checks that the
-    view stays inside `flat`, at a fifth of the cost of `as_strided`."""
+    base + step*(iu*wp + iv) on, the input that tap (iu, iv) of a row-major
+    (Hp, Wp) kernel lattice reads, walked backwards for step -1. The ndarray
+    constructor checks that the view stays inside `flat`, at a fifth of the
+    cost of `as_strided`."""
     s_row, s_col = flat.strides
     win = np.ndarray(
         (taps_u, taps_v, flat.shape[0], n), flat.dtype, flat, base * s_col,
-        (wp * s_col, s_col, s_row, s_col),
+        (step * wp * s_col, step * s_col, s_row, s_col),
     )
     win.flags.writeable = False
     return win
@@ -307,76 +299,6 @@ def _shifted_gemms_backward(mats, flat, offs, dy_flat, dflat):
     return dmats
 
 
-@functools.lru_cache(maxsize=256)
-def _tap_offsets(k, wp):
-    """Flat offsets of the k*k kernel taps in a row-major (Hp, Wp) map."""
-    return tuple(u * wp + v for u in range(k) for v in range(k))
-
-
-def conv2d_forward(x, w, b=None, stride=1, pad=0):
-    bsz, cin, h, wd = x.shape
-    cout, cin_w, k, _ = w.shape
-    if cin != cin_w:
-        raise ShapeError(
-            f"conv2d channel mismatch: input {x.shape} vs weight {w.shape}",
-            (x.shape, w.shape),
-        )
-    ho = (h + 2 * pad - k) // stride + 1
-    wo = (wd + 2 * pad - k) // stride + 1
-    if ho < 1 or wo < 1:
-        raise ShapeError(f"conv2d output collapses for input {x.shape}, k={k}")
-    xp = _channel_major_padded(x, pad)
-    if stride == 1:
-        flat = xp.reshape(cin, -1)
-        wp = xp.shape[3]
-        n = flat.shape[1] - (k - 1) * (wp + 1)
-        # as reshape makes it: a copy, but a strided view of `w` for one
-        # output channel, whose one-row products round by that layout
-        taps = w.transpose(2, 3, 0, 1).reshape(k * k, cout, cin).reshape(k, k, cout, cin)
-        y_flat = _work_buffer("out", (cout, flat.shape[1]), x.dtype)
-        _shifted_gemms(taps, _tap_window(flat, 0, k, k, wp, n), y_flat)
-        y_grid = y_flat.reshape(cout, bsz, xp.shape[2], wp)[:, :, :ho, :wo]
-        y = y_grid.transpose(1, 0, 2, 3).copy()
-        if b is not None:
-            y += b[:, None, None]
-        cache = (x.shape, flat, w, stride, pad, b is not None, ho, wo)
-        return y, cache
-    cols = _im2col(xp, k, stride, ho, wo)
-    y_mat = w.reshape(cout, -1) @ cols
-    if b is not None:
-        y_mat += b[:, None]
-    cache = (x.shape, cols, w, stride, pad, b is not None, ho, wo)
-    return _batch_major(y_mat, bsz, ho, wo), cache
-
-
-def conv2d_backward(dy, cache):
-    x_shape, cols, w, stride, pad, has_bias, ho, wo = cache
-    bsz, cin, h, wd = x_shape
-    cout, _, k, _ = w.shape
-    hp, wp = h + 2 * pad, wd + 2 * pad
-    db = dy.sum(axis=(0, 2, 3)) if has_bias else None
-    if stride == 1:
-        flat = cols  # at stride 1 the cache holds the flattened padded input
-        dy_flat = _work_buffer("out", (cout, bsz, hp, wp), dy.dtype)
-        dy_flat[...] = 0.0
-        dy_flat[:, :, :ho, :wo] = dy.transpose(1, 0, 2, 3)
-        taps = w.transpose(2, 3, 0, 1).reshape(k * k, cout, cin)
-        dxp = _work_buffer("in", (cin, bsz * hp * wp), dy.dtype)
-        dxp[...] = 0.0
-        dtaps = _shifted_gemms_backward(
-            taps, flat, _tap_offsets(k, wp), dy_flat.reshape(cout, -1), dxp
-        )
-        dw = np.ascontiguousarray(np.reshape(dtaps, (k, k, cout, cin)).transpose(2, 3, 0, 1))
-        dxp = dxp.reshape(cin, bsz, hp, wp)
-    else:
-        dy_mat = _channel_major(dy)
-        dw = (dy_mat @ cols.T).reshape(w.shape)
-        dcols = w.reshape(cout, -1).T @ dy_mat
-        dxp = _col2im(dcols, (cin, bsz, hp, wp), k, stride, ho, wo)
-    dx = dxp[:, :, pad : pad + h, pad : pad + wd].transpose(1, 0, 2, 3).copy()
-    return dx, dw, db
-
-
 def _stride_phases(k, stride, pad, size, out_size):
     """Split one axis of a transpose conv into its stride phases.
 
@@ -399,17 +321,130 @@ def _stride_phases(k, stride, pad, size, out_size):
 
 
 @functools.lru_cache(maxsize=256)
-def _transpose_plan(x_shape, k, stride, pad, ho, wo):
-    """Row and column stride phases of a transpose conv, and the padded
-    channel-major grid (lead_h, lead_w, Hp, Wp) both run on. Each phase is
-    (pr, pc, rows, cols, rtaps, ctaps): its outputs start at (pr, pc) and
-    span rows x cols, and it runs the taps rtaps x ctaps, each axis's taps
-    as (u, offset) pairs in tap order, the offsets falling by one per tap."""
-    lead_h, hp, rows = _stride_phases(k, stride, pad, x_shape[2], ho)
-    lead_w, wp, cols = _stride_phases(k, stride, pad, x_shape[3], wo)
-    return (lead_h, lead_w, hp, wp), tuple(
-        (pr, pc, mr, mc, rtaps, ctaps) for pr, mr, rtaps in rows for pc, mc, ctaps in cols
-    )
+def _correlation_plan(x_shape, k, stride, pad, ho, wo, transposed):
+    """The stride-1 correlations of a conv and the padded grid (lead_h,
+    lead_w, Hp, Wp) they read: a stride-1 conv2d is one, whose tap u reads
+    offset u, walking the grid forwards (step 1); a transpose conv runs one
+    per output stride phase (`_stride_phases`), its taps reading offsets
+    that fall by one per tap (step -1). Returns (grid, step, phases), each
+    phase (ys, rows, cols, ts, taps_u, taps_v, base, n, offs, uv): it
+    writes `y[ys]` from the rows x cols corner of its output grid, and runs
+    the taps `wt[ts]` of the (k, k, C_out, C_in) tap stack, in tap order at
+    flat offsets `offs` and kernel positions `uv`; tap (0, 0) reads n
+    columns from offset `base` on. A phase without taps has no `offs`."""
+    bsz, _, h, wd = x_shape
+    if transposed:
+        lead_h, hp, rows = _stride_phases(k, stride, pad, h, ho)
+        lead_w, wp, cols = _stride_phases(k, stride, pad, wd, wo)
+    else:
+        taps = tuple((u, u) for u in range(k))
+        lead_h, lead_w, hp, wp = pad, pad, h + 2 * pad, wd + 2 * pad
+        rows, cols = [(0, ho, taps)], [(0, wo, taps)]
+    phases = []
+    for pr, mr, rtaps in rows:
+        for pc, mc, ctaps in cols:
+            offs = tuple(ro * wp + co for _, ro in rtaps for _, co in ctaps)
+            uv = tuple((u, v) for u, _ in rtaps for v, _ in ctaps)
+            if stride == 1:  # one phase: all of the output and of the stack
+                ys = ts = ...
+            else:
+                ys = (slice(None), slice(None), slice(pr, None, stride), slice(pc, None, stride))
+                ts = (slice(uv[0][0], None, stride), slice(uv[0][1], None, stride)) if uv else None
+            base, n = (offs[0], bsz * hp * wp - max(offs)) if offs else (0, 0)
+            phases.append((ys, mr, mc, ts, len(rtaps), len(ctaps), base, n, offs, uv))
+    return (lead_h, lead_w, hp, wp), -1 if transposed else 1, tuple(phases)
+
+
+def _correlate(x, wt, plan, ho, wo):
+    """Forward of a conv `plan` with the (k, k, C_out, C_in) tap stack `wt`:
+    pads x onto the plan's grid and runs each phase's taps over its window
+    (`_shifted_gemms`). Returns the (B, C_out, Ho, Wo) output and the
+    flattened padded input."""
+    (lead_h, lead_w, hp, wp), step, phases = plan
+    bsz, cin, h, wd = x.shape
+    cout = wt.shape[2]
+    xp = np.zeros((cin, bsz, hp, wp), dtype=x.dtype)
+    xp[:, :, lead_h : lead_h + h, lead_w : lead_w + wd] = x.transpose(1, 0, 2, 3)
+    flat = xp.reshape(cin, -1)
+    y = np.empty((bsz, cout, ho, wo), dtype=np.promote_types(x.dtype, wt.dtype))
+    y_flat = _work_buffer("out", (cout, flat.shape[1]), y.dtype)
+    y_grid = y_flat.reshape(cout, bsz, hp, wp)
+    for ys, rows, cols, ts, tu, tv, base, n, offs, _ in phases:
+        if not offs:
+            y[ys] = 0.0
+            continue
+        _shifted_gemms(wt[ts], _tap_window(flat, base, tu, tv, wp, n, step), y_flat)
+        y[ys] = y_grid[:, :, :rows, :cols].transpose(1, 0, 2, 3)
+    return y, flat
+
+
+def _correlate_backward(dy, flat, wt, dwt, plan, x_shape):
+    """Backward of `_correlate` from its flattened padded input `flat`:
+    writes each tap's weight gradient into `dwt`, the (k, k, C_out, C_in)
+    view of dw, and returns the input gradient, of the dtype of `dwt`."""
+    (lead_h, lead_w, hp, wp), _, phases = plan
+    bsz, cin, h, wd = x_shape
+    cout = wt.shape[2]
+    dflat = _work_buffer("in", flat.shape, dwt.dtype)
+    dflat[...] = 0.0
+    dy_flat = _work_buffer("out", (cout, flat.shape[1]), dy.dtype)
+    dy_grid = dy_flat.reshape(cout, bsz, hp, wp)
+    for ys, rows, cols, _, _, _, _, _, offs, uv in phases:
+        if offs:
+            dy_flat[...] = 0.0
+            dy_grid[:, :, :rows, :cols] = dy[ys].transpose(1, 0, 2, 3)
+            dmats = _shifted_gemms_backward([wt[u, v] for u, v in uv], flat, offs, dy_flat, dflat)
+            for (u, v), dm in zip(uv, dmats):
+                dwt[u, v] = dm
+    dxp = dflat.reshape(cin, bsz, hp, wp)[:, :, lead_h : lead_h + h, lead_w : lead_w + wd]
+    return dxp.transpose(1, 0, 2, 3).copy()
+
+
+def conv2d_forward(x, w, b=None, stride=1, pad=0):
+    bsz, cin, h, wd = x.shape
+    cout, cin_w, k, _ = w.shape
+    if cin != cin_w:
+        raise ShapeError(
+            f"conv2d channel mismatch: input {x.shape} vs weight {w.shape}",
+            (x.shape, w.shape),
+        )
+    ho = (h + 2 * pad - k) // stride + 1
+    wo = (wd + 2 * pad - k) // stride + 1
+    if ho < 1 or wo < 1:
+        raise ShapeError(f"conv2d output collapses for input {x.shape}, k={k}")
+    if stride == 1:
+        # as reshape makes it: a copy, but a strided view of `w` for one
+        # output channel, whose one-row products round by that layout
+        wt = w.transpose(2, 3, 0, 1).reshape(k * k, cout, cin).reshape(k, k, cout, cin)
+        y, flat = _correlate(x, wt, _correlation_plan(x.shape, k, 1, pad, ho, wo, False), ho, wo)
+        if b is not None:
+            y += b[:, None, None]
+        return y, (x.shape, flat, w, stride, pad, b is not None, ho, wo)
+    cols = _im2col(_channel_major_padded(x, pad), k, stride, ho, wo)
+    y_mat = w.reshape(cout, -1) @ cols
+    if b is not None:
+        y_mat += b[:, None]
+    cache = (x.shape, cols, w, stride, pad, b is not None, ho, wo)
+    return np.ascontiguousarray(y_mat.reshape(cout, bsz, ho, wo).transpose(1, 0, 2, 3)), cache
+
+
+def conv2d_backward(dy, cache):
+    x_shape, cols, w, stride, pad, has_bias, ho, wo = cache
+    bsz, cin, h, wd = x_shape
+    cout, _, k, _ = w.shape
+    db = dy.sum(axis=(0, 2, 3)) if has_bias else None
+    if stride == 1:  # the cache holds the flattened padded input
+        wt = w.transpose(2, 3, 0, 1).reshape(k * k, cout, cin).reshape(k, k, cout, cin)
+        dw = np.zeros(w.shape, dtype=np.result_type(cols, w, dy))
+        plan = _correlation_plan(x_shape, k, 1, pad, ho, wo, False)
+        dx = _correlate_backward(dy, cols, wt, dw.transpose(2, 3, 0, 1), plan, x_shape)
+        return dx, dw, db
+    dy_mat = np.ascontiguousarray(dy.transpose(1, 0, 2, 3)).reshape(cout, -1)
+    dw = (dy_mat @ cols.T).reshape(w.shape)
+    dcols = w.reshape(cout, -1).T @ dy_mat
+    dxp = _col2im(dcols, (cin, bsz, h + 2 * pad, wd + 2 * pad), k, stride, ho, wo)
+    dx = dxp[:, :, pad : pad + h, pad : pad + wd].transpose(1, 0, 2, 3).copy()
+    return dx, dw, db
 
 
 def conv_transpose2d_forward(x, w, b=None, stride=1, pad=0):
@@ -424,61 +459,22 @@ def conv_transpose2d_forward(x, w, b=None, stride=1, pad=0):
     wo = (wd - 1) * stride - 2 * pad + k
     if ho < 1 or wo < 1:
         raise ShapeError(f"conv_transpose2d output collapses for input {x.shape}")
-    # the adjoint of a strided conv, computed per output stride phase: each
-    # phase is a stride-1 correlation with a subset of the taps, so no
-    # (C_out*k*k, B*H*W) column matrix and no col2im scatter are needed
-    grid, phases = _transpose_plan(x.shape, k, stride, pad, ho, wo)
-    lead_h, lead_w, hp, wp = grid
-    xp = np.zeros((cin, bsz, hp, wp), dtype=x.dtype)
-    xp[:, :, lead_h : lead_h + h, lead_w : lead_w + wd] = x.transpose(1, 0, 2, 3)
-    flat = xp.reshape(cin, -1)
-    y = np.empty((bsz, cout, ho, wo), dtype=np.result_type(x, w))
-    y_flat = _work_buffer("out", (cout, flat.shape[1]), y.dtype)
-    for pr, pc, mr, mc, rtaps, ctaps in phases:
-        y_phase = y[:, :, pr::stride, pc::stride]
-        if not (rtaps and ctaps):
-            y_phase[...] = 0.0
-            continue
-        # tap (0, 0) reads the furthest offset and the last tap the nearest:
-        # the phase's taps are a reversed window of the grid, and their
-        # weights a strided view of `w`
-        tu, tv = len(rtaps), len(ctaps)
-        n = flat.shape[1] - (rtaps[0][1] * wp + ctaps[0][1])
-        win = _tap_window(flat, rtaps[-1][1] * wp + ctaps[-1][1], tu, tv, wp, n)
-        taps = w[:, :, rtaps[0][0] :: stride, ctaps[0][0] :: stride].transpose(2, 3, 1, 0)
-        _shifted_gemms(taps, win[::-1, ::-1], y_flat)
-        y_grid = y_flat.reshape(cout, bsz, hp, wp)[:, :, :mr, :mc]
-        y_phase[...] = y_grid.transpose(1, 0, 2, 3)
+    # the adjoint of a strided conv, one stride-1 correlation per output
+    # stride phase with a subset of the taps: no (C_out*k*k, B*H*W) column
+    # matrix and no col2im scatter. The tap stack is a strided view of `w`.
+    plan = _correlation_plan(x.shape, k, stride, pad, ho, wo, True)
+    y, flat = _correlate(x, w.transpose(2, 3, 1, 0), plan, ho, wo)
     if b is not None:
         y += b[:, None, None]
-    cache = (flat, x.shape, w, stride, pad, grid, phases, b is not None)
-    return y, cache
+    return y, (flat, x.shape, w, plan, b is not None)
 
 
 def conv_transpose2d_backward(dy, cache):
-    flat, x_shape, w, stride, pad, grid, phases, has_bias = cache
-    bsz, cin, h, wd = x_shape
-    cout = w.shape[1]
-    lead_h, lead_w, hp, wp = grid
+    flat, x_shape, w, plan, has_bias = cache
     db = dy.sum(axis=(0, 2, 3)) if has_bias else None
-    dw = np.zeros(w.shape, dtype=np.result_type(w, dy))
-    dflat = _work_buffer("in", flat.shape, np.result_type(w, dy))
-    dflat[...] = 0.0
-    dy_flat = _work_buffer("out", (cout, flat.shape[1]), dy.dtype)
-    for pr, pc, mr, mc, rtaps, ctaps in phases:
-        if not (rtaps and ctaps):
-            continue
-        taps = [(u, v, ro * wp + co) for u, ro in rtaps for v, co in ctaps]
-        dy_flat[...] = 0.0
-        dy_grid = dy_flat.reshape(cout, bsz, hp, wp)
-        dy_grid[:, :, :mr, :mc] = dy[:, :, pr::stride, pc::stride].transpose(1, 0, 2, 3)
-        mats = [w[:, :, u, v].T for u, v, _ in taps]
-        dmats = _shifted_gemms_backward(mats, flat, [off for _, _, off in taps], dy_flat, dflat)
-        for (u, v, _), dm in zip(taps, dmats):
-            dw[:, :, u, v] = dm.T
-    dxp = dflat.reshape(cin, bsz, hp, wp)[:, :, lead_h : lead_h + h, lead_w : lead_w + wd]
-    dx = dxp.transpose(1, 0, 2, 3).copy()
-    return dx, dw, db
+    dw = np.zeros(w.shape, dtype=np.result_type(flat, w, dy))
+    wt, dwt = w.transpose(2, 3, 1, 0), dw.transpose(2, 3, 1, 0)
+    return _correlate_backward(dy, flat, wt, dwt, plan, x_shape), dw, db
 
 
 def linear_forward(x, w, b=None):

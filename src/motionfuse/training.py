@@ -58,6 +58,8 @@ class OptimizerConfig:
             raise ValueError("learning rate must be nonnegative")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ValueError("decay rates must lie in [0, 1)")
+        if not self.eps > 0:
+            raise ValueError(f"eps must be positive, got {self.eps}")
 
 
 class Adam:

@@ -602,6 +602,47 @@ class TestInputContract:
         assert next(iter(model_section)) in err
         assert steps == [] and not out.exists()
 
+    @pytest.mark.parametrize(
+        "config, named",
+        [
+            ({"model": {"ngf": "8"}}, "model.ngf"),
+            ({"model": {"ngf": True}}, "model.ngf"),
+            ({"optimizer": {"alpha": "x"}}, "optimizer.alpha"),
+            ({"train": {"crop_jitter": 1.5}}, "train.crop_jitter"),
+            ({"train": {"content_steps": 0.5, "motion_steps": 0}}, "train.content_steps"),
+            ({"optimizer": {"eps": -1}}, "'optimizer': eps"),
+            ({"optimizer": {"alpha": float("nan")}}, "optimizer.alpha"),
+            ({"weights": {"l1": float("inf")}}, "weights.l1"),
+        ],
+    )
+    def test_bad_config_value_names_its_key_before_training(
+        self, config, named, workspace, tmp_path, capsys, monkeypatch
+    ):
+        steps = []
+        monkeypatch.setattr(training.Trainer, "train_step", lambda self: steps.append(1))
+        out = tmp_path / "t.tsvc"
+        rc, err = self.run(
+            ["train", "--data", str(workspace["data"]), "--config", json.dumps(config),
+             "--iters", "2", "--batch", "2", "--out", str(out)],
+            capsys,
+        )
+        assert rc == 1
+        assert_clean_failure(rc, err)
+        assert named in err.strip().splitlines()[-1]
+        assert steps == [] and not out.exists()
+
+    def test_negative_log_every_is_rejected(self, workspace, tmp_path, capsys):
+        out = tmp_path / "t.tsvc"
+        rc, err = self.run(
+            ["train", "--data", str(workspace["data"]), "--config", MICRO_CONFIG,
+             "--iters", "2", "--batch", "2", "--log-every", "-1", "--out", str(out)],
+            capsys,
+        )
+        assert rc == 1
+        assert_clean_failure(rc, err)
+        assert "--log-every" in err.strip().splitlines()[-1]
+        assert not out.exists()
+
     def test_process_stderr_has_no_traceback(self, workspace, tmp_path):
         config = json.dumps({"train": {"weights": {"l1": 1}}})
         argv = ["train", "--data", str(workspace["data"]), "--config", config,

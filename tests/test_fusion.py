@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -470,6 +472,44 @@ class TestFusePyramid:
             assert np.array_equal(a.wv, b.wv) and np.array_equal(a.wh, b.wh)
         for a, b in zip(d_m, full_m):
             assert np.array_equal(a, b)
+
+
+class TestBatchMismatch:
+    """A kernel field or mask is unbatched, shared by every sample, or has
+    exactly the content's batch; unbatched content takes only unbatched
+    ones. Anything else raises a ShapeError that names both shapes."""
+
+    H = np.full((4, 2, 6, 6), 0.5)
+
+    @staticmethod
+    def _sep(shape):
+        return fusion.SeparableKernelField(np.ones(shape), np.ones(shape))
+
+    @pytest.mark.parametrize(
+        "content, field",
+        [((4, 2, 6, 6), (1, 6, 6, 3)), ((2, 6, 6), (4, 6, 6, 3)), ((4, 2, 6, 6), (2, 6, 6, 3))],
+    )
+    def test_field_batch(self, content, field):
+        with pytest.raises(ShapeError, match=f"{re.escape(str(field))}.*{re.escape(str(content))}"):
+            fusion.adaptive_conv_forward(np.ones(content), self._sep(field))
+
+    @pytest.mark.parametrize("content, mask", [((4, 2, 6, 6), (1, 6, 6)), ((2, 6, 6), (4, 6, 6))])
+    def test_mask_batch(self, content, mask):
+        h = np.ones(content)
+        with pytest.raises(ShapeError, match=f"{re.escape(str(mask))}.*{re.escape(str(content))}"):
+            fusion.mask_blend_forward(h, h, np.full(mask, 0.5))
+
+    def test_pyramid_names_the_scale(self):
+        fields = [self._sep((4, 6, 6, 3)), self._sep((2, 6, 6, 3))]
+        masks = [np.full((4, 6, 6), 0.5)] * 2
+        with pytest.raises(ShapeError, match=r"scale 1: .*\(2, 6, 6, 3\).*\(4, 2, 6, 6\)"):
+            fusion.fuse_pyramid_forward([self.H, self.H], fields, masks)
+
+    def test_matching_and_unbatched_still_run(self):
+        for field in ((4, 6, 6, 3), (6, 6, 3)):
+            for mask in ((4, 6, 6), (6, 6)):
+                out, _ = fusion.fuse_pyramid_forward([self.H], [self._sep(field)], [np.full(mask, 0.5)])
+                assert out[0].shape == self.H.shape
 
 
 class TestKernelParamCount:

@@ -211,12 +211,14 @@ def unblocked_shifted_gemms_backward(mats, flat, offs, dy_flat, dflat):
     return dmats
 
 
+def _conv_ops(transpose):
+    if transpose:
+        return ops.conv_transpose2d_forward, ops.conv_transpose2d_backward
+    return ops.conv2d_forward, ops.conv2d_backward
+
+
 def _run_conv(transpose, x, w, b, stride, pad, dy_rng):
-    fwd, bwd = (
-        (ops.conv_transpose2d_forward, ops.conv_transpose2d_backward)
-        if transpose
-        else (ops.conv2d_forward, ops.conv2d_backward)
-    )
+    fwd, bwd = _conv_ops(transpose)
     y, cache = fwd(x, w, b, stride, pad)
     dy = SeededRng(dy_rng).normals(y.shape, dtype=x.dtype)
     return (y,) + bwd(dy, cache)
@@ -506,6 +508,106 @@ def _same_bits(got, want):
     return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+def stride1_conv2d_backward(dy, x, w, pad):
+    """The stride-1 `conv2d_backward` from before the shared correlation
+    loop (oracle): its own padded grid, tap offsets and dw assembly."""
+    bsz, cin, h, wd = x.shape
+    cout, _, k, _ = w.shape
+    ho, wo = dy.shape[2:]
+    flat = ops._channel_major_padded(x, pad).reshape(cin, -1)
+    hp, wp = h + 2 * pad, wd + 2 * pad
+    dy_flat = np.zeros((cout, bsz, hp, wp), dtype=dy.dtype)
+    dy_flat[:, :, :ho, :wo] = dy.transpose(1, 0, 2, 3)
+    taps = w.transpose(2, 3, 0, 1).reshape(k * k, cout, cin)
+    dxp = np.zeros((cin, bsz * hp * wp), dtype=dy.dtype)
+    offs = [u * wp + v for u in range(k) for v in range(k)]
+    dtaps = ops._shifted_gemms_backward(taps, flat, offs, dy_flat.reshape(cout, -1), dxp)
+    dw = np.ascontiguousarray(np.reshape(dtaps, (k, k, cout, cin)).transpose(2, 3, 0, 1))
+    dx = dxp.reshape(cin, bsz, hp, wp)[:, :, pad : pad + h, pad : pad + wd]
+    return dx.transpose(1, 0, 2, 3).copy(), dw, dy.sum(axis=(0, 2, 3))
+
+
+def phase_loop_conv_transpose2d_backward(dy, x, w, stride, pad):
+    """`conv_transpose2d_backward` from before the shared correlation loop
+    (oracle): a per-phase loop over `w[:, :, u, v].T` views."""
+    bsz, cin, h, wd = x.shape
+    cout, k = w.shape[1], w.shape[2]
+    ho, wo = dy.shape[2:]
+    lead_h, hp, rows = ops._stride_phases(k, stride, pad, h, ho)
+    lead_w, wp, cols = ops._stride_phases(k, stride, pad, wd, wo)
+    xp = np.zeros((cin, bsz, hp, wp), dtype=x.dtype)
+    xp[:, :, lead_h : lead_h + h, lead_w : lead_w + wd] = x.transpose(1, 0, 2, 3)
+    flat = xp.reshape(cin, -1)
+    dw = np.zeros(w.shape, dtype=np.result_type(w, dy))
+    dflat = np.zeros(flat.shape, dtype=np.result_type(w, dy))
+    for pr, mr, rtaps in rows:
+        for pc, mc, ctaps in cols:
+            taps = [(u, v, ro * wp + co) for u, ro in rtaps for v, co in ctaps]
+            if not taps:
+                continue
+            dy_flat = np.zeros((cout, bsz, hp, wp), dtype=dy.dtype)
+            dy_flat[:, :, :mr, :mc] = dy[:, :, pr::stride, pc::stride].transpose(1, 0, 2, 3)
+            mats = [w[:, :, u, v].T for u, v, _ in taps]
+            offs = [off for _, _, off in taps]
+            dmats = ops._shifted_gemms_backward(mats, flat, offs, dy_flat.reshape(cout, -1), dflat)
+            for (u, v, _), dm in zip(taps, dmats):
+                dw[:, :, u, v] = dm.T
+    dx = dflat.reshape(cin, bsz, hp, wp)[:, :, lead_h : lead_h + h, lead_w : lead_w + wd]
+    return dx.transpose(1, 0, 2, 3).copy(), dw, dy.sum(axis=(0, 2, 3))
+
+
+class TestCorrelationBackward:
+    """The one backward correlation loop against the two wirings it
+    replaced: dx, dw and db bit for bit, in float32 and float64."""
+
+    CASES = [
+        # transpose, batch, c_in, c_out, size, k, stride, pad
+        (False, 3, 4, 1, 6, 3, 1, 1),  # one output channel: one-row products
+        (False, 3, 1, 4, 6, 3, 1, 1),  # one input channel
+        (False, 40, 8, 8, 16, 3, 1, 1),  # several column blocks
+        (False, 1, 5, 3, 6, 3, 1, 1),  # batch 1
+        (False, 2, 3, 2, 5, 1, 1, 0),  # 1x1
+        (True, 3, 4, 1, 4, 4, 2, 1),
+        (True, 3, 1, 4, 4, 4, 2, 1),
+        (True, 3, 3, 2, 4, 1, 2, 0),  # k < stride: three phases without taps
+        (True, 64, 16, 8, 8, 4, 2, 1),
+        (True, 1, 5, 3, 4, 4, 2, 1),
+        (True, 2, 3, 2, 5, 3, 1, 1),  # stride 1
+    ]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", CASES)
+    def test_bit_equal_to_replaced_wiring(self, case, dtype):
+        transpose, bsz, cin, cout, size, k, stride, pad = case
+        rng = SeededRng(bsz + 7 * cin + 3 * cout + k)
+        x = rng.normals((bsz, cin, size, size + 3), dtype=dtype)
+        w = rng.normals((cin, cout, k, k) if transpose else (cout, cin, k, k), dtype=dtype)
+        y, *got = _run_conv(transpose, x, w, rng.normals((cout,), dtype=dtype), stride, pad, 1)
+        dy = SeededRng(1).normals(y.shape, dtype=dtype)
+        if transpose:
+            want = phase_loop_conv_transpose2d_backward(dy, x, w, stride, pad)
+        else:
+            want = stride1_conv2d_backward(dy, x, w, pad)
+        for g, ref in zip(got, want):
+            assert _same_bits(g, ref)
+
+    @pytest.mark.parametrize("transpose, stride", [(False, 1), (False, 2), (True, 2), (True, 1)])
+    def test_float64_weights_promote_float32_input(self, transpose, stride):
+        # every path computes in, and returns, np.result_type(x, w)
+        rng = SeededRng(3)
+        x = rng.normals((2, 3, 6, 6), dtype=np.float32)
+        w = rng.normals((3, 4, 3, 3) if transpose else (4, 3, 3, 3))
+        fwd, bwd = _conv_ops(transpose)
+        b = rng.normals((4,))
+        y, cache = fwd(x, w, b, stride, 1)
+        dy = rng.normals(y.shape)
+        got = (y,) + bwd(dy, cache)
+        y64, cache64 = fwd(x.astype(np.float64), w, b, stride, 1)
+        assert all(g.dtype == np.float64 for g in got)
+        for g, ref in zip(got, (y64,) + bwd(dy, cache64)):
+            assert np.allclose(g, ref, rtol=1e-12, atol=1e-12)
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize(
     "shape, kh, kw, stride",
@@ -621,11 +723,11 @@ class TestTapStacks:
             ops._tap_window(flat, 0, 2, 2, 5, 5)
 
     def test_plans_are_cached(self):
-        ops._transpose_plan.cache_clear()
+        ops._correlation_plan.cache_clear()
         x, w, b = self._inputs(2, 3, 4, 4, 4, np.float32, transpose=True)
         for _ in range(3):
             ops.conv_transpose2d_forward(x, w, b, 2, 1)
-        info = ops._transpose_plan.cache_info()
+        info = ops._correlation_plan.cache_info()
         assert info.misses == 1 and info.hits == 2
 
 
