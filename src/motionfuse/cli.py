@@ -112,6 +112,18 @@ def _int_list(text):
         raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}") from None
 
 
+def _seed(text):
+    """argparse type of --seed: a seed is 64 bits, so a value outside
+    [0, 2^64) would alias one inside it."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if not 0 <= seed < 1 << 64:
+        raise argparse.ArgumentTypeError(f"must be in [0, 2^64), got {seed}")
+    return seed
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="motionfuse")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -123,7 +135,7 @@ def build_parser() -> _Parser:
     p.add_argument("--frames", type=int, default=10)
     p.add_argument("--size", type=int, default=32)
     p.add_argument("--channels", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0, help="master seed")
+    p.add_argument("--seed", type=_seed, default=0, help="master seed")
     p.add_argument("--out", required=True, help="dataset path")
 
     p = sub.add_parser("train", help="train the next-frame model or the classifier")
@@ -132,7 +144,7 @@ def build_parser() -> _Parser:
     p.add_argument("--batch", type=int, default=None)
     p.add_argument("--classifier", action="store_true", help="train the clip classifier")
     p.add_argument("--log-every", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0, help="master seed")
+    p.add_argument("--seed", type=_seed, default=0, help="master seed")
     p.add_argument("--config", default=None, help="JSON string or file of overrides")
     p.add_argument("--out", required=True, help="checkpoint path")
 
@@ -142,7 +154,7 @@ def build_parser() -> _Parser:
     p.add_argument("--count", type=int, default=8)
     p.add_argument("--frames", type=int, default=10)
     p.add_argument("--heatup", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0, help="master seed")
+    p.add_argument("--seed", type=_seed, default=0, help="master seed")
     p.add_argument("--out", required=True, help="dataset path")
 
     p = sub.add_parser("eval", help="classifier-based metrics over a dataset")
@@ -164,7 +176,7 @@ def build_parser() -> _Parser:
     p.add_argument("--channels", type=int, default=4)
     p.add_argument("--reps", type=int, default=5)
     p.add_argument("--warmup", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0, help="master seed")
+    p.add_argument("--seed", type=_seed, default=0, help="master seed")
     p.add_argument("--out", default=None, help="CSV path")
 
     p = sub.add_parser("export-frames", help="write clip frames as PGM/PPM files")

@@ -18,6 +18,7 @@ manifest and checks it against the container.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from contextlib import contextmanager
@@ -138,22 +139,39 @@ def _sample_coords(size: int) -> np.ndarray:
     return coords
 
 
+# In units of `half * scl`, each shape but the rectangle (whose row is
+# (1, aspect, hypot(1, aspect))) lies within |x| <= a and |y| <= b of its
+# centre before rotation, and within r of it: (a, b, r) by name
+_SHAPE_BOX = {
+    "disc": (1.0, 1.0, 1.0),
+    # yr >= -1 and sqrt(3) |xr| + yr <= 1: base vertices (+-2/sqrt(3), -1)
+    "triangle": (2.0 / math.sqrt(3.0), 1.0, math.sqrt(7.0 / 3.0)),
+    # arm ends (1, 0.38)
+    "cross": (1.0, 1.0, math.hypot(1.0, 0.38)),
+}
+
+
 def _shape_coverage(shape_id, cx, cy, half, aspect, angle, scl, size):
     """Share of each pixel's supersamples that fall inside the shape, as a
     (size, size) float64 array.
 
-    Only the pixels within `reach` of the centre are sampled. In units of
-    `half * scl` the shape reaches from its centre: the rectangle's corner
-    sqrt(1 + aspect^2); the triangle, bounded by yr >= -half and
-    sqrt(3) |xr| + yr <= half, its base vertices (+-2/sqrt(3), -1) at
-    sqrt(7/3) ~ 1.53; the cross's arm ends (1, 0.38) at 1.07; the disc 1.
-    Each is at most 1 + aspect for aspect >= 0.75, the least in `gen_clip`'s
-    palette, and the extra pixel covers rounding in the rotated coordinates.
+    Only the pixels within the shape's rotated bounding box are sampled, one
+    half-width per axis. Before rotation the shape lies within |x| <= a,
+    |y| <= b and radius r of its centre, in units of `half * scl`
+    (`_SHAPE_BOX`). Rotated by the angle t, its x offsets then stay within
+    min(r, |cos t| a + |sin t| b) and its y offsets within
+    min(r, |cos t| b + |sin t| a). The extra pixel on each side covers
+    rounding in the rotated coordinates, so every sample that the shape
+    holds lies in the window, and every pixel outside it has coverage 0.
     """
     ss = SUPERSAMPLE
-    reach = half * scl * (1.0 + aspect) + 1.0
-    x0, x1 = max(0, int(cx - reach)), min(size, int(cx + reach) + 1)
-    y0, y1 = max(0, int(cy - reach)), min(size, int(cy + reach) + 1)
+    name = SHAPE_NAMES[shape_id]
+    a, b, r = (1.0, aspect, math.hypot(1.0, aspect)) if name == "rectangle" else _SHAPE_BOX[name]
+    c, s, unit = abs(math.cos(angle)), abs(math.sin(angle)), half * scl
+    reach_x = unit * min(r, c * a + s * b) + 1.0
+    reach_y = unit * min(r, c * b + s * a) + 1.0
+    x0, x1 = max(0, int(cx - reach_x)), min(size, int(cx + reach_x) + 1)
+    y0, y1 = max(0, int(cy - reach_y)), min(size, int(cy + reach_y) + 1)
     coords = _sample_coords(size)
     dx = coords[x0 * ss : x1 * ss] - cx
     dy = (coords[y0 * ss : y1 * ss] - cy)[:, None]
@@ -163,7 +181,6 @@ def _shape_coverage(shape_id, cx, cy, half, aspect, angle, scl, size):
     if scl != 1.0:  # x / 1.0 is x, bit for bit
         xr /= scl
         yr /= scl
-    name = SHAPE_NAMES[shape_id]
     if name == "rectangle":
         inside = (np.abs(xr) <= half) & (np.abs(yr) <= half * aspect)
     elif name == "disc":
@@ -181,10 +198,9 @@ def _shape_coverage(shape_id, cx, cy, half, aspect, angle, scl, size):
     # summing its ss sample rows and then its ss columns: count / ss^2 is
     # exact, so it equals the float mean of the samples bit for bit
     h, w = y1 - y0, x1 - x0
-    rows = inside.view(np.uint8).reshape(h, ss, w * ss)
-    per_column = sum(rows[:, k] for k in range(ss)).reshape(h, w, ss)
+    per_column = np.add.reduce(inside.view(np.uint8).reshape(h, ss, w * ss), 1, np.uint8)
     cov = np.zeros((size, size))
-    cov[y0:y1, x0:x1] = sum(per_column[..., k] for k in range(ss)) / (ss * ss)
+    cov[y0:y1, x0:x1] = np.add.reduce(per_column.reshape(h, w, ss), 2, np.uint8) / (ss * ss)
     return cov
 
 
@@ -347,7 +363,9 @@ def gen_clip(
     aspect = (0.75, 1.0, 1.25)[rng.integers(0, 3)]
     fg = (0.5, 0.7, 0.9)[rng.integers(0, 3)]
 
-    cxs, cys, angles, scales = _motion_track(name, rng, spec, half, motion_params)
+    # per-frame scalars as Python floats, whose arithmetic is numpy's, bit for bit
+    track = _motion_track(name, rng, spec, half, motion_params)
+    cxs, cys, angles, scales = (v.tolist() for v in track)
     bg = _background(bg_id, spec.size)
 
     frames = np.empty((spec.frames, spec.channels, spec.size, spec.size), dtype=np.float32)

@@ -719,6 +719,32 @@ class TestRangeErrors:
         assert_clean_failure(rc, err)
         assert rc == 1 and name in err and not out.exists()
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), str(-(2**64))])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen-data", "--out", "d.smv"],
+            ["train", "--data", "d.smv", "--out", "m.tsvc"],
+            ["rollout", "--ckpt", "m.tsvc", "--out", "r.smv"],
+            ["bench", "--out", "b.csv"],
+        ],
+    )
+    def test_seed_outside_64_bits_is_rejected(self, argv, seed, tmp_path, monkeypatch,
+                                               capsys):
+        # masked to 64 bits, 2^64 and -2^64 would write seed 0's files
+        monkeypatch.chdir(tmp_path)
+        rc = cli.main([*argv, "--seed", seed])
+        err = capsys.readouterr().err
+        assert_clean_failure(rc, err)
+        assert rc == 1 and f"argument --seed: must be in [0, 2^64), got {seed}" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_largest_seed_is_accepted(self, tmp_path):
+        out = tmp_path / "d.smv"
+        rc = cli.main(["gen-data", "--classes", "1", "--clips-per-class", "1", "--frames", "4",
+                       "--size", "16", "--seed", str(2**64 - 1), "--out", str(out)])
+        assert rc == 0 and load_dataset(out).seeds[0] == synthdata.split_seed(2**64 - 1, 0)
+
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 

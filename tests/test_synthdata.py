@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -137,6 +138,24 @@ class TestShapeCoverage:
             cov = synthdata._shape_coverage(*args)
             assert cov.shape == (size, size) and cov.dtype == np.float64
             assert cov.tobytes() == _full_grid_coverage(*args).tobytes(), args
+
+    @pytest.mark.parametrize("size", [16, 32, 64])
+    @pytest.mark.parametrize("shape_id", range(len(synthdata.SHAPE_NAMES)))
+    def test_same_bytes_where_the_window_is_tightest(self, shape_id, size):
+        # the angles at which a rotated box's corner or the shape's radius sets
+        # a half-width, at the extreme scales, with centres at the margin; the
+        # last two put the cross's arm end and the triangle's base vertex on
+        # the x axis, where its reach is its radius
+        for k, aspect, scl in itertools.product(range(3), (0.75, 1.0, 1.25), (0.78, 1.22)):
+            half = synthdata._half_extent(size, k)
+            lo, hi = synthdata.MARGIN + half * scl, size - synthdata.MARGIN - half * scl
+            angles = (0.0, np.pi / 6, np.pi / 4, np.pi / 2, np.arctan(aspect),
+                      np.arctan(0.38), np.arctan(np.sqrt(3.0) / 2))
+            for angle in angles:
+                for cx, cy in itertools.product((lo, hi), repeat=2):
+                    args = (shape_id, cx, cy, half, aspect, angle, scl, size)
+                    cov = synthdata._shape_coverage(*args)
+                    assert cov.tobytes() == _full_grid_coverage(*args).tobytes(), args
 
 
 class TestDifferenceMap:

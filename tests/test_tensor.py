@@ -68,3 +68,43 @@ class TestSeededRng:
         a64 = SeededRng(11).normals((50,), dtype=np.float64)
         a32 = SeededRng(11).normals((50,), dtype=np.float32)
         assert np.array_equal(a64.astype(np.float32), a32)
+
+
+class TestScalarDraws:
+    @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
+    def test_scalar_draws_are_the_array_draws_bit_for_bit(self, seed):
+        # scalar draws run on Python ints; a fresh stream that takes every
+        # draw as an array call must give the same bits and keep the counter
+        # aligned for the draws after it
+        rng, ref = SeededRng(seed), SeededRng(seed)
+        ranges = [(0, 2), (0, 3), (2, 9), (-7, 5), (0, 2**40), (-(2**31), 2**31)]
+        for i in range(48):
+            kind = i % 4
+            if kind == 0:
+                got, want = rng.uniforms(), ref.uniforms((1,))[0]
+                assert type(got) is float and got.hex() == float(want).hex()
+            elif kind == 1:
+                lo, hi = ranges[i // 4 % len(ranges)]
+                got, want = rng.integers(lo, hi), ref.integers(lo, hi, (1,))[0]
+                assert type(got) is int and got == int(want)
+            elif kind == 2:
+                shape = (i % 3 + 1, 2)
+                assert rng.uniforms(shape).tobytes() == ref.uniforms(shape).tobytes()
+            else:
+                shape = (i % 5 + 1,)
+                assert rng.normals(shape).tobytes() == ref.normals(shape).tobytes()
+
+    @pytest.mark.parametrize(
+        "master, index, seed",
+        [
+            (0, 0, 3246858695411730098),
+            (7, 3, 3615367987620402658),
+            (-1, 0, 7664177944472012958),
+            (-5, 12, 12188053946273277163),
+            (2**64 - 1, 199, 15473944481519944918),
+            (2**63, 1, 15152587238218763367),
+        ],
+    )
+    def test_split_seed_keeps_its_values(self, master, index, seed):
+        # values of the uint64-array implementation the int mixer replaced
+        assert split_seed(master, index) == seed
