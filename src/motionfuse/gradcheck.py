@@ -48,15 +48,6 @@ def rel_error(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(a) - np.asarray(b))) / max(na, nb, 1e-12)
 
 
-def compare_grads(loss_fn, arrays: dict, analytic: dict, step: float = DEFAULT_STEP) -> float:
-    """Worst norm-relative error across the named float64 arrays."""
-    worst = 0.0
-    for name, arr in arrays.items():
-        numeric = numeric_gradient(loss_fn, arr, step)
-        worst = max(worst, rel_error(analytic[name], numeric))
-    return worst
-
-
 def _leaves(value):
     """The arrays inside an argument or gradient, in order: the array
     itself, the leaves of each list or tuple item, or a dataclass's fields
@@ -69,8 +60,12 @@ def _leaves(value):
 
 
 def _compare(loss_fn, inputs, grads):
-    arrays, analytic = _leaves(inputs), _leaves(grads)
-    return compare_grads(loss_fn, dict(enumerate(arrays)), dict(enumerate(analytic)))
+    """Worst norm-relative error of the analytic grads against central
+    differences, across the float64 leaves of `inputs`."""
+    worst = 0.0
+    for arr, analytic in zip(_leaves(inputs), _leaves(grads), strict=True):
+        worst = max(worst, rel_error(analytic, numeric_gradient(loss_fn, arr)))
+    return worst
 
 
 def _projected(module, stem):

@@ -11,18 +11,18 @@ embedding enters both its 4x4 decoder seed and, upsampled, every scale's
 kernel subnet. Fusing the pyramid with those fields and re-decoding the
 finest map predicts the next frame.
 
-Every network is a plain list of layer objects, built once per
-`ModelConfig`; the label and motion-embedding joins, the kernel and mask
-heads and the convLSTM step are layers too. `_forward` runs every layer and
-records the chain that `_backward` walks back. Two passes, each with its
-own backward, wire the networks: the content pass (encode a frame, draw the
-latent, decode the pyramid and, if asked, the frame) and the motion pass
-(decode kernel fields and masks, fuse them into a pyramid, decode the next
-frame). Every caller composes these: the trainer's content phase runs the
-content pass; `forward_next_frame` / `backward_next_frame` add the motion
-encoder and one convLSTM step for the motion phase, eval and the end-to-end
-gradient check; `training.rollout` loops the motion pass over the pyramid
-it carries.
+Every network is a plain list of layer objects, and each generator one
+list per fusion scale, built once per `ModelConfig`; the label and
+motion-embedding joins, the kernel and mask heads and the convLSTM step are
+layers too. `_forward` runs every layer and records the chain that
+`_backward` walks back. Two passes, each with its own backward, wire the
+networks: the content pass (encode a frame, draw the latent, decode the
+pyramid and, if asked, the frame) and the motion pass (decode kernel fields
+and masks, fuse them into a pyramid, decode the next frame). Every caller
+composes these: the trainer's content phase runs the content pass;
+`forward_next_frame` / `backward_next_frame` add the motion encoder and one
+convLSTM step for the motion phase, eval and the end-to-end gradient check;
+`training.rollout` loops the motion pass over the pyramid it carries.
 """
 
 from __future__ import annotations
@@ -47,11 +47,12 @@ from .tensor import SeededRng, ShapeError
 # that swaps module attributes sees every call. `forward(params, x, side)`
 # returns (y, cache); `backward(params, dy, cache, side)` accumulates the
 # parameter gradients and returns dx. `side` holds what a network reads
-# besides x: forward, `labels`, the motion embedding `e_m`, the convLSTM
-# `state` and the `taps` list; backward, the tap gradients as `taps` and the
-# gradient of each side input it names (`e_m`). `shapes` ({name: shape}) is
-# a layer's parameter layout, the one source of both `init` and the layout
-# a checkpoint is checked against.
+# besides x: forward, `labels`, the motion embedding `e_m` and the convLSTM
+# `state`; backward, the gradient of each side input it names (`e_m`).
+# `shapes` ({name: shape}) is a layer's parameter layout, the one source of
+# both `init` and the layout a checkpoint is checked against. A generator is
+# one layer list per fusion scale, each run on the last one's output, and
+# its pyramid is their outputs (`_pyramid_forward`).
 
 
 class _Layer:
@@ -152,26 +153,6 @@ class _ChannelsLast(_Layer):
 
     def backward(self, params, dy, cache, side):
         return np.moveaxis(dy, 3, 1)
-
-
-class _Tap(_Layer):
-    """Pyramid level `index`: forward appends the activation to `side.taps`,
-    backward adds `side.taps[index]` (None for no gradient) to dy. A stage
-    stack's output is read only through its taps, so its backward starts
-    from dy None, taken as zeros."""
-
-    def __init__(self, index):
-        self.index = index
-
-    def forward(self, params, x, side):
-        side.taps.append(x)
-        return x, (x.shape, x.dtype)
-
-    def backward(self, params, dy, cache, side):
-        if dy is None:
-            dy = np.zeros(*cache)
-        extra = side.taps[self.index]
-        return dy if extra is None else dy + extra
 
 
 class _Join(_Layer):
@@ -276,6 +257,29 @@ def _backward(params: ops.ParamSet, dy, chain, side=None):
     return dy
 
 
+def _pyramid_forward(lists, params: ops.ParamSet, x, side=None):
+    """Run the layer lists in turn, each on the last one's output: y is the
+    list of their outputs, the pyramid."""
+    pyramid, chains = [], []
+    for layers in lists:
+        x, chain = _forward(layers, params, x, side)
+        pyramid.append(x)
+        chains.append(chain)
+    return pyramid, (chains, x.shape, x.dtype)
+
+
+def _pyramid_backward(params: ops.ParamSet, d_pyramid, cache, side=None):
+    """d_pyramid: per-scale grads, None for none. The finest list's dy
+    starts from zeros, and each list adds its own scale's grad."""
+    chains, shape, dtype = cache
+    dy = np.zeros(shape, dtype)
+    for chain, d in zip(reversed(chains), reversed(d_pyramid)):
+        if d is not None:
+            dy = dy + d
+        dy = _backward(params, dy, chain, side)
+    return dy
+
+
 def _shapes(chains) -> dict:
     return {n: shape for layers in chains for layer in layers for n, shape in layer.shapes.items()}
 
@@ -367,24 +371,18 @@ def _downsampler(prefix, cfg: ModelConfig, in_channels, hidden, out):
     ]
 
 
-def _generator_stages(cfg: ModelConfig, in_channels: int):
-    # each resolution gets a stride-2 upsample plus a stride-1 refinement
-    g = cfg.ngf
-    layers = []
-    cin = in_channels
-    first_tap = cfg.up_stages - cfg.scales
+def _generator(cfg: ModelConfig, stem: list, in_channels: int):
+    """`stem`, then per resolution a stride-2 upsample plus a stride-1
+    refinement, as one layer list per fusion scale, coarsest first: list 0
+    runs the stem and every stage up to the coarsest scale's."""
+    g, first = cfg.ngf, cfg.up_stages - cfg.scales
+    stages, cin = [], in_channels
     for i in range(cfg.up_stages):
-        cout = g if i >= first_tap else 2 * g
-        layers += [
-            _Conv(f"stage.up{i}", ops.ConvSpec(cin, cout, 4, 2, 1), transposed=True),
-            _RELU,
-            _conv3(f"stage.post{i}", cout, cout),
-            _RELU,
-        ]
-        if i >= first_tap:
-            layers.append(_Tap(i - first_tap))
+        cout = g if i >= first else 2 * g
+        up = _Conv(f"stage.up{i}", ops.ConvSpec(cin, cout, 4, 2, 1), transposed=True)
+        stages.append([up, _RELU, _conv3(f"stage.post{i}", cout, cout), _RELU])
         cin = cout
-    return layers
+    return [stem + sum(stages[: first + 1], []), *stages[first + 1 :]]
 
 
 @functools.lru_cache(maxsize=None)
@@ -400,7 +398,7 @@ def _networks(cfg: ModelConfig) -> SimpleNamespace:
         _RELU,
         _Reshape((4 * g, 4, 4)),
     ]
-    # per fusion scale, a trunk on the stage tap and the upsampled motion
+    # per fusion scale, a trunk on the pyramid map and the upsampled motion
     # embedding, then the wv, wh and mask heads. e_m enters every subnet
     # directly, one short conv away from the kernels: reached only through
     # the decoder stages, its effect on the kernels is too weak and too
@@ -423,8 +421,8 @@ def _networks(cfg: ModelConfig) -> SimpleNamespace:
     return SimpleNamespace(
         enc_c=[_Join("labels"), *_downsampler("enc", cfg, in_channels, 32 * g, 2 * cfg.latent_c)],
         enc_m=[_Join("labels"), *_downsampler("enc", cfg, in_channels, 32 * g, 2 * cfg.latent_m)],
-        gen_c=stem + _generator_stages(cfg, 4 * g),
-        gen_m=stem + [_Join("e_m"), *_generator_stages(cfg, 4 * g + cfg.lstm_hidden)],
+        gen_c=_generator(cfg, stem, 4 * g),
+        gen_m=_generator(cfg, [*stem, _Join("e_m")], 4 * g + cfg.lstm_hidden),
         head=[_conv3("head.out", g, cfg.channels), _TANH],
         subnets=subnets,
         lstm=[_Reshape((mc, 4, 4)), _LstmCell(mc, cfg.lstm_hidden)],
@@ -466,9 +464,9 @@ def _set_chains(cfg: ModelConfig) -> dict:
     nets = _networks(cfg)
     return {
         "enc_c": [nets.enc_c],
-        "gen_c": [nets.gen_c, nets.head],
+        "gen_c": [*nets.gen_c, nets.head],
         "enc_m": [nets.enc_m],
-        "gen_m": [nets.gen_m, *nets.subnets],
+        "gen_m": [*nets.gen_m, *nets.subnets],
         "lstm": [nets.lstm],
     }
 
@@ -536,14 +534,13 @@ def encode_backward(params, enc_cache: list, dmean, dlogvar):
 
 def decode_content(bundle: ModelBundle, eps_c, onehot):
     """The content generator's pyramid (coarsest first) and cache."""
-    side = SimpleNamespace(labels=onehot, taps=[])
-    _, chain = _forward(_networks(bundle.config).gen_c, bundle.gen_c, eps_c, side)
-    return side.taps, chain
+    side = SimpleNamespace(labels=onehot)
+    return _pyramid_forward(_networks(bundle.config).gen_c, bundle.gen_c, eps_c, side)
 
 
-def decode_content_backward(bundle: ModelBundle, cache: list, d_pyramid):
+def decode_content_backward(bundle: ModelBundle, cache: tuple, d_pyramid):
     """d_pyramid: per-scale grads (None allowed); returns d eps_c."""
-    return _backward(bundle.gen_c, None, cache, SimpleNamespace(taps=d_pyramid))
+    return _pyramid_backward(bundle.gen_c, d_pyramid, cache)
 
 
 def decode_head(bundle: ModelBundle, h):
@@ -564,9 +561,9 @@ def lstm_embed(bundle: ModelBundle, eps_m, h_prev=None, c_prev=None):
 def motion_fields(bundle: ModelBundle, eps_c, e_m, onehot):
     """Decode per-scale separable kernels and masks from (eps_c, e_m)."""
     nets = _networks(bundle.config)
-    side = SimpleNamespace(labels=onehot, e_m=e_m, taps=[])
-    _, gen = _forward(nets.gen_m, bundle.gen_m, eps_c, side)
-    heads = [_forward(sub, bundle.gen_m, tap, side) for sub, tap in zip(nets.subnets, side.taps)]
+    side = SimpleNamespace(labels=onehot, e_m=e_m)
+    pyramid, gen = _pyramid_forward(nets.gen_m, bundle.gen_m, eps_c, side)
+    heads = [_forward(sub, bundle.gen_m, y, side) for sub, y in zip(nets.subnets, pyramid)]
     kernels = [fusion.SeparableKernelField(wv=wv, wh=wh) for (wv, wh, _), _ in heads]
     masks = [mask for (_, _, mask), _ in heads]
     return kernels, masks, (gen, [chain for _, chain in heads])
@@ -576,11 +573,11 @@ def motion_fields_backward(bundle: ModelBundle, cache, d_kernels, d_masks):
     """Returns (d eps_c, d e_m)."""
     gen, subnets = cache
     side = SimpleNamespace(e_m=0.0)  # the subnets add their e_m shares first
-    side.taps = [
+    d_pyramid = [
         _backward(bundle.gen_m, (dk.wv, dk.wh, dm), chain, side)
         for chain, dk, dm in zip(subnets, d_kernels, d_masks)
     ]
-    d_eps_c = _backward(bundle.gen_m, None, gen, side)
+    d_eps_c = _pyramid_backward(bundle.gen_m, d_pyramid, gen, side)
     return d_eps_c, side.e_m
 
 
@@ -630,9 +627,9 @@ class ContentPass:
         d_eps on the draw from its other reader (the motion generator) and
         d_q on the posterior."""
         enc, gen, head = self.caches
-        taps = _with_head_grad(bundle, head, d_pyramid, d_x)
-        if any(g is not None for g in taps):
-            d_dec = decode_content_backward(bundle, gen, taps)
+        grads = _with_head_grad(bundle, head, d_pyramid, d_x)
+        if any(g is not None for g in grads):
+            d_dec = decode_content_backward(bundle, gen, grads)
             d_eps = d_dec if d_eps is None else d_dec + d_eps
         if d_eps is None:
             d_eps = np.zeros_like(self.eps)

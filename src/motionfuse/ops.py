@@ -75,9 +75,6 @@ class ParamSet:
     def items(self):
         return self._values.items()
 
-    def __contains__(self, name):
-        return name in self._values
-
     def astype(self, dtype) -> "ParamSet":
         out = ParamSet()
         for name, value in self._values.items():

@@ -151,25 +151,30 @@ _SHAPE_BOX = {
 }
 
 
+def _half_widths(name, aspect, angle):
+    """(x, y) half-widths of shape `name` rotated by `angle`, in units of
+    `half * scl`. Before rotation the shape lies within |x| <= a, |y| <= b
+    and radius r of its centre (`_SHAPE_BOX`); rotated by the angle t, its
+    x offsets then stay within min(r, |cos t| a + |sin t| b) and its y
+    offsets within min(r, |cos t| b + |sin t| a)."""
+    a, b, r = (1.0, aspect, math.hypot(1.0, aspect)) if name == "rectangle" else _SHAPE_BOX[name]
+    c, s = abs(math.cos(angle)), abs(math.sin(angle))
+    return min(r, c * a + s * b), min(r, c * b + s * a)
+
+
 def _shape_coverage(shape_id, cx, cy, half, aspect, angle, scl, size):
     """Share of each pixel's supersamples that fall inside the shape, as a
     (size, size) float64 array.
 
-    Only the pixels within the shape's rotated bounding box are sampled, one
-    half-width per axis. Before rotation the shape lies within |x| <= a,
-    |y| <= b and radius r of its centre, in units of `half * scl`
-    (`_SHAPE_BOX`). Rotated by the angle t, its x offsets then stay within
-    min(r, |cos t| a + |sin t| b) and its y offsets within
-    min(r, |cos t| b + |sin t| a). The extra pixel on each side covers
+    Only the pixels within the shape's rotated bounding box
+    (`_half_widths`) are sampled. The extra pixel on each side covers
     rounding in the rotated coordinates, so every sample that the shape
     holds lies in the window, and every pixel outside it has coverage 0.
     """
     ss = SUPERSAMPLE
     name = SHAPE_NAMES[shape_id]
-    a, b, r = (1.0, aspect, math.hypot(1.0, aspect)) if name == "rectangle" else _SHAPE_BOX[name]
-    c, s, unit = abs(math.cos(angle)), abs(math.sin(angle)), half * scl
-    reach_x = unit * min(r, c * a + s * b) + 1.0
-    reach_y = unit * min(r, c * b + s * a) + 1.0
+    wx, wy = _half_widths(name, aspect, angle)
+    reach_x, reach_y = half * scl * wx + 1.0, half * scl * wy + 1.0
     x0, x1 = max(0, int(cx - reach_x)), min(size, int(cx + reach_x) + 1)
     y0, y1 = max(0, int(cy - reach_y)), min(size, int(cy + reach_y) + 1)
     coords = _sample_coords(size)
@@ -457,8 +462,11 @@ def write_dataset(path, clips: np.ndarray, labels, seeds, classes, train_ids, te
 
     SMV1: magic, 7 LE u32 header fields, then one `_clip_record` per clip.
     The JSON manifest lists the class names, each clip's {id, action, seed}
-    and the train/test split by clip id."""
+    and the train/test split by clip id. A clip holds at least 2 frames,
+    as a `ClipSpec` does: every reader takes frame-to-frame transitions."""
     n, t, c, h, w = clips.shape
+    if t < 2:
+        raise ValueError(f"{path}: an SMV1 clip needs at least 2 frames, got {t}")
     records = np.empty(n, _clip_record(t, c, h, w))
     records["label"], records["seed"], records["frames"] = labels, seeds, clips
     with atomic_write(path) as fh:
@@ -494,6 +502,8 @@ def load_dataset(path) -> Dataset:
     version, n, t, c, h, w, dtype = _HEADER.unpack_from(raw, 4)
     if version != 1 or dtype != 0:
         raise ValueError(f"{path}: unsupported SMV1 version {version} / dtype {dtype}")
+    if t < 2:
+        raise ValueError(f"{path}: clips of {t} frames, but SMV1 clips hold at least 2")
     record = _clip_record(t, c, h, w)
     expected = head + n * record.itemsize
     if len(raw) != expected:

@@ -688,7 +688,7 @@ class TestRangeErrors:
         assert_clean_failure(rc, err)
         assert "at least one seed" in err
 
-    @pytest.mark.parametrize("frames, heatup", [("10", "-1"), ("0", "2")])
+    @pytest.mark.parametrize("frames, heatup", [("10", "-1"), ("0", "2"), ("1", "2")])
     def test_rollout_rejects_negative_heatup_and_empty_clips(
         self, frames, heatup, workspace, tmp_path, capsys
     ):

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -156,6 +157,30 @@ class TestShapeCoverage:
                     args = (shape_id, cx, cy, half, aspect, angle, scl, size)
                     cov = synthdata._shape_coverage(*args)
                     assert cov.tobytes() == _full_grid_coverage(*args).tobytes(), args
+
+    @pytest.mark.parametrize("aspect", (0.75, 1.0, 1.25))
+    @pytest.mark.parametrize("shape_id", range(len(synthdata.SHAPE_NAMES)))
+    def test_half_widths_hold_every_extreme_point(self, shape_id, aspect):
+        # in units of half * scl: the rectangle's corners, the triangle's
+        # vertices, the cross's arm ends and, for the disc, its radius in
+        # every direction, rotated by +angle as `_shape_coverage` samples
+        # them; each rotated extent must lie within the helper's half-width
+        name = synthdata.SHAPE_NAMES[shape_id]
+        points = {
+            "rectangle": [(x, y) for x in (-1, 1) for y in (-aspect, aspect)],
+            "disc": [(np.cos(t), np.sin(t)) for t in np.linspace(0, 2 * np.pi, 721)],
+            "triangle": [(0, 1), (-2 / np.sqrt(3.0), -1), (2 / np.sqrt(3.0), -1)],
+            "cross": [(x, y) for u in (-1, 1) for v in (-0.38, 0.38) for x, y in ((u, v), (v, u))],
+        }[name]
+        px, py = np.asarray(points, dtype=np.float64).T
+        tight = (np.pi / 6, np.pi / 4, np.pi / 2, np.arctan(aspect), np.arctan(1 / aspect),
+                 np.arctan(0.38), np.arctan(np.sqrt(3.0) / 2), np.arctan(2 / np.sqrt(3.0)))
+        angles = np.concatenate([np.arange(720) * (2 * np.pi / 720), tight, np.negative(tight)])
+        for angle in angles:
+            c, s = np.cos(angle), np.sin(angle)
+            wx, wy = synthdata._half_widths(name, aspect, angle)
+            assert np.max(np.abs(px * c - py * s)) <= wx + 1e-12, (name, aspect, angle)
+            assert np.max(np.abs(px * s + py * c)) <= wy + 1e-12, (name, aspect, angle)
 
 
 class TestDifferenceMap:
@@ -317,6 +342,23 @@ class TestDataset:
         assert np.array_equal(ds.clips, clips) and ds.labels.tolist() == [1, 0]
         assert ds.seeds.tolist() == seeds and ds.classes == ["a", "b"]
         assert (ds.train_ids, ds.test_ids) == ([1], [0])
+
+    def test_one_frame_clips_are_rejected(self, tmp_path):
+        path = tmp_path / "one.smv"
+        clips = np.zeros((2, 1, 1, 4, 4), dtype=np.float32)
+        with pytest.raises(ValueError, match="at least 2 frames"):
+            synthdata.write_dataset(path, clips, [0, 0], [1, 2], ["a"], [0, 1], [])
+        assert not path.exists() and not synthdata.manifest_path(path).exists()
+        # a hand-written container of one 1-frame clip, with a manifest that
+        # agrees with it
+        record = np.zeros(1, synthdata._clip_record(1, 1, 4, 4))
+        path.write_bytes(b"SMV1" + struct.pack("<7I", 1, 1, 1, 1, 4, 4, 0) + record.tobytes())
+        doc = {"classes": ["a"], "clips": [{"id": 0, "action": 0, "seed": 0}],
+               "split": {"train": [0], "test": []}}
+        synthdata.manifest_path(path).write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as err:
+            load_dataset(path)
+        assert str(path) in str(err.value) and "at least 2" in str(err.value)
 
     def test_class_names_resolution(self):
         assert synthdata.class_names(4) == [
