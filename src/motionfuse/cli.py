@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bench, checkpoint, gradcheck, losses, metrics, model, synthdata, training
-from .tensor import SeededRng, ShapeError
+from .tensor import SeededRng
 
 
 class UsageError(Exception):
@@ -235,8 +235,9 @@ def _cmd_train(args):
 
 
 def _cmd_rollout(args):
-    if args.count < 1:
-        raise ValueError(f"--count must be at least 1, got {args.count}")
+    for flag, least in (("count", 1), ("frames", 2), ("heatup", 0)):
+        if getattr(args, flag) < least:
+            raise ValueError(f"--{flag} must be at least {least}, got {getattr(args, flag)}")
     bundle = checkpoint.load_model(args.ckpt)
     k = bundle.config.classes
     clips, labels, seeds = [], [], []
@@ -341,7 +342,7 @@ def main(argv=None) -> int:
         exc.parser.print_usage(sys.stderr)
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, ShapeError, KeyError, TypeError, RuntimeError) as exc:
+    except (ValueError, KeyError, TypeError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -68,10 +68,7 @@ class SeparableKernelField:
 
     def __post_init__(self):
         if self.wv.shape != self.wh.shape:
-            raise ShapeError(
-                f"wv {self.wv.shape} and wh {self.wh.shape} must match",
-                (self.wv.shape, self.wh.shape),
-            )
+            raise ShapeError(f"wv {self.wv.shape} and wh {self.wh.shape} must match")
 
     @property
     def n(self) -> int:
@@ -87,10 +84,7 @@ class DenseKernelField:
     def __post_init__(self):
         n = int(round(np.sqrt(self.w.shape[-1])))
         if n * n != self.w.shape[-1]:
-            raise ShapeError(
-                f"last extent {self.w.shape[-1]} is not a perfect square",
-                (self.w.shape,),
-            )
+            raise ShapeError(f"last extent {self.w.shape[-1]} is not a perfect square")
 
     @property
     def n(self) -> int:
@@ -108,10 +102,7 @@ def _check_mask_range(m):
 def expand_kernel(wv: np.ndarray, wh: np.ndarray) -> np.ndarray:
     """Outer product K[..., i, j] = wv[..., i] * wh[..., j]."""
     if wv.shape[-1] != wh.shape[-1]:
-        raise ShapeError(
-            f"kernel vector lengths differ: {wv.shape[-1]} vs {wh.shape[-1]}",
-            (wv.shape, wh.shape),
-        )
+        raise ShapeError(f"kernel vector lengths differ: {wv.shape[-1]} vs {wh.shape[-1]}")
     return np.einsum("...u,...v->...uv", wv, wh)
 
 
@@ -134,7 +125,7 @@ def _lift(x, target_ndim):
         return x[None], True
     if x.ndim == target_ndim:
         return x, False
-    raise ShapeError(f"rank {x.ndim} not in ({target_ndim - 1}, {target_ndim})", (x.shape,))
+    raise ShapeError(f"rank {x.ndim} not in ({target_ndim - 1}, {target_ndim})")
 
 
 def _replicate_pad(h, r):
@@ -165,19 +156,14 @@ def _check_batch(h, f, batched, what):
     """An unbatched kernel field or mask is shared by every sample; a batched
     one must have the batch of batched content."""
     if batched and (h.ndim != 4 or f.shape[0] != h.shape[0]):
-        raise ShapeError(
-            f"{what} {f.shape} does not match the batch of content {h.shape}", (f.shape, h.shape)
-        )
+        raise ShapeError(f"{what} {f.shape} does not match the batch of content {h.shape}")
 
 
 def _check_field(h, f, n, what):
     if n % 2 == 0 or n < 1:
         raise ValueError(f"kernel size must be odd, got {n}")
     if f.shape[-3:-1] != h.shape[-2:]:
-        raise ShapeError(
-            f"{what} spatial extent {f.shape[-3:-1]} != content {h.shape[-2:]}",
-            (f.shape, h.shape),
-        )
+        raise ShapeError(f"{what} spatial extent {f.shape[-3:-1]} != content {h.shape[-2:]}")
     _check_batch(h, f, f.ndim == 4, what)
 
 
@@ -285,18 +271,12 @@ def adaptive_conv_backward(dy, cache, content=True):
 def mask_blend_forward(h, h_tilde, m):
     """out = m * h_tilde + (1 - m) * h, per channel; m validated to [0, 1]."""
     if h.shape != h_tilde.shape:
-        raise ShapeError(
-            f"content {h.shape} and refined {h_tilde.shape} must match",
-            (h.shape, h_tilde.shape),
-        )
+        raise ShapeError(f"content {h.shape} and refined {h_tilde.shape} must match")
     h4, lifted = _lift(h, 4)
     ht4, _ = _lift(h_tilde, 4)
     m4, _ = _lift(m, 3)
     if m4.shape[-2:] != h4.shape[2:]:
-        raise ShapeError(
-            f"mask extent {m4.shape[-2:]} != content {h4.shape[2:]}",
-            (m4.shape, h4.shape),
-        )
+        raise ShapeError(f"mask extent {m4.shape[-2:]} != content {h4.shape[2:]}")
     _check_batch(h, m, m.ndim == 3, "mask")
     _check_mask_range(m4)
     mb = m4[:, None]
@@ -347,7 +327,7 @@ def fuse_pyramid_forward(pyramid, kernels, masks):
         try:
             ht, conv_cache = adaptive_conv_forward(h, k)
             out, blend_cache = mask_blend_forward(h, ht, m)
-        except (ShapeError, ValueError, TypeError) as exc:
+        except (ValueError, TypeError) as exc:
             raise type(exc)(f"scale {s}: {exc}") from exc
         refined.append(out)
         caches.append((conv_cache, blend_cache))

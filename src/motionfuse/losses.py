@@ -25,10 +25,7 @@ class GaussianParams:
 
     def __post_init__(self):
         if self.mean.shape != self.logvar.shape:
-            raise ShapeError(
-                f"mean {self.mean.shape} and logvar {self.logvar.shape} must match",
-                (self.mean.shape, self.logvar.shape),
-            )
+            raise ShapeError(f"mean {self.mean.shape} and logvar {self.logvar.shape} must match")
         if not (np.all(np.isfinite(self.mean)) and np.all(np.isfinite(self.logvar))):
             raise ValueError("GaussianParams entries must be finite")
 
@@ -73,10 +70,7 @@ class LossWeights:
 def l2_loss(pred: np.ndarray, target: np.ndarray) -> float:
     """Mean squared difference over every element."""
     if pred.shape != target.shape:
-        raise ShapeError(
-            f"l2_loss shapes differ: {pred.shape} vs {target.shape}",
-            (pred.shape, target.shape),
-        )
+        raise ShapeError(f"l2_loss shapes differ: {pred.shape} vs {target.shape}")
     d = pred - target
     return float(np.mean(d * d))
 
@@ -105,10 +99,7 @@ def _check_labels(logits, labels):
     labels = np.atleast_1d(np.asarray(labels))
     logits = np.atleast_2d(logits)
     if labels.shape[0] != logits.shape[0]:
-        raise ShapeError(
-            f"{labels.shape[0]} labels for {logits.shape[0]} logit rows",
-            (labels.shape, logits.shape),
-        )
+        raise ShapeError(f"{labels.shape[0]} labels for {logits.shape[0]} logit rows")
     if labels.min() < 0 or labels.max() >= logits.shape[1]:
         raise ValueError(
             f"label out of range [0, {logits.shape[1]}): {labels.min()}..{labels.max()}"
@@ -154,10 +145,7 @@ def _check_pyramids(a, b):
         raise ValueError(f"pyramid scale counts differ: {len(a)} vs {len(b)}")
     for s, (x, y) in enumerate(zip(a, b)):
         if x.shape != y.shape:
-            raise ShapeError(
-                f"scale {s} shapes differ: {x.shape} vs {y.shape}",
-                (x.shape, y.shape),
-            )
+            raise ShapeError(f"scale {s} shapes differ: {x.shape} vs {y.shape}")
 
 
 def total_content_loss(weights: LossWeights, recon: float, kl: float) -> float:

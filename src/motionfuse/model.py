@@ -83,16 +83,16 @@ class _Weighted(_Layer):
 class _Conv(_Weighted):
     """`ops.conv2d_*`, or with `transposed` `ops.conv_transpose2d_*`."""
 
-    def __init__(self, name, spec: ops.ConvSpec, transposed=False):
-        i, o, k = spec.in_channels, spec.out_channels, spec.kernel_size
+    def __init__(self, name, cin, cout, k, stride=1, pad=0, transposed=False):
         # weights (C_out, C_in, k, k); transposed (C_in, C_out, k, k)
-        w_shape = (i, o, k, k) if transposed else (o, i, k, k)
-        super().__init__(name, w_shape, i * k * k, o * k * k, o)
-        self.spec, self.op = spec, "conv_transpose2d" if transposed else "conv2d"
+        w_shape = (cin, cout, k, k) if transposed else (cout, cin, k, k)
+        super().__init__(name, w_shape, cin * k * k, cout * k * k, cout)
+        self.stride, self.pad = stride, pad
+        self.op = "conv_transpose2d" if transposed else "conv2d"
 
     def forward(self, params, x, side):
         w, b = params.value(self.w), params.value(self.b)
-        return getattr(ops, f"{self.op}_forward")(x, w, b, self.spec.stride, self.spec.padding)
+        return getattr(ops, f"{self.op}_forward")(x, w, b, self.stride, self.pad)
 
     def backward(self, params, dy, cache, side):
         return self._accumulate(params, *getattr(ops, f"{self.op}_backward")(dy, cache))
@@ -350,7 +350,7 @@ _RELU, _TANH = _Activation("relu"), _Activation("tanh")
 
 
 def _conv3(name, cin, cout, stride=1):
-    return _Conv(name, ops.ConvSpec(cin, cout, 3, stride, 1))
+    return _Conv(name, cin, cout, 3, stride, 1)
 
 
 def _downsampler(prefix, cfg: ModelConfig, in_channels, hidden, out):
@@ -379,7 +379,7 @@ def _generator(cfg: ModelConfig, stem: list, in_channels: int):
     stages, cin = [], in_channels
     for i in range(cfg.up_stages):
         cout = g if i >= first else 2 * g
-        up = _Conv(f"stage.up{i}", ops.ConvSpec(cin, cout, 4, 2, 1), transposed=True)
+        up = _Conv(f"stage.up{i}", cin, cout, 4, 2, 1, transposed=True)
         stages.append([up, _RELU, _conv3(f"stage.post{i}", cout, cout), _RELU])
         cin = cout
     return [stem + sum(stages[: first + 1], []), *stages[first + 1 :]]
@@ -710,15 +710,11 @@ def forward_next_frame(
     x_recon and keeps no caches, for a backward with content=False."""
     cfg = bundle.config
     if x_t.shape != dx.shape:
-        raise ShapeError(
-            f"frame {x_t.shape} and difference map {dx.shape} must match",
-            (x_t.shape, dx.shape),
-        )
+        raise ShapeError(f"frame {x_t.shape} and difference map {dx.shape} must match")
     if x_t.shape[1:] != (cfg.channels, cfg.size, cfg.size):
         raise ShapeError(
             f"frame shape {x_t.shape} incompatible with config "
-            f"({cfg.channels}, {cfg.size}, {cfg.size})",
-            (x_t.shape,),
+            f"({cfg.channels}, {cfg.size}, {cfg.size})"
         )
     onehot = one_hot(labels, cfg.classes, x_t.dtype)
     cp = content_pass(bundle, x_t, onehot, eta_c, head=content)

@@ -14,26 +14,10 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
 from .tensor import SeededRng, ShapeError
-
-
-@dataclass(frozen=True)
-class ConvSpec:
-    in_channels: int
-    out_channels: int
-    kernel_size: int
-    stride: int = 1
-    padding: int = 0
-
-    def __post_init__(self):
-        if min(self.in_channels, self.out_channels, self.kernel_size, self.stride) < 1:
-            raise ValueError(f"non-positive field in {self}")
-        if self.padding < 0:
-            raise ValueError(f"negative padding in {self}")
 
 
 class ParamSet:
@@ -60,8 +44,7 @@ class ParamSet:
         slot = self._grads[name]
         if slot.shape != g.shape:
             raise ShapeError(
-                f"gradient shape {g.shape} != parameter shape {slot.shape} for {name!r}",
-                (g.shape, slot.shape),
+                f"gradient shape {g.shape} != parameter shape {slot.shape} for {name!r}"
             )
         slot += g
 
@@ -94,7 +77,7 @@ def xavier_uniform(rng: SeededRng, shape, fan_in: int, fan_out: int, dtype=np.fl
 # transpose conv one per output stride phase: one loop each way runs them
 # all (`_correlate`, `_correlate_backward`) over a cached plan
 # (`_correlation_plan`), as shifted GEMMs with no im2col (`_shifted_gemms`);
-# only strided convs build a column matrix. A correlation's taps read the
+# only a strided conv2d builds a column matrix. A correlation's taps read the
 # padded grid at a lattice of flat offsets, so their inputs are one
 # zero-copy (taps_u, taps_v, C_in, width) strided view of it (`_tap_window`),
 # and the weights one (taps_u, taps_v, C_out, C_in) tap stack. The shifted
@@ -397,89 +380,83 @@ def _correlate_backward(dy, flat, wt, dwt, plan, x_shape):
     return dxp.transpose(1, 0, 2, 3).copy()
 
 
-def conv2d_forward(x, w, b=None, stride=1, pad=0):
+def _tap_stack(w, transposed):
+    """The (k, k, C_out, C_in) taps of a transpose conv weight (C_in, C_out,
+    k, k) or a conv weight (C_out, C_in, k, k), a view of it: a conv's as
+    reshape makes it, since BLAS rounds some products by operand layout."""
+    if transposed:
+        return w.transpose(2, 3, 1, 0)
+    cout, cin, k, _ = w.shape
+    return w.transpose(2, 3, 0, 1).reshape(k * k, cout, cin).reshape(k, k, cout, cin)
+
+
+def _conv_forward(x, w, b, stride, pad, transposed):
+    """A conv, or with `transposed` a transpose conv. Its cache holds the
+    flattened padded input, or a strided conv's column matrix, and the
+    correlation plan's arguments after the input shape."""
+    op = "conv_transpose2d" if transposed else "conv2d"
     bsz, cin, h, wd = x.shape
-    cout, cin_w, k, _ = w.shape
+    k = w.shape[2]
+    cout, cin_w = (w.shape[1], w.shape[0]) if transposed else w.shape[:2]
     if cin != cin_w:
-        raise ShapeError(
-            f"conv2d channel mismatch: input {x.shape} vs weight {w.shape}",
-            (x.shape, w.shape),
-        )
-    ho = (h + 2 * pad - k) // stride + 1
-    wo = (wd + 2 * pad - k) // stride + 1
+        raise ShapeError(f"{op} channel mismatch: input {x.shape} vs weight {w.shape}")
+    if transposed:
+        ho, wo = (h - 1) * stride - 2 * pad + k, (wd - 1) * stride - 2 * pad + k
+    else:
+        ho, wo = (h + 2 * pad - k) // stride + 1, (wd + 2 * pad - k) // stride + 1
     if ho < 1 or wo < 1:
-        raise ShapeError(f"conv2d output collapses for input {x.shape}, k={k}")
-    if stride == 1:
-        # as reshape makes it: a copy, but a strided view of `w` for one
-        # output channel, whose one-row products round by that layout
-        wt = w.transpose(2, 3, 0, 1).reshape(k * k, cout, cin).reshape(k, k, cout, cin)
-        y, flat = _correlate(x, wt, _correlation_plan(x.shape, k, 1, pad, ho, wo, False), ho, wo)
-        if b is not None:
-            y += b[:, None, None]
-        return y, (x.shape, flat, w, stride, pad, b is not None, ho, wo)
-    cols = _im2col(_channel_major_padded(x, pad), k, stride, ho, wo)
-    y_mat = w.reshape(cout, -1) @ cols
+        k_note = "" if transposed else f", k={k}"
+        raise ShapeError(f"{op} output collapses for input {x.shape}{k_note}")
+    geometry = (k, stride, pad, ho, wo, transposed)
+    if transposed or stride == 1:
+        plan = _correlation_plan(x.shape, *geometry)
+        y, data = _correlate(x, _tap_stack(w, transposed), plan, ho, wo)
+    else:  # a strided conv2d: one GEMM over a column matrix (ROADMAP.md, item 6)
+        data = _im2col(_channel_major_padded(x, pad), k, stride, ho, wo)
+        y_mat = (w.reshape(cout, -1) @ data).reshape(cout, bsz, ho, wo)
+        y = np.ascontiguousarray(y_mat.transpose(1, 0, 2, 3))
     if b is not None:
-        y_mat += b[:, None]
-    cache = (x.shape, cols, w, stride, pad, b is not None, ho, wo)
-    return np.ascontiguousarray(y_mat.reshape(cout, bsz, ho, wo).transpose(1, 0, 2, 3)), cache
+        y += b[:, None, None]
+    return y, (x.shape, data, w, b is not None, geometry)
+
+
+def _conv_backward(dy, cache):
+    x_shape, data, w, has_bias, geometry = cache
+    k, stride, pad, ho, wo, transposed = geometry
+    db = dy.sum(axis=(0, 2, 3)) if has_bias else None
+    if transposed or stride == 1:  # `data` is the flattened padded input
+        dw = np.zeros(w.shape, dtype=np.result_type(data, w, dy))
+        wt, dwt = _tap_stack(w, transposed), _tap_stack(dw, transposed)
+        plan = _correlation_plan(x_shape, *geometry)
+        return _correlate_backward(dy, data, wt, dwt, plan, x_shape), dw, db
+    bsz, cin, h, wd = x_shape
+    cout = w.shape[0]
+    dy_mat = np.ascontiguousarray(dy.transpose(1, 0, 2, 3)).reshape(cout, -1)
+    dw = (dy_mat @ data.T).reshape(w.shape)
+    dcols = w.reshape(cout, -1).T @ dy_mat
+    dxp = _col2im(dcols, (cin, bsz, h + 2 * pad, wd + 2 * pad), k, stride, ho, wo)
+    return dxp[:, :, pad : pad + h, pad : pad + wd].transpose(1, 0, 2, 3).copy(), dw, db
+
+
+def conv2d_forward(x, w, b=None, stride=1, pad=0):
+    return _conv_forward(x, w, b, stride, pad, False)
 
 
 def conv2d_backward(dy, cache):
-    x_shape, cols, w, stride, pad, has_bias, ho, wo = cache
-    bsz, cin, h, wd = x_shape
-    cout, _, k, _ = w.shape
-    db = dy.sum(axis=(0, 2, 3)) if has_bias else None
-    if stride == 1:  # the cache holds the flattened padded input
-        wt = w.transpose(2, 3, 0, 1).reshape(k * k, cout, cin).reshape(k, k, cout, cin)
-        dw = np.zeros(w.shape, dtype=np.result_type(cols, w, dy))
-        plan = _correlation_plan(x_shape, k, 1, pad, ho, wo, False)
-        dx = _correlate_backward(dy, cols, wt, dw.transpose(2, 3, 0, 1), plan, x_shape)
-        return dx, dw, db
-    dy_mat = np.ascontiguousarray(dy.transpose(1, 0, 2, 3)).reshape(cout, -1)
-    dw = (dy_mat @ cols.T).reshape(w.shape)
-    dcols = w.reshape(cout, -1).T @ dy_mat
-    dxp = _col2im(dcols, (cin, bsz, h + 2 * pad, wd + 2 * pad), k, stride, ho, wo)
-    dx = dxp[:, :, pad : pad + h, pad : pad + wd].transpose(1, 0, 2, 3).copy()
-    return dx, dw, db
+    return _conv_backward(dy, cache)
 
 
 def conv_transpose2d_forward(x, w, b=None, stride=1, pad=0):
-    bsz, cin, h, wd = x.shape
-    cin_w, cout, k, _ = w.shape
-    if cin != cin_w:
-        raise ShapeError(
-            f"conv_transpose2d channel mismatch: input {x.shape} vs weight {w.shape}",
-            (x.shape, w.shape),
-        )
-    ho = (h - 1) * stride - 2 * pad + k
-    wo = (wd - 1) * stride - 2 * pad + k
-    if ho < 1 or wo < 1:
-        raise ShapeError(f"conv_transpose2d output collapses for input {x.shape}")
-    # the adjoint of a strided conv, one stride-1 correlation per output
-    # stride phase with a subset of the taps: no (C_out*k*k, B*H*W) column
-    # matrix and no col2im scatter. The tap stack is a strided view of `w`.
-    plan = _correlation_plan(x.shape, k, stride, pad, ho, wo, True)
-    y, flat = _correlate(x, w.transpose(2, 3, 1, 0), plan, ho, wo)
-    if b is not None:
-        y += b[:, None, None]
-    return y, (flat, x.shape, w, plan, b is not None)
+    return _conv_forward(x, w, b, stride, pad, True)
 
 
 def conv_transpose2d_backward(dy, cache):
-    flat, x_shape, w, plan, has_bias = cache
-    db = dy.sum(axis=(0, 2, 3)) if has_bias else None
-    dw = np.zeros(w.shape, dtype=np.result_type(flat, w, dy))
-    wt, dwt = w.transpose(2, 3, 1, 0), dw.transpose(2, 3, 1, 0)
-    return _correlate_backward(dy, flat, wt, dwt, plan, x_shape), dw, db
+    return _conv_backward(dy, cache)
 
 
 def linear_forward(x, w, b=None):
     if x.ndim != 2 or x.shape[1] != w.shape[0]:
-        raise ShapeError(
-            f"linear shape mismatch: input {x.shape} vs weight {w.shape}",
-            (x.shape, w.shape),
-        )
+        raise ShapeError(f"linear shape mismatch: input {x.shape} vs weight {w.shape}")
     y = x @ w
     if b is not None:
         y += b[None, :]
@@ -536,8 +513,7 @@ def convlstm_step_forward(x, h_prev, c_prev, wx, wh, b):
     """
     if x.shape[2:] != h_prev.shape[2:] or h_prev.shape != c_prev.shape:
         raise ShapeError(
-            f"convlstm state mismatch: x {x.shape}, h {h_prev.shape}, c {c_prev.shape}",
-            (x.shape, h_prev.shape, c_prev.shape),
+            f"convlstm state mismatch: x {x.shape}, h {h_prev.shape}, c {c_prev.shape}"
         )
     k = wx.shape[2]
     pre_x, cache_x = conv2d_forward(x, wx, b, stride=1, pad=k // 2)

@@ -163,8 +163,8 @@ def _half_widths(name, aspect, angle):
 
 
 def _shape_coverage(shape_id, cx, cy, half, aspect, angle, scl, size):
-    """Share of each pixel's supersamples that fall inside the shape, as a
-    (size, size) float64 array.
+    """The share of each pixel's supersamples inside the shape, in the window
+    it can reach: (the window's row and column slices, its float64 coverage).
 
     Only the pixels within the shape's rotated bounding box
     (`_half_widths`) are sampled. The extra pixel on each side covers
@@ -204,9 +204,8 @@ def _shape_coverage(shape_id, cx, cy, half, aspect, angle, scl, size):
     # exact, so it equals the float mean of the samples bit for bit
     h, w = y1 - y0, x1 - x0
     per_column = np.add.reduce(inside.view(np.uint8).reshape(h, ss, w * ss), 1, np.uint8)
-    cov = np.zeros((size, size))
-    cov[y0:y1, x0:x1] = np.add.reduce(per_column.reshape(h, w, ss), 2, np.uint8) / (ss * ss)
-    return cov
+    cov = np.add.reduce(per_column.reshape(h, w, ss), 2, np.uint8) / (ss * ss)
+    return (slice(y0, y1), slice(x0, x1)), cov
 
 
 # fixed palette per background id: three flat levels and three ramps
@@ -373,18 +372,17 @@ def gen_clip(
     cxs, cys, angles, scales = (v.tolist() for v in track)
     bg = _background(bg_id, spec.size)
 
-    frames = np.empty((spec.frames, spec.channels, spec.size, spec.size), dtype=np.float32)
+    # outside the shape's window the blend below would give bg, bit for bit
+    frames = np.tile(bg.astype(np.float32), (spec.frames, spec.channels, 1, 1))
+    levels = [fg]
     if spec.channels == 3:
-        fg_rgb = np.clip(fg + (rng.uniforms((3,)) - 0.5) * 0.2, -1.0, 1.0)
+        levels = np.clip(fg + (rng.uniforms((3,)) - 0.5) * 0.2, -1.0, 1.0)
     for t in range(spec.frames):
-        cov = _shape_coverage(
+        win, cov = _shape_coverage(
             shape, cxs[t], cys[t], half, aspect, angles[t], scales[t], spec.size
         )
-        if spec.channels == 1:
-            frames[t, 0] = bg * (1.0 - cov) + fg * cov
-        else:
-            for ch in range(3):
-                frames[t, ch] = bg * (1.0 - cov) + fg_rgb[ch] * cov
+        for ch, level in enumerate(levels):
+            frames[(t, ch, *win)] = bg[win] * (1.0 - cov) + level * cov
     np.clip(frames, -1.0, 1.0, out=frames)
     return VideoClip(
         frames=frames,

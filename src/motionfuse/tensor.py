@@ -21,11 +21,7 @@ __all__ = [
 
 
 class ShapeError(ValueError):
-    """Raised when operand shapes are incompatible. Carries both shapes."""
-
-    def __init__(self, message, shapes=()):
-        super().__init__(message)
-        self.shapes = tuple(shapes)
+    """Raised when operand shapes are incompatible; the message names them."""
 
 
 # Counter-based generator. Each output is splitmix64's finalizer applied to

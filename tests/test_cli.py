@@ -708,6 +708,18 @@ class TestRangeErrors:
         assert rc == 1 and not out.exists()
         assert err.strip() == f"error: --count must be at least 1, got {count}"
 
+    @pytest.mark.parametrize("flag, value, least", [("--frames", "1", 2), ("--frames", "0", 2),
+                                                    ("--heatup", "-1", 0)])
+    def test_rollout_rejects_short_clips_before_loading(self, flag, value, least, tmp_path,
+                                                        capsys):
+        out = tmp_path / "r.smv"
+        rc = cli.main(["rollout", "--ckpt", str(tmp_path / "absent.tsvc"), flag, value,
+                       "--out", str(out)])
+        err = capsys.readouterr().err
+        assert_clean_failure(rc, err)
+        assert rc == 1 and not out.exists()
+        assert err.strip() == f"error: {flag} must be at least {least}, got {value}"
+
     @pytest.mark.parametrize("flags, name", [(["--batch", "0"], "batch_size"),
                                              (["--iters", "-1"], "iterations")])
     def test_classifier_rejects_flags_it_cannot_run(self, flags, name, workspace, tmp_path,

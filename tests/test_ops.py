@@ -109,6 +109,16 @@ def im2col_conv_transpose2d(x, w, b, stride, pad, dy):
     return y, dx, dw, dy.sum(axis=(0, 2, 3))
 
 
+def test_four_distinct_conv_entry_points():
+    # perfbench's tracer wraps each public function once, keyed by identity:
+    # an alias would merge two ops' spans in the per-layer table
+    names = ["conv2d_forward", "conv2d_backward", "conv_transpose2d_forward",
+             "conv_transpose2d_backward"]
+    fns = [getattr(ops, name) for name in names]
+    assert len({id(fn) for fn in fns}) == 4
+    assert [fn.__name__ for fn in fns] == names
+
+
 class TestConvTranspose2d:
     @pytest.mark.parametrize(
         "k,stride,pad",
@@ -840,13 +850,6 @@ def test_xavier_bounds():
     for name, value in params.items():
         if name.endswith(".b"):
             assert np.array_equal(value, np.zeros_like(value))
-
-
-def test_conv_spec_validation():
-    with pytest.raises(ValueError):
-        ops.ConvSpec(0, 1, 3)
-    with pytest.raises(ValueError):
-        ops.ConvSpec(1, 1, 3, padding=-1)
 
 
 @pytest.mark.parametrize("op_name", sorted(gradcheck.OP_CHECKS))

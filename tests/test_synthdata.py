@@ -120,6 +120,15 @@ def _full_grid_coverage(shape_id, cx, cy, half, aspect, angle, scl, size):
     return inside.astype(np.float64).reshape(size, ss, size, ss).mean(axis=(1, 3))
 
 
+def _pasted_coverage(*args):
+    """`synthdata._shape_coverage`'s window pasted into a zero frame."""
+    win, cov_w = synthdata._shape_coverage(*args)
+    assert cov_w.dtype == np.float64
+    cov = np.zeros((args[-1], args[-1]))
+    cov[win] = cov_w
+    return cov
+
+
 class TestShapeCoverage:
     @pytest.mark.parametrize("size", [16, 32, 64])
     @pytest.mark.parametrize("shape_id", range(len(synthdata.SHAPE_NAMES)))
@@ -136,7 +145,7 @@ class TestShapeCoverage:
             lo, hi = synthdata.MARGIN + half * scl, size - synthdata.MARGIN - half * scl
             cx, cy = (rng.choice([lo, hi]) if i % 2 else rng.uniform(lo, hi) for _ in "xy")
             args = (shape_id, cx, cy, half, aspect, angle, scl, size)
-            cov = synthdata._shape_coverage(*args)
+            cov = _pasted_coverage(*args)
             assert cov.shape == (size, size) and cov.dtype == np.float64
             assert cov.tobytes() == _full_grid_coverage(*args).tobytes(), args
 
@@ -155,7 +164,7 @@ class TestShapeCoverage:
             for angle in angles:
                 for cx, cy in itertools.product((lo, hi), repeat=2):
                     args = (shape_id, cx, cy, half, aspect, angle, scl, size)
-                    cov = synthdata._shape_coverage(*args)
+                    cov = _pasted_coverage(*args)
                     assert cov.tobytes() == _full_grid_coverage(*args).tobytes(), args
 
     @pytest.mark.parametrize("aspect", (0.75, 1.0, 1.25))
