@@ -8,11 +8,11 @@ map zero and be indistinguishable from `static`. Everything — shape,
 background, motion parameters — derives from a single 64-bit seed, so clips
 and whole datasets are bit-reproducible.
 
-Frames are float32 in [-1, 1], rendered at 4x supersampling and average-
-pooled, which keeps sub-pixel motion smooth. Datasets are stored in the SMV1
-container with a JSON manifest beside it (`<file>.manifest.json`);
-`write_dataset` is their one writer, and `load_dataset` requires the
-manifest and checks it against the container.
+Frames are float32 in [-1, 1], 4x supersampled and average-pooled to keep
+sub-pixel motion smooth, in one pass per clip: one sample grid for all its
+frames, rotated only if one turns (at +-0.0 the rotation changes no bit).
+Datasets are SMV1 files with a JSON manifest (`<file>.manifest.json`), written
+by `write_dataset` alone; `load_dataset` requires the manifest to match them.
 """
 
 from __future__ import annotations
@@ -130,15 +130,6 @@ def class_names(classes) -> list[str]:
     return names
 
 
-@cache
-def _sample_coords(size: int) -> np.ndarray:
-    """Centres of the supersamples along either axis of a `size` px frame,
-    in pixel units; one read-only array shared by every frame of the size."""
-    coords = (np.arange(size * SUPERSAMPLE, dtype=np.float64) + 0.5) / SUPERSAMPLE
-    coords.flags.writeable = False
-    return coords
-
-
 # In units of `half * scl`, each shape but the rectangle (whose row is
 # (1, aspect, hypot(1, aspect))) lies within |x| <= a and |y| <= b of its
 # centre before rotation, and within r of it: (a, b, r) by name
@@ -162,50 +153,65 @@ def _half_widths(name, aspect, angle):
     return min(r, c * a + s * b), min(r, c * b + s * a)
 
 
-def _shape_coverage(shape_id, cx, cy, half, aspect, angle, scl, size):
-    """The share of each pixel's supersamples inside the shape, in the window
-    it can reach: (the window's row and column slices, its float64 coverage).
-
-    Only the pixels within the shape's rotated bounding box
-    (`_half_widths`) are sampled. The extra pixel on each side covers
-    rounding in the rotated coordinates, so every sample that the shape
-    holds lies in the window, and every pixel outside it has coverage 0.
+def _clip_coverage(shape_id, cxs, cys, half, aspect, angles, scales, size):
+    """Each frame's share of supersamples inside the shape, per pixel: (rows
+    (T, h, 1), columns (T, 1, w), float64 coverage (T, h, w)). A frame's window
+    is its rotated bounding box (`_half_widths`) plus a pixel for rounding, so
+    no pixel outside it is covered; all widen to the clip's largest, moved
+    inward at the frame edge. With no turned frame the samples stay unrotated:
+    at an angle of 0.0 or -0.0, cos(-angle) is 1.0 and sin(-angle) -0.0 or 0.0,
+    so dx cos - dy sin is dx and dx sin + dy cos is dy bit for bit (dx and dy,
+    float differences, are never -0.0), and the shape tests run on the axes.
     """
-    ss = SUPERSAMPLE
-    name = SHAPE_NAMES[shape_id]
-    wx, wy = _half_widths(name, aspect, angle)
-    reach_x, reach_y = half * scl * wx + 1.0, half * scl * wy + 1.0
-    x0, x1 = max(0, int(cx - reach_x)), min(size, int(cx + reach_x) + 1)
-    y0, y1 = max(0, int(cy - reach_y)), min(size, int(cy + reach_y) + 1)
-    coords = _sample_coords(size)
-    dx = coords[x0 * ss : x1 * ss] - cx
-    dy = (coords[y0 * ss : y1 * ss] - cy)[:, None]
-    ca, sa = np.cos(-angle), np.sin(-angle)
-    xr = dx * ca - dy * sa
-    yr = dx * sa + dy * ca
-    if scl != 1.0:  # x / 1.0 is x, bit for bit
-        xr /= scl
-        yr /= scl
-    if name == "rectangle":
-        inside = (np.abs(xr) <= half) & (np.abs(yr) <= half * aspect)
-    elif name == "disc":
-        inside = xr * xr + yr * yr <= half * half
-    elif name == "triangle":
-        # equilateral, apex up at (0, half); -t + yr is yr - t, bit for bit
-        tilt = np.sqrt(3.0) * xr
-        inside = (yr >= -half) & (tilt + yr <= half) & (yr - tilt <= half)
-    else:  # cross
-        arm = half * 0.38
-        inside = ((np.abs(xr) <= arm) & (np.abs(yr) <= half)) | (
-            (np.abs(yr) <= arm) & (np.abs(xr) <= half)
-        )
-    # count each pixel's inside-samples in integers (at most ss * ss = 16),
-    # summing its ss sample rows and then its ss columns: count / ss^2 is
-    # exact, so it equals the float mean of the samples bit for bit
-    h, w = y1 - y0, x1 - x0
-    per_column = np.add.reduce(inside.view(np.uint8).reshape(h, ss, w * ss), 1, np.uint8)
-    cov = np.add.reduce(per_column.reshape(h, w, ss), 2, np.uint8) / (ss * ss)
-    return (slice(y0, y1), slice(x0, x1)), cov
+    ss, name, t = SUPERSAMPLE, SHAPE_NAMES[shape_id], len(cxs)
+    boxes, widths = [], {a: _half_widths(name, aspect, a) for a in set(angles)}
+    for cx, cy, angle, scl in zip(cxs, cys, angles, scales):
+        reach_x, reach_y = (half * scl * wd + 1.0 for wd in widths[angle])
+        x0, x1 = max(0, int(cx - reach_x)), min(size, int(cx + reach_x) + 1)
+        y0, y1 = max(0, int(cy - reach_y)), min(size, int(cy + reach_y) + 1)
+        boxes.append((y0, x0, y1 - y0, x1 - x0))
+    y0, x0, h, w = np.array(boxes).T
+    h, w = h.max(), w.max()
+    rows = np.minimum(y0, size - h)[:, None, None] + np.arange(h)[:, None]
+    cols = np.minimum(x0, size - w)[:, None, None] + np.arange(w)
+    # supersample centres: the sample rows of all pixels as ss planes
+    # (ss, T, h, 1), and the columns in (T, ss, w) order, so that the pooling
+    # below sums whole planes and then runs of w, not runs of ss
+    offsets = np.arange(ss)[:, None] + 0.5
+    dys = (rows * ss + offsets[:, None, None]) / ss - np.array(cys)[:, None, None]
+    dx = (cols * ss + offsets).reshape(t, 1, ss * w) / ss - np.array(cxs)[:, None, None]
+    turned, scaled = any(angles), any(s != 1.0 for s in scales)  # x / 1.0 is x, bit for bit
+    scl = np.array(scales)[:, None, None]
+    if turned:  # one scalar cos and sin per frame, as a vectorised one may round apart
+        ca, sa = (np.array([f(-a) for a in angles])[:, None, None] for f in (np.cos, np.sin))
+    # count each pixel's inside-samples in integers (at most ss * ss = 16):
+    # its ss sample rows, one plane of all frames at a time so that only one
+    # plane of samples is held, then its ss columns. count / ss^2 is exact,
+    # so it equals the float mean of the samples bit for bit
+    per_column = np.zeros((t, h, ss * w), np.uint8)
+    for dy in dys:
+        xr, yr = (dx * ca - dy * sa, dx * sa + dy * ca) if turned else (dx, dy)
+        if scaled:
+            xr, yr = xr / scl, yr / scl
+        # all four shapes are symmetric in x, and all but the triangle in y
+        xr = np.abs(xr)
+        if name != "triangle":
+            yr = np.abs(yr)
+        if name == "rectangle":
+            inside = (xr <= half) & (yr <= half * aspect)
+        elif name == "disc":
+            inside = xr * xr + yr * yr <= half * half
+        elif name == "triangle":
+            # equilateral, apex up at (0, half): yr -+ sqrt(3) xr <= half, and
+            # yr - u <= yr + u for u >= 0 in any rounding
+            xr *= np.sqrt(3.0)
+            inside = (yr >= -half) & (yr + xr <= half)
+        else:  # cross
+            arm = half * 0.38
+            inside = ((xr <= arm) & (yr <= half)) | ((yr <= arm) & (xr <= half))
+        per_column += inside
+    counts = np.add.reduce(per_column.reshape(t, h, ss, w), 2, np.uint8)
+    return rows, cols, counts / (ss * ss)
 
 
 # fixed palette per background id: three flat levels and three ramps
@@ -377,12 +383,10 @@ def gen_clip(
     levels = [fg]
     if spec.channels == 3:
         levels = np.clip(fg + (rng.uniforms((3,)) - 0.5) * 0.2, -1.0, 1.0)
-    for t in range(spec.frames):
-        win, cov = _shape_coverage(
-            shape, cxs[t], cys[t], half, aspect, angles[t], scales[t], spec.size
-        )
-        for ch, level in enumerate(levels):
-            frames[(t, ch, *win)] = bg[win] * (1.0 - cov) + level * cov
+    rows, cols, cov = _clip_coverage(shape, cxs, cys, half, aspect, angles, scales, spec.size)
+    t, bg_win = np.arange(spec.frames)[:, None, None], bg[rows, cols]
+    for ch, level in enumerate(levels):
+        frames[t, ch, rows, cols] = bg_win * (1.0 - cov) + level * cov
     np.clip(frames, -1.0, 1.0, out=frames)
     return VideoClip(
         frames=frames,

@@ -92,8 +92,8 @@ class TestMotionVisible:
 
 
 def _full_grid_coverage(shape_id, cx, cy, half, aspect, angle, scl, size):
-    """The renderer that `synthdata._shape_coverage` replaced, kept as its
-    oracle: every supersample of the frame on a full meshgrid, pooled by a
+    """The full-grid renderer that the windowed one replaced, kept as its
+    oracle: every supersample of one frame on a full meshgrid, pooled by a
     float64 mean."""
     ss = synthdata.SUPERSAMPLE
     coords = (np.arange(size * ss, dtype=np.float64) + 0.5) / ss
@@ -120,13 +120,32 @@ def _full_grid_coverage(shape_id, cx, cy, half, aspect, angle, scl, size):
     return inside.astype(np.float64).reshape(size, ss, size, ss).mean(axis=(1, 3))
 
 
-def _pasted_coverage(*args):
-    """`synthdata._shape_coverage`'s window pasted into a zero frame."""
-    win, cov_w = synthdata._shape_coverage(*args)
-    assert cov_w.dtype == np.float64
-    cov = np.zeros((args[-1], args[-1]))
-    cov[win] = cov_w
+def _pasted_coverage(shape_id, cxs, cys, half, aspect, angles, scales, size):
+    """`synthdata._clip_coverage`'s windows pasted into zero frames: (T, size, size)."""
+    args = (shape_id, list(cxs), list(cys), half, aspect, list(angles), list(scales), size)
+    rows, cols, cov_w = synthdata._clip_coverage(*args)
+    t = len(cxs)
+    assert cov_w.dtype == np.float64 and cov_w.shape == (t, rows.shape[1], cols.shape[2])
+    # every window lies inside its frame (a negative index would wrap silently)
+    assert 0 <= rows.min() and rows.max() < size and 0 <= cols.min() and cols.max() < size
+    cov = np.zeros((t, size, size))
+    cov[np.arange(t)[:, None, None], rows, cols] = cov_w
     return cov
+
+
+def _assert_frames_match_the_oracle(shape_id, cxs, cys, half, aspect, angles, scales, size):
+    """Each frame of the clip renderer, byte-equal to the full grid of its pose."""
+    cov = _pasted_coverage(shape_id, cxs, cys, half, aspect, angles, scales, size)
+    for t, pose in enumerate(zip(cxs, cys, angles, scales)):
+        cx, cy, angle, scl = pose
+        want = _full_grid_coverage(shape_id, cx, cy, half, aspect, angle, scl, size)
+        assert cov[t].tobytes() == want.tobytes(), (shape_id, half, aspect, size, t, pose)
+    return cov
+
+
+def _single(shape_id, cx, cy, half, aspect, angle, scl, size):
+    """One pose as a one-frame clip, pasted into a (size, size) frame."""
+    return _pasted_coverage(shape_id, [cx], [cy], half, aspect, [angle], [scl], size)[0]
 
 
 class TestShapeCoverage:
@@ -145,7 +164,7 @@ class TestShapeCoverage:
             lo, hi = synthdata.MARGIN + half * scl, size - synthdata.MARGIN - half * scl
             cx, cy = (rng.choice([lo, hi]) if i % 2 else rng.uniform(lo, hi) for _ in "xy")
             args = (shape_id, cx, cy, half, aspect, angle, scl, size)
-            cov = _pasted_coverage(*args)
+            cov = _single(*args)
             assert cov.shape == (size, size) and cov.dtype == np.float64
             assert cov.tobytes() == _full_grid_coverage(*args).tobytes(), args
 
@@ -164,15 +183,67 @@ class TestShapeCoverage:
             for angle in angles:
                 for cx, cy in itertools.product((lo, hi), repeat=2):
                     args = (shape_id, cx, cy, half, aspect, angle, scl, size)
-                    cov = _pasted_coverage(*args)
+                    cov = _single(*args)
                     assert cov.tobytes() == _full_grid_coverage(*args).tobytes(), args
+
+    @pytest.mark.parametrize("size", [16, 32, 64])
+    @pytest.mark.parametrize("shape_id", range(len(synthdata.SHAPE_NAMES)))
+    def test_clip_of_windows_of_different_sizes(self, shape_id, size):
+        # one clip mixes turned and unturned frames at different scales, so
+        # its frames' own windows differ in height and width and most widen
+        # to the clip's largest
+        rng = np.random.default_rng(7 * size + shape_id)
+        for _ in range(12):
+            half = synthdata._half_extent(size, int(rng.integers(0, 3)))
+            aspect = (0.75, 1.0, 1.25)[rng.integers(0, 3)]
+            scales = [1.0, 0.78, 1.22, 1.0, *(0.78 + rng.random(4) * 0.44)]
+            angles = [0.0, 0.0, np.pi / 4, -np.pi / 6, 0.0, *(rng.random(3) * 2 * np.pi)]
+            lo = synthdata.MARGIN + half * 1.22
+            cxs, cys = (rng.uniform(lo, size - lo, len(scales)) for _ in "xy")
+            _assert_frames_match_the_oracle(shape_id, cxs, cys, half, aspect, angles, scales, size)
+
+    @pytest.mark.parametrize("size", [16, 32, 64])
+    @pytest.mark.parametrize("shape_id", range(len(synthdata.SHAPE_NAMES)))
+    def test_edge_frames_move_the_common_window_inward(self, shape_id, size):
+        # a large turned frame at the centre widens every window; frames at
+        # the margin of each edge can only hold it by moving it inward
+        for k, aspect in itertools.product(range(3), (0.75, 1.25)):
+            half = synthdata._half_extent(size, k)
+            lo, hi = synthdata.MARGIN + half * 0.78, size - synthdata.MARGIN - half * 0.78
+            mid = size / 2
+            cxs = [mid, lo, hi, lo, hi, mid, mid]
+            cys = [mid, lo, hi, hi, lo, lo, hi]
+            angles = [np.pi / 4] + [0.0] * 6
+            scales = [1.22] + [0.78] * 6
+            _assert_frames_match_the_oracle(shape_id, cxs, cys, half, aspect, angles, scales, size)
+
+    @pytest.mark.parametrize("size", [16, 32, 64])
+    @pytest.mark.parametrize("shape_id", range(len(synthdata.SHAPE_NAMES)))
+    def test_zero_angles_of_either_sign_match_the_rotated_path(self, shape_id, size):
+        # at 0.0 or -0.0 a clip skips the rotation; the same frames in a clip
+        # whose last frame turns (by a negative angle) take the rotated path,
+        # with the same bytes
+        rng = np.random.default_rng(11 * size + shape_id)
+        for _ in range(8):
+            half = synthdata._half_extent(size, int(rng.integers(0, 3)))
+            aspect = (0.75, 1.0, 1.25)[rng.integers(0, 3)]
+            lo = synthdata.MARGIN + half * 1.22
+            cxs, cys = (list(rng.uniform(lo, size - lo, 5)) for _ in "xy")
+            scales = [1.0, 0.78, 1.22, 1.0, 0.9]
+            rotated = _assert_frames_match_the_oracle(
+                shape_id, cxs + [size / 2], cys + [size / 2], half, aspect,
+                [0.0, -0.0, 0.0, -0.0, 0.0, -1.0], scales + [1.0], size,
+            )
+            for angles in ([0.0] * 5, [-0.0] * 5, [-0.0, 0.0, -0.0, 0.0, -0.0]):
+                cov = _pasted_coverage(shape_id, cxs, cys, half, aspect, angles, scales, size)
+                assert cov.tobytes() == rotated[:5].tobytes(), (shape_id, angles)
 
     @pytest.mark.parametrize("aspect", (0.75, 1.0, 1.25))
     @pytest.mark.parametrize("shape_id", range(len(synthdata.SHAPE_NAMES)))
     def test_half_widths_hold_every_extreme_point(self, shape_id, aspect):
         # in units of half * scl: the rectangle's corners, the triangle's
         # vertices, the cross's arm ends and, for the disc, its radius in
-        # every direction, rotated by +angle as `_shape_coverage` samples
+        # every direction, rotated by +angle as `_clip_coverage` samples
         # them; each rotated extent must lie within the helper's half-width
         name = synthdata.SHAPE_NAMES[shape_id]
         points = {
