@@ -240,17 +240,15 @@ def _cmd_rollout(args):
             raise ValueError(f"--{flag} must be at least {least}, got {getattr(args, flag)}")
     bundle = checkpoint.load_model(args.ckpt)
     k = bundle.config.classes
-    clips, labels, seeds = [], [], []
-    for i in range(args.count):
-        action = args.action if args.action is not None else i % k
-        rng = SeededRng(synthdata.split_seed(args.seed, i))
-        clip = training.rollout(bundle, action, rng, frames=args.frames, heatup=args.heatup)
-        clips.append(clip.frames)
-        labels.append(action)
-        seeds.append(clip.seed)
-    classes = [f"class-{c}" for c in range(k)]
     ids = list(range(args.count))
-    synthdata.write_dataset(args.out, np.stack(clips), labels, seeds, classes, ids, [])
+    labels = [args.action if args.action is not None else i % k for i in ids]
+    seeds = [synthdata.split_seed(args.seed, i) for i in ids]  # the seed of each clip's rng
+    clips = (
+        training.rollout(bundle, a, SeededRng(s), frames=args.frames, heatup=args.heatup).frames
+        for a, s in zip(labels, seeds)
+    )
+    classes = [f"class-{c}" for c in range(k)]
+    synthdata.write_dataset(args.out, clips, labels, seeds, classes, ids, [])
     print(f"wrote {args.count} generated clips to {args.out}")
     return 0
 

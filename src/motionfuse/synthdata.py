@@ -12,7 +12,8 @@ Frames are float32 in [-1, 1], 4x supersampled and average-pooled to keep
 sub-pixel motion smooth, in one pass per clip: one sample grid for all its
 frames, rotated only if one turns (at +-0.0 the rotation changes no bit).
 Datasets are SMV1 files with a JSON manifest (`<file>.manifest.json`), written
-by `write_dataset` alone; `load_dataset` requires the manifest to match them.
+by `write_dataset` alone, one clip at a time; `load_dataset` reads the records
+in place, holding the clips once, and requires the manifest to match them.
 """
 
 from __future__ import annotations
@@ -65,12 +66,13 @@ def _half_extent(size, k):
 
 _MAGIC = b"SMV1"
 _HEADER = struct.Struct("<7I")
+_KEY = [("label", "<u2"), ("seed", "<u8")]  # the head of every SMV1 clip record
 
 
 def _clip_record(t, c, h, w) -> np.dtype:
     """One packed SMV1 clip record: u16 label, u64 seed, then the clip's
     T*C*H*W LE f32 values in (frame, channel, row) order."""
-    return np.dtype([("label", "<u2"), ("seed", "<u8"), ("frames", "<f4", (t, c, h, w))])
+    return np.dtype(_KEY + [("frames", "<f4", (t, c, h, w))])
 
 
 def max_frames(size: int) -> int:
@@ -243,12 +245,12 @@ def _signed(rng, lo, hi):
 
 
 def _motion_track(name, rng, spec, half, overrides):
-    """Per-frame (cx, cy, angle, scale) arrays for one motion class."""
-    t_idx = np.arange(spec.frames, dtype=np.float64)
-    size = spec.size
+    """Per-frame (cx, cy, angle, scale) lists of Python floats for one motion
+    class, each value computed as a float64 array would compute it."""
+    n, size = spec.frames, spec.size
+    t_idx = [float(t) for t in range(n)]
     pitch = 1.0 / SUPERSAMPLE  # spacing of the coverage samples, in pixels
-    zeros = np.zeros(spec.frames)
-    ones = np.ones(spec.frames)
+    zeros, ones = [0.0] * n, [1.0] * n
     overrides = overrides or {}
 
     def pick(key, draw):
@@ -258,8 +260,14 @@ def _motion_track(name, rng, spec, half, overrides):
         # a drawn speed whose travel would leave the frame slows to just
         # inside it; speeds that fit are kept as drawn
         room = size - 2 * (MARGIN + half)
-        steps = spec.frames - 1
-        return v if abs(v) * steps <= room else float(np.copysign(0.999 * room / steps, v))
+        steps = n - 1
+        return v if abs(v) * steps <= room else math.copysign(0.999 * room / steps, v)
+
+    def line(start, step):
+        return [start + step * t for t in t_idx]
+
+    def jitter(amp):
+        return (rng.uniforms() * 2.0 - 1.0) * amp
 
     def start_inside(travel_x=0.0, travel_y=0.0, pad=0.0):
         reach = MARGIN + half + pad
@@ -278,38 +286,38 @@ def _motion_track(name, rng, spec, half, overrides):
 
     if name == "translate-horizontal":
         vx = pick("vx", lambda: within(_signed(rng, *TRANSLATE_SPEED)))
-        cx, cy = start_inside(travel_x=vx * (spec.frames - 1))
-        return cx + vx * t_idx, cy + zeros, zeros, ones
+        cx, cy = start_inside(travel_x=vx * (n - 1))
+        return line(cx, vx), [cy] * n, zeros, ones
     if name == "translate-vertical":
         vy = pick("vy", lambda: within(_signed(rng, *TRANSLATE_SPEED)))
-        cx, cy = start_inside(travel_y=vy * (spec.frames - 1))
-        return cx + zeros, cy + vy * t_idx, zeros, ones
+        cx, cy = start_inside(travel_y=vy * (n - 1))
+        return [cx] * n, line(cy, vy), zeros, ones
     if name == "diagonal":
         vx = pick("vx", lambda: within(_signed(rng, 0.7, 1.1)))
         vy = pick("vy", lambda: within(_signed(rng, 0.7, 1.1)))
-        cx, cy = start_inside(vx * (spec.frames - 1), vy * (spec.frames - 1))
-        return cx + vx * t_idx, cy + vy * t_idx, zeros, ones
+        cx, cy = start_inside(vx * (n - 1), vy * (n - 1))
+        return line(cx, vx), line(cy, vy), zeros, ones
     if name == "rotate":
         omega = pick("omega", lambda: _signed(rng, np.deg2rad(6.0), np.deg2rad(10.0)))
         phase = rng.uniforms() * 2 * np.pi
         cx, cy = start_inside()
-        return cx + zeros, cy + zeros, phase + omega * t_idx, ones
+        return [cx] * n, [cy] * n, line(phase, omega), ones
     if name == "static":
         cx, cy = start_inside()
-        return cx + zeros, cy + zeros, zeros, ones
+        return [cx] * n, [cy] * n, zeros, ones
     if name == "small-jitter":
         amp = pick("amplitude", lambda: 0.45 + rng.uniforms() * 0.3)
         if amp < pitch:
             raise ValueError(f"jitter amplitude {amp} below the {pitch} px render pitch")
         cx, cy = start_inside(pad=amp)
-        jx = (rng.uniforms((spec.frames,)) * 2.0 - 1.0) * amp
-        jy = (rng.uniforms((spec.frames,)) * 2.0 - 1.0) * amp
+        jx = [jitter(amp) for _ in range(n)]
+        jy = [jitter(amp) for _ in range(n)]
         # redraw a position that lies within one pitch of its predecessor:
         # the frame would render unchanged and the transition look static
-        for t in range(1, spec.frames):
+        for t in range(1, n):
             while max(abs(jx[t] - jx[t - 1]), abs(jy[t] - jy[t - 1])) < pitch:
-                jx[t], jy[t] = (rng.uniforms((2,)) * 2.0 - 1.0) * amp
-        return cx + jx, cy + jy, zeros, ones
+                jx[t], jy[t] = jitter(amp), jitter(amp)
+        return [cx + j for j in jx], [cy + j for j in jy], zeros, ones
     if name == "scale-oscillate":
         # triangle wave that turns on frames: the scale moves by the same step
         # every frame, large enough to carry every outline at least one pitch
@@ -318,18 +326,16 @@ def _motion_track(name, rng, spec, half, overrides):
         steps = 2 + rng.integers(0, 3)  # frames per half swing
         start = rng.integers(0, 2 * steps)
         cx, cy = start_inside(pad=half * amp)
-        pos = (start + t_idx) % (2 * steps)
-        tri = np.where(pos <= steps, pos, 2 * steps - pos) / steps
-        scl = 1.0 + amp * (2.0 * tri - 1.0)
-        return cx + zeros, cy + zeros, zeros, scl
+        pos = [(start + t) % (2 * steps) for t in t_idx]
+        tri = [(p if p <= steps else 2 * steps - p) / steps for p in pos]
+        return [cx] * n, [cy] * n, zeros, [1.0 + amp * (2.0 * v - 1.0) for v in tri]
     if name == "parabolic-bounce":
         period = 6.0 + rng.uniforms() * 3.0
         bounce = pick("height", lambda: 2.5 + rng.uniforms() * 2.5)
         vx = pick("vx", lambda: _signed(rng, 0.3, 0.6))
-        cx, cy = start_inside(travel_x=vx * (spec.frames - 1), travel_y=-bounce)
-        tau = (t_idx % period) / period
-        arc = 4.0 * tau * (1.0 - tau) * bounce
-        return cx + vx * t_idx, cy - arc, zeros, ones
+        cx, cy = start_inside(travel_x=vx * (n - 1), travel_y=-bounce)
+        tau = [(t % period) / period for t in t_idx]
+        return line(cx, vx), [cy - 4.0 * u * (1.0 - u) * bounce for u in tau], zeros, ones
     raise ValueError(f"unknown motion class {name!r}")
 
 
@@ -373,9 +379,7 @@ def gen_clip(
     aspect = (0.75, 1.0, 1.25)[rng.integers(0, 3)]
     fg = (0.5, 0.7, 0.9)[rng.integers(0, 3)]
 
-    # per-frame scalars as Python floats, whose arithmetic is numpy's, bit for bit
-    track = _motion_track(name, rng, spec, half, motion_params)
-    cxs, cys, angles, scales = (v.tolist() for v in track)
+    cxs, cys, angles, scales = _motion_track(name, rng, spec, half, motion_params)
     bg = _background(bg_id, spec.size)
 
     # outside the shape's window the blend below would give bg, bit for bit
@@ -444,7 +448,8 @@ def gen_dataset(classes, clips_per_class: int, master_seed: int, spec: ClipSpec,
     """Generate a balanced dataset, write it (`write_dataset`), return the manifest.
 
     Clip ids run class-major; each clip's seed is `split_seed(master_seed, id)`.
-    The train/test split is 80/20 within every class, by clip id.
+    The train/test split is 80/20 within every class, by clip id. Each clip
+    is rendered as the writer asks for it.
     """
     names = class_names(classes)
     if clips_per_class < 1:
@@ -452,28 +457,44 @@ def gen_dataset(classes, clips_per_class: int, master_seed: int, spec: ClipSpec,
     ids = range(len(names) * clips_per_class)
     labels = [i // clips_per_class for i in ids]
     seeds = [split_seed(master_seed, i) for i in ids]
-    clips = np.stack([gen_clip(names[labels[i]], seeds[i], spec).frames for i in ids])
+    clips = (gen_clip(names[labels[i]], seeds[i], spec).frames for i in ids)
     n_train = int(round(clips_per_class * 0.8))
     train_ids = [i for i in ids if i % clips_per_class < n_train]
     test_ids = [i for i in ids if i % clips_per_class >= n_train]
     return write_dataset(path, clips, labels, seeds, names, train_ids, test_ids)
 
 
-def write_dataset(path, clips: np.ndarray, labels, seeds, classes, train_ids, test_ids) -> dict:
+def write_dataset(path, clips, labels, seeds, classes, train_ids, test_ids) -> dict:
     """Write the SMV1 container and then its manifest; return the manifest.
 
     SMV1: magic, 7 LE u32 header fields, then one `_clip_record` per clip.
     The JSON manifest lists the class names, each clip's {id, action, seed}
-    and the train/test split by clip id. A clip holds at least 2 frames,
-    as a `ClipSpec` does: every reader takes frame-to-frame transitions."""
-    n, t, c, h, w = clips.shape
-    if t < 2:
-        raise ValueError(f"{path}: an SMV1 clip needs at least 2 frames, got {t}")
-    records = np.empty(n, _clip_record(t, c, h, w))
-    records["label"], records["seed"], records["frames"] = labels, seeds, clips
+    and the train/test split by clip id. `clips` is any iterable of (T, C,
+    H, W) clips of one shape, one per label, each packed into one reusable
+    record and written as it arrives. A clip holds at least 2 frames, as a
+    `ClipSpec` does: every reader takes frame-to-frame transitions. No clip,
+    mixed shapes or more or fewer clips than labels is a ValueError naming
+    the file, and leaves no file behind."""
+    n, record, count = len(labels), None, 0
+    if len(seeds) != n:
+        raise ValueError(f"{path}: {len(seeds)} seeds for {n} labels")
     with atomic_write(path) as fh:
-        fh.write(_MAGIC + _HEADER.pack(1, n, t, c, h, w, 0))
-        fh.write(records.view(np.uint8))
+        for clip in clips:
+            if record is None:
+                t, c, h, w = shape = np.shape(clip)
+                if t < 2:
+                    raise ValueError(f"{path}: an SMV1 clip needs at least 2 frames, got {t}")
+                record = np.empty(1, _clip_record(t, c, h, w))
+                fh.write(_MAGIC + _HEADER.pack(1, n, t, c, h, w, 0))
+            if count == n:
+                raise ValueError(f"{path}: more clips than the {n} labels")
+            if np.shape(clip) != shape:
+                raise ValueError(f"{path}: clip {count} is {np.shape(clip)}, clip 0 {shape}")
+            record["label"], record["seed"], record["frames"] = labels[count], seeds[count], clip
+            fh.write(record.view(np.uint8))
+            count += 1
+        if not n or count != n:
+            raise ValueError(f"{path}: {count} clips for {n} labels")
     split = {"train": list(train_ids), "test": list(test_ids)}
     manifest = {"classes": list(classes), "clips": _clip_entries(labels, seeds), "split": split}
     with atomic_write(manifest_path(path)) as fh:
@@ -493,30 +514,37 @@ def load_dataset(path) -> Dataset:
     seed} with the container's label and seed, name a class for every
     label, and split the clip ids into train and test ids that cover each id
     once. Any disagreement, or a container whose length differs from what
-    its header describes, is a ValueError naming the file."""
+    its header describes (checked before anything is allocated), or that
+    ends early as each record is read into the returned arrays in place, is
+    a ValueError naming the file."""
     path = Path(path)
-    raw = path.read_bytes()
-    if raw[:4] != _MAGIC:
-        raise ValueError(f"{path}: not an SMV1 container")
-    head = len(_MAGIC) + _HEADER.size
-    if len(raw) < head:
-        raise ValueError(f"{path}: {len(raw)} bytes, shorter than the {head}-byte SMV1 header")
-    version, n, t, c, h, w, dtype = _HEADER.unpack_from(raw, 4)
-    if version != 1 or dtype != 0:
-        raise ValueError(f"{path}: unsupported SMV1 version {version} / dtype {dtype}")
-    if t < 2:
-        raise ValueError(f"{path}: clips of {t} frames, but SMV1 clips hold at least 2")
-    record = _clip_record(t, c, h, w)
-    expected = head + n * record.itemsize
-    if len(raw) != expected:
-        raise ValueError(
-            f"{path}: {len(raw)} bytes, but its header describes {n} clips of "
-            f"{t}x{c}x{h}x{w} in {expected} bytes"
-        )
-    records = np.frombuffer(raw, dtype=record, count=n, offset=head)
-    labels = records["label"].astype(np.int64)
-    seeds = records["seed"].astype(np.uint64)
-    clips = records["frames"].astype(np.float32)
+    with open(path, "rb", buffering=0) as fh:  # unbuffered, so readv reads on after the header
+        size = os.fstat(fh.fileno()).st_size
+        head = len(_MAGIC) + _HEADER.size
+        header = fh.read(head)
+        if header[:4] != _MAGIC:
+            raise ValueError(f"{path}: not an SMV1 container")
+        if len(header) < head:
+            raise ValueError(f"{path}: {len(header)} bytes, shorter than the {head}-byte SMV1 header")
+        version, n, t, c, h, w, dtype = _HEADER.unpack_from(header, 4)
+        if version != 1 or dtype != 0:
+            raise ValueError(f"{path}: unsupported SMV1 version {version} / dtype {dtype}")
+        if t < 2:
+            raise ValueError(f"{path}: clips of {t} frames, but SMV1 clips hold at least 2")
+        record = _clip_record(t, c, h, w)
+        expected = head + n * record.itemsize
+        if size != expected:
+            raise ValueError(
+                f"{path}: {size} bytes, but its header describes {n} clips of "
+                f"{t}x{c}x{h}x{w} in {expected} bytes"
+            )
+        keys, frames = np.empty(n, _KEY), np.empty((n, t, c, h, w), "<f4")
+        for i in range(n):
+            if os.readv(fh.fileno(), (keys[i : i + 1], frames[i])) != record.itemsize:
+                raise ValueError(f"{path}: ended within clip {i} of {n}, short of {size} bytes")
+    labels = keys["label"].astype(np.int64)
+    seeds = keys["seed"].astype(np.uint64)
+    clips = frames.astype(np.float32, copy=False)
 
     mpath = manifest_path(path)
     try:

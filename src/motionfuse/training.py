@@ -164,9 +164,7 @@ class Trainer:
         t_max = self.data.clips.shape[1] - 1
         ids = self.train_ids[self.batch_rng.integers(0, len(self.train_ids), (bsz,))]
         ts = self.batch_rng.integers(0, t_max, (bsz,))
-        clips = self.data.clips[ids]
-        x_t = clips[np.arange(bsz), ts]
-        x_next = clips[np.arange(bsz), ts + 1]
+        x_t, x_next = self.data.clips[ids, ts], self.data.clips[ids, ts + 1]
         labels = self.data.labels[ids]
         x_t, x_next = random_shift(self.batch_rng, self.cfg.crop_jitter, x_t, x_next)
         return x_t, x_next, labels

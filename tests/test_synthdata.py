@@ -2,6 +2,8 @@ import hashlib
 import itertools
 import json
 import struct
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -440,6 +442,57 @@ class TestDataset:
             load_dataset(path)
         assert str(path) in str(err.value) and "at least 2" in str(err.value)
 
+    def test_a_generator_writes_the_bytes_of_the_stacked_array(self, tmp_path):
+        spec = ClipSpec(frames=3, size=16, channels=3)
+        clips = np.stack([gen_clip(a % 8, 40 + a, spec).frames for a in range(5)])
+        args = ([0, 3, 1, 1, 2], [5, 2**64 - 1, 0, 7, 9], ["a", "b", "c", "d"], [0, 1, 2], [3, 4])
+        stacked, streamed = tmp_path / "stacked.smv", tmp_path / "streamed.smv"
+        doc = synthdata.write_dataset(stacked, clips, *args)
+        assert synthdata.write_dataset(streamed, (c for c in clips), *args) == doc
+        for file in (lambda p: p, synthdata.manifest_path):
+            assert file(streamed).read_bytes() == file(stacked).read_bytes()
+        assert np.array_equal(load_dataset(streamed).clips, clips)
+
+    @pytest.mark.parametrize(
+        "clips, labels, message",
+        [
+            ([], [0, 1], "0 clips for 2 labels"),
+            ([], [], "0 clips for 0 labels"),
+            ([np.zeros((2, 1, 4, 4)), np.zeros((2, 1, 4, 5))], [0, 1],
+             "clip 1 is (2, 1, 4, 5), clip 0 (2, 1, 4, 4)"),
+            ([np.zeros((2, 1, 4, 4))] * 3, [0, 1], "more clips than the 2 labels"),
+            ([np.zeros((2, 1, 4, 4))], [0, 1], "1 clips for 2 labels"),
+        ],
+    )
+    def test_a_bad_clip_stream_names_the_file_and_leaves_nothing(
+        self, clips, labels, message, tmp_path
+    ):
+        path = tmp_path / "s.smv"
+        with pytest.raises(ValueError) as err:
+            synthdata.write_dataset(path, iter(clips), labels, labels, ["a", "b"], labels, [])
+        assert str(path) in str(err.value) and message in str(err.value)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_seeds_must_match_the_labels(self, tmp_path):
+        path = tmp_path / "s.smv"
+        clips = np.zeros((2, 2, 1, 4, 4))
+        with pytest.raises(ValueError, match="3 seeds for 2 labels"):
+            synthdata.write_dataset(path, clips, [0, 1], [1, 2, 3], ["a", "b"], [0, 1], [])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_file_that_shrinks_while_read_names_the_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "d.smv"
+        gen_dataset(2, 2, 3, ClipSpec(frames=3, size=16), path)
+        raw = path.read_bytes()
+        size, record = len(raw), (len(raw) - 32) // 4
+        # the header check sees the full length; the records then run short
+        monkeypatch.setattr(synthdata.os, "fstat", lambda fd: SimpleNamespace(st_size=size))
+        for cut, clip in ((size - 1, 3), (size - record + 5, 3), (40, 0)):
+            path.write_bytes(raw[:cut])
+            with pytest.raises(ValueError) as err:
+                load_dataset(path)
+            assert str(err.value) == f"{path}: ended within clip {clip} of 4, short of {size} bytes"
+
     def test_class_names_resolution(self):
         assert synthdata.class_names(4) == [
             "translate-horizontal",
@@ -516,6 +569,45 @@ class TestAtomicWrites:
         # the same write, left to finish, does change the file
         write(tmp_path, 2)
         assert targets[which].read_bytes() != before[which]
+
+
+class TestDatasetMemory:
+    """The writer holds one clip at a time and the loader one copy of the
+    clips: traced peaks against the size of a 200-clip 64 px file."""
+
+    SPEC = ClipSpec(frames=10, size=64)
+
+    @staticmethod
+    def _peak(fn, *args):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_writing_peaks_below_a_quarter_of_the_file(self, tmp_path):
+        path = tmp_path / "d.smv"
+        peak = self._peak(gen_dataset, 8, 25, 17, self.SPEC, path)
+        size = path.stat().st_size
+        assert size == 32 + 200 * (10 + 10 * 64 * 64 * 4)
+        assert peak < size / 4, (peak, size)
+
+    def test_loading_peaks_below_1_1_times_the_file(self, tmp_path):
+        path = tmp_path / "d.smv"
+        gen_dataset(8, 25, 17, self.SPEC, path)
+        peak = self._peak(load_dataset, path)
+        assert peak < 1.1 * path.stat().st_size, (peak, path.stat().st_size)
+
+    def test_a_header_of_a_million_clips_in_100_bytes_allocates_nothing(self, tmp_path):
+        path = tmp_path / "big.smv"
+        path.write_bytes(b"SMV1" + struct.pack("<7I", 1, 10**6, 10, 1, 64, 64, 0) + bytes(68))
+
+        def load():
+            with pytest.raises(ValueError, match="100 bytes, but its header describes 1000000"):
+                load_dataset(path)
+
+        assert self._peak(load) < 2**20
 
 
 class TestClipSpecValidation:
