@@ -32,8 +32,6 @@ import sys
 import typing
 from pathlib import Path
 
-import numpy as np
-
 from . import bench, checkpoint, gradcheck, losses, metrics, model, synthdata, training
 from .tensor import SeededRng
 
@@ -262,9 +260,9 @@ def _cmd_eval(args):
         ids = dataset.train_ids if args.split == "train" else dataset.test_ids
     if not ids:
         raise ValueError(f"split {args.split!r} holds no clips")
-    clips = dataset.clips[np.asarray(ids, dtype=np.int64)]
     report = metrics.evaluate_with_classifier(
-        clips, lambda clip: model.classifier_probs(params, mcfg, clip[None])[0]
+        (dataset.clips[i] for i in ids),
+        lambda clip: model.classifier_probs(params, mcfg, clip[None])[0],
     )
     text = report.to_json()
     if args.out:

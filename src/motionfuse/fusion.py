@@ -174,12 +174,12 @@ def _tap_weights(h, kernels):
     n = kernels.n
     if isinstance(kernels, SeparableKernelField):
         _check_field(h, kernels.wv, n, "separable kernel field")
-        wv = np.ascontiguousarray(np.moveaxis(_lift(kernels.wv, 4)[0], 3, 0))
-        wh = np.ascontiguousarray(np.moveaxis(_lift(kernels.wh, 4)[0], 3, 0))
+        wv = _lift(kernels.wv, 4)[0].transpose(3, 0, 1, 2).copy()
+        wh = _lift(kernels.wh, 4)[0].transpose(3, 0, 1, 2).copy()
         return (wv[:, None] * wh[None]).reshape((n * n,) + wv.shape[1:]), (wv, wh)
     if isinstance(kernels, DenseKernelField):
         _check_field(h, kernels.w, n, "dense kernel field")
-        return np.ascontiguousarray(np.moveaxis(_lift(kernels.w, 4)[0], 3, 0)), None
+        return _lift(kernels.w, 4)[0].transpose(3, 0, 1, 2).copy(), None
     raise TypeError(f"unsupported kernel field type {type(kernels).__name__}")
 
 
@@ -248,16 +248,16 @@ def adaptive_conv_backward(dy, cache, content=True):
     if field_unbatched:
         dk = dk.sum(axis=1, keepdims=True)
     if factors is None:
-        dw = np.moveaxis(dk, 0, 3)
-        dkern = DenseKernelField(w=np.ascontiguousarray(dw[0] if field_unbatched else dw))
+        dw = dk.transpose(1, 2, 3, 0)
+        dkern = DenseKernelField(w=(dw[0] if field_unbatched else dw).copy())
     else:
         wv, wh = factors
         dk = dk.reshape((n, n) + dk.shape[1:])
-        dwv = np.moveaxis((dk * wh[None]).sum(axis=1), 0, 3)
-        dwh = np.moveaxis((dk * wv[:, None]).sum(axis=0), 0, 3)
+        dwv = (dk * wh[None]).sum(axis=1).transpose(1, 2, 3, 0)
+        dwh = (dk * wv[:, None]).sum(axis=0).transpose(1, 2, 3, 0)
         if field_unbatched:
             dwv, dwh = dwv[0], dwh[0]
-        dkern = SeparableKernelField(wv=np.ascontiguousarray(dwv), wh=np.ascontiguousarray(dwh))
+        dkern = SeparableKernelField(wv=dwv.copy(), wh=dwh.copy())
     if not content:
         return None, dkern
     dp = np.zeros(hp.shape, dtype=np.result_type(k, dy4))

@@ -149,10 +149,10 @@ class _ChannelsLast(_Layer):
     """(B, C, H, W) maps to contiguous (B, H, W, C), the kernel-field layout."""
 
     def forward(self, params, x, side):
-        return np.ascontiguousarray(np.moveaxis(x, 1, 3)), None
+        return x.transpose(0, 2, 3, 1).copy(), None
 
     def backward(self, params, dy, cache, side):
-        return np.moveaxis(dy, 3, 1)
+        return dy.transpose(0, 3, 1, 2)
 
 
 class _Join(_Layer):

@@ -86,16 +86,23 @@ def xavier_uniform(rng: SeededRng, shape, fan_in: int, fan_out: int, dtype=np.fl
 # 2 C_out values per column), rounded down to a multiple of 64 columns; a
 # batch-1 map at 32x32 fits in one block.
 #
-# Forward: a grid of one block (every batch-1 map, and the smallest maps of
-# a training batch) takes one `np.matmul` of the tap stack with the view,
-# every tap's product landing in the block buffer, and one `np.add.reduce`
-# that adds them from +0.0 in tap order: two dispatches where a batch-1
-# rollout spent most of its conv time dispatching a product and a sum per
-# tap on maps as small as 4x4. A larger grid runs the taps one by one per
-# block, each product summed while it is in cache, which costs less memory
-# traffic than a stacked product there. Every tap product sees the operand
-# layout it always had, since BLAS rounds some products by layout: a
-# transpose conv's stack is a strided view of `w`, not a copy.
+# Forward: a correlation whose tap products all fit `_BLOCK_BYTES`, or
+# whose grid is one block (every batch-1 map, the batch-9 eval's one-row
+# heads, and the smallest maps of a training batch), takes one `np.matmul`
+# of the tap stack with the view, every tap's product landing in the block
+# buffer, and one `np.add.reduce` that adds them from +0.0 in tap order: two
+# dispatches where a batch-1 rollout spent most of its conv time
+# dispatching a product and a sum per tap on maps as small as 4x4. A
+# transpose conv whose stride phases all carry k/stride taps a side at
+# evenly stepped offsets (every `stage.up*`) stacks its phases too, in one
+# product over (phase_r, phase_c, tap_u, tap_v) views of `w` and the grid,
+# and one copy interleaves them into the output. A larger grid runs the
+# taps one by one per block, each product summed while it is in cache,
+# which costs less memory traffic than a stacked product there. Every tap
+# product sees the operand layout and width it always had, since BLAS
+# rounds some products by layout: a transpose conv's stack is a strided
+# view of `w`, not a copy, and one-row products, which also round by
+# width, never stack across phases.
 #
 # Backward: per tap, as at training batch sizes each product is a fraction
 # of a millisecond of BLAS work and dispatch is not what it costs. The
@@ -174,7 +181,9 @@ def _blocks(n, rows, inner, itemsize):
     of `rows` x `inner` weights: blocks whose input, output and gradient
     slices fit `_BLOCK_BYTES` together, 64 columns wide or a multiple of
     that. A one-row product is one block, because numpy rounds a one-row
-    product with a strided weight row differently at different widths."""
+    product with a strided weight row differently at different widths:
+    `_shifted_gemms` stacks one-row taps where their products fit the
+    budget, and runs them per tap over the whole grid elsewhere."""
     if rows == 1:
         return ((0, n),)
     width = _BLOCK_BYTES // ((2 * rows + 2 * inner) * itemsize)
@@ -197,17 +206,18 @@ def _windows(x, kh, kw, stride=1):
     return win
 
 
-def _tap_window(flat, base, taps_u, taps_v, wp, n, step=1):
+def _tap_window(flat, base, taps_u, taps_v, wp, n, step=1, lead=((), ())):
     """Read-only (taps_u, taps_v, C_in, n) view of a contiguous flattened
     padded (C_in, B*Hp*Wp) grid: [iu, iv] is the n columns from flat offset
     base + step*(iu*wp + iv) on, the input that tap (iu, iv) of a row-major
-    (Hp, Wp) kernel lattice reads, walked backwards for step -1. The ndarray
+    (Hp, Wp) kernel lattice reads, walked backwards for step -1. `lead`
+    holds the shape and byte strides of any leading axes. The ndarray
     constructor checks that the view stays inside `flat`, at a fifth of the
     cost of `as_strided`."""
     s_row, s_col = flat.strides
     win = np.ndarray(
-        (taps_u, taps_v, flat.shape[0], n), flat.dtype, flat, base * s_col,
-        (step * wp * s_col, step * s_col, s_row, s_col),
+        lead[0] + (taps_u, taps_v, flat.shape[0], n), flat.dtype, flat, base * s_col,
+        lead[1] + (step * wp * s_col, step * s_col, s_row, s_col),
     )
     win.flags.writeable = False
     return win
@@ -222,26 +232,24 @@ def _shifted_gemms(taps, win, y_flat):
     the sum over taps, in tap order from +0.0, into columns [0, n) of
     `y_flat` (C_out, B*Hp*Wp), a padded grid: the caller reads the valid
     (rows, cols) corner of each image and discards the rest, whose reads
-    wrapped across a row or an image. A one-wide inner dimension is a
-    broadcast product, which numpy's matmul runs an order of magnitude
-    slower."""
-    tu, tv, cout, cin = taps.shape
+    wrapped across a row or an image. Leading axes of all three, a
+    transpose conv's stride phases, run as one stack. A one-wide inner
+    dimension is a broadcast product, which numpy's matmul runs an order
+    of magnitude slower."""
+    tu, tv, cout, cin = taps.shape[-4:]
     n = win.shape[-1]
     product = np.multiply if cin == 1 else np.matmul
-    blocks = _blocks(n, cout, cin, y_flat.itemsize)
-    if cout > 1 and len(blocks) == 1:
-        # a one-block grid (every batch-1 map): all tap products in one
-        # call and their sum in one reduction, as per-tap dispatch would
-        # cost more than the products
-        prods = _work_buffer("block", (tu * tv, cout, n), y_flat.dtype)
-        product(taps, win, out=prods.reshape(tu, tv, cout, n))
-        np.add.reduce(prods, axis=0, initial=0.0, out=y_flat[:, :n])
+    if _fits(taps, n, y_flat) or cout > 1 and len(_blocks(n, cout, cin, y_flat.itemsize)) == 1:
+        # every tap product in one call and their sum in one reduction,
+        # as per-tap dispatch would cost more than the products
+        prods = _work_buffer("block", taps.shape[:-4] + (tu * tv, cout, n), y_flat.dtype)
+        product(taps, win, out=prods.reshape(taps.shape[:-1] + (n,)))
+        np.add.reduce(prods, axis=-3, initial=0.0, out=y_flat[..., :n])
         return
     # tap by tap per column block, each product summed while in cache: at
     # this size a stacked product costs more in memory traffic than it
-    # saves in dispatch. One-row products always come here, since
-    # `_blocks` never splits their grid, which at training batch sizes
-    # would put every tap's product of the whole grid in the block buffer.
+    # saves in dispatch. A one-row grid is one block (`_blocks`).
+    blocks = _blocks(n, cout, cin, y_flat.itemsize)
     buf = _work_buffer("block", (cout * (blocks[0][1] - blocks[0][0]),), y_flat.dtype)
     for j0, j1 in blocks:
         tmp = buf[: cout * (j1 - j0)].reshape(cout, j1 - j0)
@@ -251,6 +259,12 @@ def _shifted_gemms(taps, win, y_flat):
             for iv in range(tv):
                 product(taps[iu, iv], win[iu, iv, :, j0:j1], out=tmp)
                 y_blk += tmp
+
+
+def _fits(taps, n, out):
+    """Whether the products of every tap over n columns of `out`'s dtype
+    fit `_BLOCK_BYTES`."""
+    return math.prod(taps.shape[:-1]) * n * out.itemsize <= _BLOCK_BYTES
 
 
 def _shifted_gemms_backward(mats, flat, offs, dy_flat, dflat):
@@ -306,12 +320,17 @@ def _correlation_plan(x_shape, k, stride, pad, ho, wo, transposed):
     lead_w, Hp, Wp) they read: a stride-1 conv2d is one, whose tap u reads
     offset u, walking the grid forwards (step 1); a transpose conv runs one
     per output stride phase (`_stride_phases`), its taps reading offsets
-    that fall by one per tap (step -1). Returns (grid, step, phases), each
-    phase (ys, rows, cols, ts, taps_u, taps_v, base, n, offs, uv): it
-    writes `y[ys]` from the rows x cols corner of its output grid, and runs
-    the taps `wt[ts]` of the (k, k, C_out, C_in) tap stack, in tap order at
-    flat offsets `offs` and kernel positions `uv`; tap (0, 0) reads n
-    columns from offset `base` on. A phase without taps has no `offs`."""
+    that fall by one per tap (step -1). Returns (grid, step, phases,
+    stack), each phase (ys, rows, cols, ts, taps_u, taps_v, base, n, offs,
+    uv): it writes `y[ys]` from the rows x cols corner of its output grid,
+    and runs the taps `wt[ts]` of the (k, k, C_out, C_in) tap stack, in tap
+    order at flat offsets `offs` and kernel positions `uv`; tap (0, 0)
+    reads n columns from offset `base` on. A phase without taps has no
+    `offs`. `stack` is None, or for a transpose conv whose phases all run
+    k/stride taps a side from bases and kernel positions that step evenly
+    from phase to phase, (stride, row step, column step, n, order): the
+    bases step by those flat offsets from phase to phase, the first kernel
+    rows and columns by `order`, and n columns are valid in every phase."""
     bsz, _, h, wd = x_shape
     if transposed:
         lead_h, hp, rows = _stride_phases(k, stride, pad, h, ho)
@@ -332,21 +351,41 @@ def _correlation_plan(x_shape, k, stride, pad, ho, wo, transposed):
                 ts = (slice(uv[0][0], None, stride), slice(uv[0][1], None, stride)) if uv else None
             base, n = (offs[0], bsz * hp * wp - max(offs)) if offs else (0, 0)
             phases.append((ys, mr, mc, ts, len(rtaps), len(ctaps), base, n, offs, uv))
-    return (lead_h, lead_w, hp, wp), -1 if transposed else 1, tuple(phases)
+    stack = None
+    if transposed and stride > 1 and k % stride == 0 and (stride == 2 or pad % stride == 0):
+        base, n = [p[6] for p in phases], min(p[7] for p in phases)
+        stack = stride, base[stride] - base[0], base[1] - base[0], n, -1 if pad % stride else 1
+    return (lead_h, lead_w, hp, wp), -1 if transposed else 1, tuple(phases), stack
 
 
 def _correlate(x, wt, plan, ho, wo):
     """Forward of a conv `plan` with the (k, k, C_out, C_in) tap stack `wt`:
     pads x onto the plan's grid and runs each phase's taps over its window
-    (`_shifted_gemms`). Returns the (B, C_out, Ho, Wo) output and the
-    flattened padded input."""
-    (lead_h, lead_w, hp, wp), step, phases = plan
+    (`_shifted_gemms`), or every phase's at once where the plan's `stack`
+    allows and the products fit. Returns the (B, C_out, Ho, Wo) output and
+    the flattened padded input."""
+    (lead_h, lead_w, hp, wp), step, phases, stack = plan
     bsz, cin, h, wd = x.shape
     cout = wt.shape[2]
     xp = np.zeros((cin, bsz, hp, wp), dtype=x.dtype)
     xp[:, :, lead_h : lead_h + h, lead_w : lead_w + wd] = x.transpose(1, 0, 2, 3)
     flat = xp.reshape(cin, -1)
     y = np.empty((bsz, cout, ho, wo), dtype=np.promote_types(x.dtype, wt.dtype))
+    if stack and cout > 1:
+        # every stride phase in one product, interleaved into y by one copy;
+        # not one-row products, whose rounding depends on their width
+        s, d_r, d_c, n, order = stack
+        t = wt.shape[0] // s
+        taps = wt.reshape(t, s, t, s, cout, cin).transpose(1, 3, 0, 2, 4, 5)[::order, ::order]
+        if _fits(taps, n, y):
+            col = flat.strides[1]
+            lead = (s, s), (d_r * col, d_c * col)
+            win = _tap_window(flat, phases[0][6], t, t, wp, n, step, lead)
+            y_flat = _work_buffer("out", (s, s, cout, flat.shape[1]), y.dtype)
+            _shifted_gemms(taps, win, y_flat)
+            grid = y_flat.reshape(s, s, cout, bsz, hp, wp)[..., : ho // s, : wo // s]
+            y.reshape(bsz, cout, ho // s, s, wo // s, s)[...] = grid.transpose(3, 2, 4, 0, 5, 1)
+            return y, flat
     y_flat = _work_buffer("out", (cout, flat.shape[1]), y.dtype)
     y_grid = y_flat.reshape(cout, bsz, hp, wp)
     for ys, rows, cols, ts, tu, tv, base, n, offs, _ in phases:
@@ -362,7 +401,7 @@ def _correlate_backward(dy, flat, wt, dwt, plan, x_shape):
     """Backward of `_correlate` from its flattened padded input `flat`:
     writes each tap's weight gradient into `dwt`, the (k, k, C_out, C_in)
     view of dw, and returns the input gradient, of the dtype of `dwt`."""
-    (lead_h, lead_w, hp, wp), _, phases = plan
+    (lead_h, lead_w, hp, wp), _, phases, _ = plan
     bsz, cin, h, wd = x_shape
     cout = wt.shape[2]
     dflat = _work_buffer("in", flat.shape, dwt.dtype)
@@ -520,9 +559,8 @@ def convlstm_step_forward(x, h_prev, c_prev, wx, wh, b):
     pre_h, cache_h = conv2d_forward(h_prev, wh, None, stride=1, pad=k // 2)
     pre = pre_x + pre_h
     hc = h_prev.shape[1]
-    i, _ = sigmoid_forward(pre[:, 0 * hc : 1 * hc])
-    f, _ = sigmoid_forward(pre[:, 1 * hc : 2 * hc])
-    o, _ = sigmoid_forward(pre[:, 2 * hc : 3 * hc])
+    gates, _ = sigmoid_forward(pre[:, : 3 * hc])
+    i, f, o = gates[:, :hc], gates[:, hc : 2 * hc], gates[:, 2 * hc :]
     g = np.tanh(pre[:, 3 * hc : 4 * hc])
     c = f * c_prev + i * g
     tc = np.tanh(c)

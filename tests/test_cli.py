@@ -273,6 +273,30 @@ class TestTrainRolloutEval:
         assert seen["ccfg"].shift == defaults.shift
         assert seen["ccfg"].seed == 4
 
+    def test_eval_of_every_clip_holds_one_copy_of_the_dataset(self, tmp_path, capsys):
+        # the scored clips are read by index from the loaded dataset: the
+        # traced peak stays near the one copy the loader holds. 400 clips,
+        # as scoring one clip holds about 0.6 MB of classifier caches
+        import tracemalloc
+
+        from motionfuse import checkpoint, model
+        from motionfuse.tensor import SeededRng
+
+        data, cls = tmp_path / "d.smv", tmp_path / "cls.tsvc"
+        synthdata.gen_dataset(4, 100, 11, synthdata.ClipSpec(frames=10, size=32), data)
+        cfg = ModelConfig()
+        checkpoint.save_classifier(cls, model.build_classifier(cfg, SeededRng(5)), cfg)
+        argv = ["eval", "--data", str(data), "--classifier-ckpt", str(cls), "--split", "all"]
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert json.loads(capsys.readouterr().out)["N"] == 400
+        size = data.stat().st_size
+        assert peak < 1.1 * size, (peak, size)
+
     def test_missing_checkpoint_is_io_or_validation_error(self, workspace):
         rc = cli.main(
             ["rollout", "--ckpt", "/nonexistent/x.tsvc", "--out", "/tmp/x.smv"]

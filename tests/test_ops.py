@@ -201,12 +201,14 @@ def _matmul(a, b):
 
 def unblocked_shifted_gemms(taps, win, y_flat):
     """The tap loop that the column-blocked `ops._shifted_gemms` replaced,
-    kept as an oracle: each tap's GEMM streams the whole padded grid."""
-    y_mat = y_flat[:, : win.shape[-1]]
-    y_mat[...] = 0.0
-    for iu in range(taps.shape[0]):
-        for iv in range(taps.shape[1]):
-            y_mat += _matmul(taps[iu, iv], win[iu, iv])
+    kept as an oracle: each tap's GEMM streams the whole padded grid. Each
+    index of leading axes (stacked stride phases) runs the loop in turn."""
+    for p in np.ndindex(taps.shape[:-4]):
+        y_mat = y_flat[p][:, : win.shape[-1]]
+        y_mat[...] = 0.0
+        for iu in range(taps.shape[-4]):
+            for iv in range(taps.shape[-3]):
+                y_mat += _matmul(taps[p][iu, iv], win[p][iu, iv])
 
 
 def unblocked_shifted_gemms_backward(mats, flat, offs, dy_flat, dflat):
@@ -636,12 +638,16 @@ def test_windows_match_sliding_window_view(shape, kh, kw, stride, dtype):
 
 class TestTapStacks:
     """The forward shifted GEMMs run each conv's, or each stride phase's,
-    kernel taps as one strided product and one reduction on a one-block
-    grid, and tap by tap on larger grids. Either way they are bit for bit
-    the per-tap loop they replaced, sign bits included: the same products,
-    summed in tap order from +0.0. The cases cover one-block and multi-block
-    grids, C_in = 1 (a broadcast product), C_out = 1 (always per tap),
-    ReLU'd inputs holding exact zeros, and convs without bias."""
+    kernel taps as one strided product and one reduction where those
+    products fit the block budget or the grid is one block, and tap by tap
+    on larger grids; a transpose conv whose phases all carry k/stride taps
+    a side runs all its phases as one such stack when it fits. Either way
+    they are bit for bit the per-tap loop they replaced, sign bits
+    included: the same products, summed in tap order from +0.0. The cases
+    cover one-block and multi-block grids, C_in = 1 (a broadcast product),
+    C_out = 1 (stacked while the stack fits, per tap on larger grids), the
+    model's one-row heads and `stage.up*` shapes, ReLU'd inputs holding
+    exact zeros, and convs without bias."""
 
     CHANNELS = [(1, 4), (4, 1), (5, 3), (16, 8)]
 
@@ -674,6 +680,70 @@ class TestTapStacks:
         for bias in (b, None):
             got, _ = ops.conv_transpose2d_forward(x, w, bias, stride, pad)
             assert _same_bits(got, per_tap_conv_transpose2d_forward(x, w, bias, stride, pad))
+
+    # (transpose, c_in, c_out, size, k, stride, pad): the default model's
+    # one-row heads (`head.out`, `sub.subnet*.mask`) and its `stage.up*`
+    # transpose convs, `up0` as in each generator
+    MODEL_SHAPES = [
+        (False, 8, 1, 16, 3, 1, 1),
+        (False, 8, 1, 32, 3, 1, 1),
+        (True, 32, 16, 4, 4, 2, 1),
+        (True, 40, 16, 4, 4, 2, 1),
+        (True, 16, 8, 8, 4, 2, 1),
+        (True, 8, 8, 16, 4, 2, 1),
+    ]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bsz", [1, 9, 64])
+    @pytest.mark.parametrize("shape", MODEL_SHAPES)
+    def test_model_shapes_bit_equal_to_per_tap_loop(self, shape, bsz, dtype):
+        transpose, cin, cout, size, k, stride, pad = shape
+        rng = SeededRng(bsz + 5 * cin + size)
+        x = np.maximum(rng.normals((bsz, cin, size, size), dtype=dtype), 0.0)
+        w = rng.normals((cin, cout, k, k) if transpose else (cout, cin, k, k), dtype=dtype)
+        b = rng.normals((cout,), dtype=dtype)
+        for bias in (b, None):
+            if transpose:
+                got, _ = ops.conv_transpose2d_forward(x, w, bias, stride, pad)
+                want = per_tap_conv_transpose2d_forward(x, w, bias, stride, pad)
+            else:
+                got, _ = ops.conv2d_forward(x, w, bias, stride, pad)
+                want = per_tap_conv2d_forward(x, w, bias, pad)
+            assert _same_bits(got, want), bias is None
+
+    @pytest.mark.parametrize(
+        "shape,bsz,stacked",
+        [
+            (MODEL_SHAPES[0], 1, True),
+            (MODEL_SHAPES[1], 9, True),
+            (MODEL_SHAPES[1], 64, False),  # 74k columns: per tap
+            (MODEL_SHAPES[3], 9, True),
+            (MODEL_SHAPES[4], 9, True),
+            (MODEL_SHAPES[5], 1, True),
+            (MODEL_SHAPES[5], 9, False),  # per phase
+            (MODEL_SHAPES[3], 64, False),
+        ],
+    )
+    def test_stacks_run_where_they_fit_the_block_budget(self, monkeypatch, shape, bsz, stacked):
+        transpose, cin, cout, size, k, stride, pad = shape
+        seen = []
+        real = ops._shifted_gemms
+
+        def spy(taps, win, y_flat):
+            seen.append((taps.ndim, ops._fits(taps, win.shape[-1], y_flat)))
+            return real(taps, win, y_flat)
+
+        monkeypatch.setattr(ops, "_shifted_gemms", spy)
+        x, w, b = self._inputs(bsz, cin, cout, size, k, np.float32, transpose)
+        x = x[..., :size]
+        if transpose:
+            # all phases in one call when stacked, one call per phase otherwise
+            ops.conv_transpose2d_forward(x, w, b, stride, pad)
+            assert [ndim for ndim, _ in seen] == ([6] if stacked else [4] * 4)
+        else:
+            # a one-row product stacks exactly when its stack fits
+            ops.conv2d_forward(x, w, b, stride, pad)
+            assert seen == [(4, stacked)]
 
     @pytest.mark.parametrize("transpose", [False, True])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -719,10 +789,10 @@ class TestTapStacks:
         monkeypatch.setattr(ops, "_shifted_gemms", spy)
         x, w, b = self._inputs(1, 5, 3, 4, 4, np.float32, transpose=True)
         ops.conv_transpose2d_forward(x, w, b, 2, 1)
-        assert len(seen) == 4
+        assert len(seen) == 1  # the four stride phases as one stack
         for taps, win in seen:
-            assert taps.shape == (2, 2, 3, 5) and np.shares_memory(taps, w)
-            assert win.shape[:3] == (2, 2, 5) and not win.flags.writeable
+            assert taps.shape == (2, 2, 2, 2, 3, 5) and np.shares_memory(taps, w)
+            assert win.shape[:5] == (2, 2, 2, 2, 5) and not win.flags.writeable
 
     def test_tap_window_stays_inside_the_grid(self):
         flat = np.zeros((2, 10), dtype=np.float32)

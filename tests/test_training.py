@@ -654,6 +654,46 @@ class TestRollout:
         assert not np.array_equal(a.frames, b.frames)
 
 
+class TestStackedConvBytes:
+    """Rollouts and the held-out next-frame L2 of the default model give the
+    bytes of the per-tap conv loops at any BLAS thread count: the stacked
+    tap and stride-phase products of `ops` change no rounding."""
+
+    @staticmethod
+    def _run(tmp_path):
+        path = tmp_path / "d.smv"
+        if not path.exists():
+            gen_dataset(4, 3, 5, ClipSpec(frames=10, size=32), path)
+        data = load_dataset(path)
+        bundle = model.build_model(model.ModelConfig(), SeededRng(9))
+        clips = [training.rollout(bundle, a, SeededRng(40 + a)).frames for a in range(4)]
+        # each of the 4 held-out clips of 10 frames is a batch of 9 transitions
+        assert len(data.test_ids) == 4
+        l2 = training.model_next_frame_l2(bundle, data, data.test_ids)
+        return clips, l2
+
+    def test_rollouts_and_l2_equal_the_per_tap_loops(self, tmp_path, monkeypatch):
+        from test_ops import per_tap_conv2d_forward, per_tap_conv_transpose2d_forward
+
+        got_clips, got_l2 = self._run(tmp_path)
+        conv2d = ops.conv2d_forward
+
+        def conv2d_per_tap(x, w, b=None, stride=1, pad=0):
+            if stride != 1:  # strided convs have one GEMM, no taps
+                return conv2d(x, w, b, stride, pad)
+            return per_tap_conv2d_forward(x, w, b, pad), None
+
+        def conv_transpose2d_per_tap(x, w, b=None, stride=1, pad=0):
+            return per_tap_conv_transpose2d_forward(x, w, b, stride, pad), None
+
+        monkeypatch.setattr(ops, "conv2d_forward", conv2d_per_tap)
+        monkeypatch.setattr(ops, "conv_transpose2d_forward", conv_transpose2d_per_tap)
+        want_clips, want_l2 = self._run(tmp_path)
+        assert len(got_clips) == 4 and all(c.shape == (10, 1, 32, 32) for c in got_clips)
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got_clips, want_clips))
+        assert np.isfinite(got_l2) and np.float64(got_l2).tobytes() == np.float64(want_l2).tobytes()
+
+
 def with_config(raw, drop=None, **changes):
     """The bytes of TSVC checkpoint `raw` with its in-file config edited:
     `changes` set, `drop` removed, and the manifest length rewritten."""
