@@ -20,9 +20,9 @@ block of the batch runs one broadcast multiply of all taps and one
 reduction that adds them in tap order from +0.0, bit for bit the per-tap
 multiply-add it replaced. The backward loops over the taps: each tap's
 weight gradient is the channel sum of the shifted content times the
-upstream gradient, and the content gradient (skipped when the caller does
-not need it) scatters the weighted upstream gradient back through the same
-shifts onto the padded map.
+upstream gradient, and the content gradient, if asked for, rebuilds the
+tap weights from the cached field and scatters the weighted upstream
+gradient back through the same shifts. Pyramid backwards consume caches.
 
 Content maps are (C, H, W) or batched (B, C, H, W); kernel fields follow
 with (H, W, n)/(H, W, n*n) plus an optional leading batch axis; masks are
@@ -168,19 +168,25 @@ def _check_field(h, f, n, what):
 
 
 def _tap_weights(h, kernels):
-    """Per-tap weight maps (n*n, B, H, W), taps row-major over (u, v), plus
-    the separable factors (n, B, H, W) each, or None for a dense field.
-    An unbatched field gets a batch axis of 1, which broadcasts."""
+    """Per-tap weight maps (n*n, B, H, W), taps row-major over (u, v), and
+    the field's taps-first copy they come from: the separable factors (n, B,
+    H, W) each, or the maps. A batch axis of 1 broadcasts an unbatched one."""
     n = kernels.n
     if isinstance(kernels, SeparableKernelField):
         _check_field(h, kernels.wv, n, "separable kernel field")
         wv = _lift(kernels.wv, 4)[0].transpose(3, 0, 1, 2).copy()
         wh = _lift(kernels.wh, 4)[0].transpose(3, 0, 1, 2).copy()
-        return (wv[:, None] * wh[None]).reshape((n * n,) + wv.shape[1:]), (wv, wh)
+        return _tap_products(wv, wh), (wv, wh)
     if isinstance(kernels, DenseKernelField):
         _check_field(h, kernels.w, n, "dense kernel field")
-        return _lift(kernels.w, 4)[0].transpose(3, 0, 1, 2).copy(), None
+        k = _lift(kernels.w, 4)[0].transpose(3, 0, 1, 2).copy()
+        return k, k
     raise TypeError(f"unsupported kernel field type {type(kernels).__name__}")
+
+
+def _tap_products(wv, wh):
+    """The per-tap weight maps wv[u] * wh[v] of separable factors."""
+    return (wv[:, None] * wh[None]).reshape((len(wv) * len(wh),) + wv.shape[1:])
 
 
 def _taps(n, hh, ww):
@@ -210,7 +216,7 @@ def adaptive_conv_forward(h, kernels):
     `kernels` is a SeparableKernelField or DenseKernelField; the per-pixel
     kernel is shared across all content channels.
     """
-    k, factors = _tap_weights(h, kernels)
+    k, field = _tap_weights(h, kernels)
     h4, lifted = _lift(h, 4)
     n = kernels.n
     bsz, c, hh, ww = h4.shape
@@ -225,9 +231,8 @@ def adaptive_conv_forward(h, kernels):
         prods = _work_buffer("block", (n, n, b1 - b0, c, hh, ww), out.dtype)
         np.multiply(k6 if k.shape[1] == 1 else k6[:, :, b0:b1], win[:, :, b0:b1], out=prods)
         _sum_taps(prods.reshape((n * n,) + prods.shape[2:]), out[b0:b1])
-    field = kernels.wv if factors is not None else kernels.w
-    cache = (hp, k, factors, lifted, field.ndim == 3)
-    return (out[0] if lifted else out), cache
+    given = kernels.wv if isinstance(field, tuple) else kernels.w
+    return (out[0] if lifted else out), (hp, field, lifted, given.ndim == 3)
 
 
 def adaptive_conv_backward(dy, cache, content=True):
@@ -237,7 +242,7 @@ def adaptive_conv_backward(dy, cache, content=True):
     a SeparableKernelField of (dwv, dwh) or a DenseKernelField of dw. With
     `content` False the content gradient is not computed and dh is None.
     """
-    hp, k, factors, lifted, field_unbatched = cache
+    hp, field, lifted, field_unbatched = cache
     dy4 = dy[None] if lifted else dy
     hh, ww = dy4.shape[2:]
     n = hp.shape[2] - hh + 1
@@ -247,11 +252,11 @@ def adaptive_conv_backward(dy, cache, content=True):
         np.einsum("bchw,bchw->bhw", hp[window], dy4, out=dk[t])
     if field_unbatched:
         dk = dk.sum(axis=1, keepdims=True)
-    if factors is None:
+    if not isinstance(field, tuple):
         dw = dk.transpose(1, 2, 3, 0)
         dkern = DenseKernelField(w=(dw[0] if field_unbatched else dw).copy())
     else:
-        wv, wh = factors
+        wv, wh = field
         dk = dk.reshape((n, n) + dk.shape[1:])
         dwv = (dk * wh[None]).sum(axis=1).transpose(1, 2, 3, 0)
         dwh = (dk * wv[:, None]).sum(axis=0).transpose(1, 2, 3, 0)
@@ -260,6 +265,7 @@ def adaptive_conv_backward(dy, cache, content=True):
         dkern = SeparableKernelField(wv=dwv.copy(), wh=dwh.copy())
     if not content:
         return None, dkern
+    k = _tap_products(*field) if isinstance(field, tuple) else field
     dp = np.zeros(hp.shape, dtype=np.result_type(k, dy4))
     prod = np.empty(dy4.shape, dtype=dp.dtype)
     for t, window in taps:
@@ -338,10 +344,14 @@ def fuse_pyramid_backward(d_refined, caches, content=True):
     """Per-scale gradients: (d_pyramid, d_kernels, d_masks) lists.
 
     With `content` False (the content pyramid is frozen) no pyramid
-    gradient is built and d_pyramid is None.
+    gradient is built and d_pyramid is None. Each scale's caches leave
+    `caches` as they are read.
     """
+    if len(caches) != len(d_refined):
+        raise ValueError(f"{len(caches)} of {len(d_refined)} scales cached: a backward consumed them")
     d_pyramid, d_kernels, d_masks = [], [], []
-    for dy, (conv_cache, blend_cache) in zip(d_refined, caches):
+    for dy in d_refined:
+        conv_cache, blend_cache = caches.pop(0)
         dh_direct, dht, dm = mask_blend_backward(dy, blend_cache, content)
         dh_conv, dk = adaptive_conv_backward(dht, conv_cache, content)
         if content:

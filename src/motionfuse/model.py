@@ -15,10 +15,11 @@ Every network is a plain list of layer objects, and each generator one
 list per fusion scale, built once per `ModelConfig`; the label and
 motion-embedding joins, the kernel and mask heads and the convLSTM step are
 layers too. `_forward` runs every layer and records the chain that
-`_backward` walks back. Two passes, each with its own backward, wire the
-networks: the content pass (encode a frame, draw the latent, decode the
-pyramid and, if asked, the frame) and the motion pass (decode kernel fields
-and masks, fuse them into a pyramid, decode the next frame). Every caller
+`_backward` walks back, releasing each cache once read. Two passes, each
+with its own backward, wire the networks: the content pass (encode a frame,
+draw the latent, decode the pyramid and, unless frozen, the frame) and the
+motion pass (decode kernel fields and masks, fuse them into a pyramid,
+decode the next frame). Every caller
 composes these: the trainer's content phase runs the content pass;
 `forward_next_frame` / `backward_next_frame` add the motion encoder and one
 convLSTM step for the motion phase, eval and the end-to-end gradient check;
@@ -242,30 +243,35 @@ class _LstmCell(_Layer):
         return dx
 
 
-def _forward(layers, params: ops.ParamSet, x, side=None):
-    """Run a list of layers; the cache is the list of (layer, cache) pairs."""
-    chain = []
+def _forward(layers, params: ops.ParamSet, x, side=None, keep=True):
+    """Run a list of layers; the cache is the (layer, cache) pairs, None without `keep`."""
+    chain = [] if keep else None
     for layer in layers:
         x, cache = layer.forward(params, x, side)
-        chain.append((layer, cache))
+        if keep:
+            chain.append((layer, cache))
     return x, chain
 
 
 def _backward(params: ops.ParamSet, dy, chain, side=None):
-    for layer, cache in reversed(chain):
+    """Walk the chain back, popping each (layer, cache) as its backward runs."""
+    if not chain:
+        raise ValueError("no layer caches: the forward kept none, or a backward consumed them")
+    while chain:
+        layer, cache = chain.pop()
         dy = layer.backward(params, dy, cache, side)
     return dy
 
 
-def _pyramid_forward(lists, params: ops.ParamSet, x, side=None):
+def _pyramid_forward(lists, params: ops.ParamSet, x, side=None, keep=True):
     """Run the layer lists in turn, each on the last one's output: y is the
     list of their outputs, the pyramid."""
     pyramid, chains = [], []
     for layers in lists:
-        x, chain = _forward(layers, params, x, side)
+        x, chain = _forward(layers, params, x, side, keep)
         pyramid.append(x)
         chains.append(chain)
-    return pyramid, (chains, x.shape, x.dtype)
+    return pyramid, ((chains, x.shape, x.dtype) if keep else None)
 
 
 def _pyramid_backward(params: ops.ParamSet, d_pyramid, cache, side=None):
@@ -520,10 +526,10 @@ def one_hot(labels, k: int, dtype=np.float32) -> np.ndarray:
     return out
 
 
-def encode(params: ops.ParamSet, cfg: ModelConfig, x, onehot, latent: int):
+def encode(params: ops.ParamSet, cfg: ModelConfig, x, onehot, latent: int, keep=True):
     nets = _networks(cfg)
     layers = nets.enc_c if latent == cfg.latent_c else nets.enc_m
-    out, cache = _forward(layers, params, x, SimpleNamespace(labels=onehot))
+    out, cache = _forward(layers, params, x, SimpleNamespace(labels=onehot), keep)
     q = GaussianParams(mean=out[:, :latent].copy(), logvar=out[:, latent:].copy())
     return q, cache
 
@@ -532,10 +538,10 @@ def encode_backward(params, enc_cache: list, dmean, dlogvar):
     _backward(params, np.concatenate([dmean, dlogvar], axis=1), enc_cache)
 
 
-def decode_content(bundle: ModelBundle, eps_c, onehot):
+def decode_content(bundle: ModelBundle, eps_c, onehot, keep=True):
     """The content generator's pyramid (coarsest first) and cache."""
     side = SimpleNamespace(labels=onehot)
-    return _pyramid_forward(_networks(bundle.config).gen_c, bundle.gen_c, eps_c, side)
+    return _pyramid_forward(_networks(bundle.config).gen_c, bundle.gen_c, eps_c, side, keep)
 
 
 def decode_content_backward(bundle: ModelBundle, cache: tuple, d_pyramid):
@@ -586,7 +592,16 @@ def motion_fields_backward(bundle: ModelBundle, cache, d_kernels, d_masks):
 #
 # A pass returns its outputs with the caches of every network it ran; its
 # `backward` method takes loss gradients on those outputs (None for none)
-# and accumulates parameter gradients.
+# and accumulates parameter gradients, releasing each cache once read. A
+# frozen pass, which nothing backpropagates through, keeps none.
+
+
+def _take_caches(owner, what):
+    """Take `owner.caches` for a backward, or raise where none are left."""
+    caches, owner.caches = owner.caches, None
+    if caches is None:
+        raise ValueError(f"the {what} keeps no caches: it ran frozen, or a backward consumed them")
+    return caches
 
 
 def _posterior_backward(params, enc_cache, q: GaussianParams, eta, d_eps, d_q):
@@ -620,13 +635,13 @@ class ContentPass:
     eps: np.ndarray
     pyramid: list
     x: np.ndarray
-    caches: tuple = field(repr=False)  # (encoder, generator, head); None if frozen
+    caches: tuple = field(repr=False)  # (encoder, generator, head); None if frozen or used
 
     def backward(self, bundle: ModelBundle, d_x=None, d_pyramid=None, d_eps=None, d_q=None):
         """Into enc_c and gen_c: d_x on the frame, d_pyramid per scale,
         d_eps on the draw from its other reader (the motion generator) and
         d_q on the posterior."""
-        enc, gen, head = self.caches
+        enc, gen, head = _take_caches(self, "content pass")
         grads = _with_head_grad(bundle, head, d_pyramid, d_x)
         if any(g is not None for g in grads):
             d_dec = decode_content_backward(bundle, gen, grads)
@@ -636,15 +651,15 @@ class ContentPass:
         _posterior_backward(bundle.enc_c, enc, self.q, self.eta, d_eps, d_q)
 
 
-def content_pass(bundle: ModelBundle, x, onehot, eta, head: bool = True) -> ContentPass:
+def content_pass(bundle: ModelBundle, x, onehot, eta, frozen: bool = False) -> ContentPass:
     """Encode frame x, draw eps with noise eta (zeros give the posterior
-    mean), decode the pyramid and, with `head`, its finest map into a frame."""
+    mean), decode the pyramid and the frame; `frozen`, no frame and no caches."""
     cfg = bundle.config
-    q, enc = encode(bundle.enc_c, cfg, x, onehot, cfg.latent_c)
+    q, enc = encode(bundle.enc_c, cfg, x, onehot, cfg.latent_c, keep=not frozen)
     eps = q.sample(eta)
-    pyramid, gen = decode_content(bundle, eps, onehot)
-    x_out, head_cache = decode_head(bundle, pyramid[-1]) if head else (None, None)
-    return ContentPass(q, eta, eps, pyramid, x_out, (enc, gen, head_cache))
+    pyramid, gen = decode_content(bundle, eps, onehot, keep=not frozen)
+    x_out, head = (None, None) if frozen else decode_head(bundle, pyramid[-1])
+    return ContentPass(q, eta, eps, pyramid, x_out, None if frozen else (enc, gen, head))
 
 
 @dataclass
@@ -656,13 +671,13 @@ class MotionPass:
     masks: list
     refined: list
     x: np.ndarray
-    caches: tuple = field(repr=False)  # (motion generator, fusion, head)
+    caches: tuple = field(repr=False)  # (motion generator, fusion, head); None once used
 
     def backward(self, bundle: ModelBundle, d_x=None, d_refined=None, content: bool = True):
         """Into gen_m (and the head, in gen_c): d_x on the frame and
         d_refined per scale. Returns (d pyramid, d eps_c, d e_m); d pyramid
         is None unless `content`."""
-        gen, fuse, head = self.caches
+        gen, fuse, head = _take_caches(self, "motion pass")
         d_ref = _with_head_grad(bundle, head, d_refined, d_x)
         d_ref = [np.zeros_like(r) if g is None else g for g, r in zip(d_ref, self.refined)]
         d_pyramid, d_kernels, d_masks = fusion.fuse_pyramid_backward(d_ref, fuse, content)
@@ -686,7 +701,7 @@ class ForwardResult:
     motion: MotionPass
     q_m: GaussianParams
     eta_m: np.ndarray
-    caches: tuple = field(repr=False)  # (motion encoder, convLSTM step)
+    caches: tuple = field(repr=False)  # (motion encoder, convLSTM step); None once used
 
     x_recon = property(lambda self: self.content.x)
     q_c = property(lambda self: self.content.q)
@@ -717,9 +732,7 @@ def forward_next_frame(
             f"({cfg.channels}, {cfg.size}, {cfg.size})"
         )
     onehot = one_hot(labels, cfg.classes, x_t.dtype)
-    cp = content_pass(bundle, x_t, onehot, eta_c, head=content)
-    if not content:
-        cp.caches = None
+    cp = content_pass(bundle, x_t, onehot, eta_c, frozen=not content)
     q_m, enc_m = encode(bundle.enc_m, cfg, dx, onehot, cfg.latent_m)
     e_m, _, lstm = lstm_embed(bundle, q_m.sample(eta_m))
     mp = motion_pass(bundle, cp.pyramid, cp.eps, e_m, onehot)
@@ -743,12 +756,15 @@ def backward_next_frame(
     (enc_c, gen_c) and motion stream (enc_m, gen_m, lstm); the motion phase
     freezes content, the end-to-end check enables both. Next-frame and
     refined gradients reach either stream only through the motion pass,
-    so they need `motion`.
+    so they need `motion`. It consumes the caches it reads, and raises a
+    ValueError over spent caches or, with `content`, a frozen content pass.
     """
+    if content and result.content.caches is None:  # raise before any gradient accumulates
+        _take_caches(result.content, "content pass")
     d_pyramid = d_eps_c = None
     if motion:
+        enc_m, lstm = _take_caches(result, "motion encoder and convLSTM step")
         d_pyramid, d_eps_c, d_e_m = result.motion.backward(bundle, d_x_next, d_refined, content)
-        enc_m, lstm = result.caches
         d_eps_m = _backward(bundle.lstm, d_e_m, lstm)
         _posterior_backward(bundle.enc_m, enc_m, result.q_m, result.eta_m, d_eps_m, d_q_m)
     elif d_x_next is not None or d_refined is not None:
@@ -780,12 +796,12 @@ class ClassifierCache:
     transitions: int  # per clip: T - 1
 
 
-def classifier_forward(params: ops.ParamSet, cfg: ModelConfig, clips: np.ndarray):
-    """Frame-averaged logits over the clip's transitions."""
+def classifier_forward(params: ops.ParamSet, cfg: ModelConfig, clips: np.ndarray, keep=True):
+    """Frame-averaged logits over the clip's transitions; no cache without `keep`."""
     x, tm1 = classifier_inputs(clips)
-    logits_all, chain = _forward(_networks(cfg).classifier, params, x)
+    logits_all, chain = _forward(_networks(cfg).classifier, params, x, keep=keep)
     logits = logits_all.reshape(clips.shape[0], tm1, cfg.classes).mean(axis=1)
-    return logits, ClassifierCache(chain, tm1)
+    return logits, (ClassifierCache(chain, tm1) if keep else None)
 
 
 def classifier_backward(params: ops.ParamSet, cls_cache: ClassifierCache, d_logits):
@@ -795,6 +811,6 @@ def classifier_backward(params: ops.ParamSet, cls_cache: ClassifierCache, d_logi
 
 
 def classifier_probs(params: ops.ParamSet, cfg: ModelConfig, clips: np.ndarray) -> np.ndarray:
-    logits, _ = classifier_forward(params, cfg, clips)
+    logits, _ = classifier_forward(params, cfg, clips, keep=False)
     # float64 softmax so the rows satisfy the strict sum-to-one contract
     return ops.softmax_logits(logits.astype(np.float64))

@@ -114,16 +114,16 @@ def xavier_uniform(rng: SeededRng, shape, fan_in: int, fan_out: int, dtype=np.fl
 # +0.0, and only the grid's last block ends in a part of a 64-column tile,
 # as one product over the grid would.
 #
-# The temporaries of these GEMMs (the output grid, the gradient grids and
-# the block buffer) come from work buffers that live across calls: one flat
-# array per role and dtype and per thread, grown to the largest request and
-# sliced to each call's shape (`_work_buffer`). A training step then
-# touches no fresh pages, where fresh arrays would have the heap trimmed
-# and refaulted every step. A forward writes every grid column it reads
-# before reading it, so its buffers need no zero fill; the backward's are
-# zero-filled wherever fresh arrays were zeros. Nothing that outlives a
-# call may be one: cached inputs and column matrices stay fresh arrays, and
-# every output read from a work buffer is an explicit copy, since
+# The temporaries of these GEMMs (the output grid, the gradient grids, the
+# block buffer and the stacked taps' sum) come from work buffers that live
+# across calls: one flat array per role and dtype and per thread, grown to
+# the largest request and sliced to each call's shape (`_work_buffer`). A
+# training step then touches no fresh pages, where fresh arrays would have
+# the heap trimmed and refaulted every step. A forward writes every grid
+# column it reads before reading it, so its buffers need no zero fill; the
+# backward's are zero-filled wherever fresh arrays were zeros. Nothing that
+# outlives a call may be one: cached inputs and column matrices stay fresh
+# arrays, and every output read from a work buffer is an explicit copy, since
 # `np.ascontiguousarray` of an already contiguous slice (a 1x1, pad-0 conv
 # at batch 1) would hand back the buffer itself.
 
@@ -240,11 +240,14 @@ def _shifted_gemms(taps, win, y_flat):
     n = win.shape[-1]
     product = np.multiply if cin == 1 else np.matmul
     if _fits(taps, n, y_flat) or cout > 1 and len(_blocks(n, cout, cin, y_flat.itemsize)) == 1:
-        # every tap product in one call and their sum in one reduction,
-        # as per-tap dispatch would cost more than the products
+        # every tap product in one call and their sum in one reduction, as
+        # per-tap dispatch would cost more than the products; the sum goes to
+        # a contiguous buffer, 2-3x faster than into the grid's columns
         prods = _work_buffer("block", taps.shape[:-4] + (tu * tv, cout, n), y_flat.dtype)
         product(taps, win, out=prods.reshape(taps.shape[:-1] + (n,)))
-        np.add.reduce(prods, axis=-3, initial=0.0, out=y_flat[..., :n])
+        total = _work_buffer("sum", prods.shape[:-3] + prods.shape[-2:], y_flat.dtype)
+        np.add.reduce(prods, axis=-3, initial=0.0, out=total)
+        y_flat[..., :n] = total
         return
     # tap by tap per column block, each product summed while in cache: at
     # this size a stacked product costs more in memory traffic than it

@@ -197,7 +197,7 @@ class Trainer:
         # consistency target: the frozen content pass on the next frame at
         # its posterior mean; nothing backpropagates into it
         zeros = np.zeros_like(eta_c)
-        target_pyramid = model.content_pass(self.bundle, x_next, onehot, zeros, head=False).pyramid
+        target_pyramid = model.content_pass(self.bundle, x_next, onehot, zeros, frozen=True).pyramid
 
         consistency = losses.content_consistency_loss(res.refined, target_pyramid)
         video_recon = losses.l2_loss(res.x_next, x_next)
@@ -211,6 +211,7 @@ class Trainer:
         d_refined = [
             w.l3 * g for g in losses.content_consistency_loss_grad(res.refined, target_pyramid)
         ]
+        del target_pyramid  # the backward reads only its gradient
         kg_mean, kg_logvar = losses.kl_to_standard_normal_grad(res.q_m)
         model.backward_next_frame(
             self.bundle,

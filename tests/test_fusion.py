@@ -466,12 +466,22 @@ class TestFusePyramid:
         rng = SeededRng(19)
         d_refined = [rng.normals(r.shape, dtype=np.float32) for r in refined]
         d_pyr, d_k, d_m = fusion.fuse_pyramid_backward(d_refined, caches, content=False)
+        _, caches = fusion.fuse_pyramid_forward(pyr, kernels, masks)  # the backward consumed them
         full_pyr, full_k, full_m = fusion.fuse_pyramid_backward(d_refined, caches)
         assert d_pyr is None and [p.shape for p in full_pyr] == [p.shape for p in pyr]
         for a, b in zip(d_k, full_k):
             assert np.array_equal(a.wv, b.wv) and np.array_equal(a.wh, b.wh)
         for a, b in zip(d_m, full_m):
             assert np.array_equal(a, b)
+
+    def test_second_backward_over_consumed_caches_raises(self):
+        pyr, kernels, masks = self._pyramid(SeededRng(20))
+        refined, caches = fusion.fuse_pyramid_forward(pyr, kernels, masks)
+        d_refined = [np.ones_like(r) for r in refined]
+        fusion.fuse_pyramid_backward(d_refined, caches)
+        assert caches == []
+        with pytest.raises(ValueError, match="a backward consumed them"):
+            fusion.fuse_pyramid_backward(d_refined, caches)
 
 
 class TestBatchMismatch:

@@ -382,12 +382,17 @@ class TestPhaseGating:
         # stream; what the motion sets receive must not change by a bit
         bundle = micro_bundle(dtype=np.float32)
         x, dx, eta_c, eta_m, labels = micro_batch(dtype=np.float32, bsz=3)
-        res = model.forward_next_frame(bundle, x, dx, labels, eta_c=eta_c, eta_m=eta_m)
+
+        def forward():
+            return model.forward_next_frame(bundle, x, dx, labels, eta_c=eta_c, eta_m=eta_m)
+
+        res = forward()
         rng = SeededRng(8)
         d_refined = [rng.normals(r.shape, dtype=np.float32) for r in res.refined]
         d_q_m = tuple(rng.normals(res.q_m.mean.shape, dtype=np.float32) for _ in range(2))
         grads = {}
         for content in (True, False):
+            res = forward()  # each backward consumes the caches of its forward
             bundle.zero_grads()
             model.backward_next_frame(
                 bundle,
@@ -430,6 +435,76 @@ class TestPhaseGating:
         res = model.forward_next_frame(bundle, x, dx, labels, eta_c=eta_c, eta_m=eta_m)
         with pytest.raises(ValueError, match="motion=True"):
             model.backward_next_frame(bundle, res, d_x_next=np.ones_like(x), motion=False)
+
+
+def _no_grads(param_sets):
+    return all(not ps.grad(n).any() for ps in param_sets for n in ps.names())
+
+
+class TestCacheLifetime:
+    """A backward consumes the caches it reads, and a frozen pass keeps
+    none: a backward over either raises a ValueError that says so, before
+    any gradient accumulates, where it would otherwise return wrong
+    gradients."""
+
+    @staticmethod
+    def _forward(bundle, content=True):
+        x, dx, eta_c, eta_m, labels = micro_batch()
+        return model.forward_next_frame(
+            bundle, x, dx, labels, eta_c=eta_c, eta_m=eta_m, content=content
+        )
+
+    def test_backward_into_a_frozen_content_pass_raises(self):
+        bundle = micro_bundle()
+        res = self._forward(bundle, content=False)
+        bundle.zero_grads()
+        with pytest.raises(ValueError, match="content pass keeps no caches: it ran frozen"):
+            model.backward_next_frame(bundle, res, d_x_next=np.ones_like(res.x_next))
+        assert _no_grads(bundle.param_sets().values())
+        # the motion stream's backward still runs
+        model.backward_next_frame(bundle, res, d_x_next=np.ones_like(res.x_next), content=False)
+        assert not _no_grads(bundle.motion_sets().values())
+
+    def test_frozen_content_pass_has_no_backward(self):
+        bundle = micro_bundle()
+        x, _, eta_c, _, labels = micro_batch()
+        onehot = model.one_hot(labels, MICRO.classes, x.dtype)
+        cp = model.content_pass(bundle, x, onehot, eta_c, frozen=True)
+        assert cp.x is None and cp.caches is None
+        unfrozen = model.content_pass(bundle, x, onehot, eta_c)
+        for a, b in zip(cp.pyramid, unfrozen.pyramid):
+            assert np.array_equal(a, b)
+        with pytest.raises(ValueError, match="frozen"):
+            cp.backward(bundle, d_pyramid=[np.ones_like(p) for p in cp.pyramid])
+
+    def test_second_backward_over_a_consumed_step_raises(self):
+        bundle = micro_bundle()
+        res = self._forward(bundle)
+        grads = dict(d_x_next=np.ones_like(res.x_next), d_x_recon=np.ones_like(res.x_recon))
+        model.backward_next_frame(bundle, res, **grads)
+        assert res.caches is None and res.motion.caches is None and res.content.caches is None
+        bundle.zero_grads()
+        with pytest.raises(ValueError, match="consumed"):
+            model.backward_next_frame(bundle, res, **grads)
+        with pytest.raises(ValueError, match="consumed"):
+            res.content.backward(bundle, d_x=grads["d_x_recon"])
+        assert _no_grads(bundle.param_sets().values())
+
+    def test_second_backward_over_a_consumed_layer_chain_raises(self):
+        params = model.build_classifier(MICRO, SeededRng(3))
+        clips = SeededRng(4).normals((2, 4, 1, 16, 16))
+        logits, cache = model.classifier_forward(params, MICRO, clips)
+        model.classifier_backward(params, cache, np.ones_like(logits))
+        assert cache.chain == []
+        with pytest.raises(ValueError, match="consumed"):
+            model.classifier_backward(params, cache, np.ones_like(logits))
+
+    def test_scoring_keeps_no_caches(self):
+        params = model.build_classifier(MICRO, SeededRng(3))
+        clips = SeededRng(4).normals((2, 4, 1, 16, 16))
+        logits, cache = model.classifier_forward(params, MICRO, clips, keep=False)
+        assert cache is None
+        assert np.array_equal(logits, model.classifier_forward(params, MICRO, clips)[0])
 
 
 class TestClassifier:
