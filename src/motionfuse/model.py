@@ -679,7 +679,9 @@ class MotionPass:
         is None unless `content`."""
         gen, fuse, head = _take_caches(self, "motion pass")
         d_ref = _with_head_grad(bundle, head, d_refined, d_x)
-        d_ref = [np.zeros_like(r) if g is None else g for g, r in zip(d_ref, self.refined)]
+        # a scale's shape from its blend cache's content map: a caller may
+        # have released `refined` and `kernels`, which no backward reads
+        d_ref = [np.zeros_like(blend[0]) if g is None else g for g, (_, blend) in zip(d_ref, fuse)]
         d_pyramid, d_kernels, d_masks = fusion.fuse_pyramid_backward(d_ref, fuse, content)
         return (d_pyramid, *motion_fields_backward(bundle, gen, d_kernels, d_masks))
 

@@ -114,18 +114,24 @@ def xavier_uniform(rng: SeededRng, shape, fan_in: int, fan_out: int, dtype=np.fl
 # +0.0, and only the grid's last block ends in a part of a 64-column tile,
 # as one product over the grid would.
 #
-# The temporaries of these GEMMs (the output grid, the gradient grids, the
-# block buffer and the stacked taps' sum) come from work buffers that live
-# across calls: one flat array per role and dtype and per thread, grown to
-# the largest request and sliced to each call's shape (`_work_buffer`). A
-# training step then touches no fresh pages, where fresh arrays would have
-# the heap trimmed and refaulted every step. A forward writes every grid
-# column it reads before reading it, so its buffers need no zero fill; the
-# backward's are zero-filled wherever fresh arrays were zeros. Nothing that
-# outlives a call may be one: cached inputs and column matrices stay fresh
-# arrays, and every output read from a work buffer is an explicit copy, since
-# `np.ascontiguousarray` of an already contiguous slice (a 1x1, pad-0 conv
-# at batch 1) would hand back the buffer itself.
+# The temporaries of these GEMMs (the padded input grid, the output grid,
+# the gradient grids, the block buffer and the stacked taps' sum) come from
+# work buffers that live across calls: one flat array per role and dtype and
+# per thread, grown to the largest request and sliced to each call's shape
+# (`_work_buffer`). A training step then touches no fresh pages, where fresh
+# arrays would have the heap trimmed and refaulted every step. The output
+# grids need no zero fill, as a forward writes every grid column it reads
+# before reading it; the input grid and the backward's gradient grids are
+# zero-filled wherever fresh arrays were zeros. Nothing that outlives a
+# call may be one. A conv caches its input x itself, as `linear_forward`
+# does, and its backward pads x, and unrolls a strided conv's columns, again:
+# a cached copy would hold a second copy of every conv input through a
+# training step, three of a subnet's trunk output (one per kernel head) and a
+# strided conv's 9x column matrix, where padding again costs one copy per
+# backward (memory for recompute, as in Chen et al. 2016, arXiv:1604.06174).
+# Every output read from a work buffer is an explicit copy, since
+# `np.ascontiguousarray` of an already contiguous slice (a 1x1, pad-0 conv at
+# batch 1) would hand back the buffer itself.
 
 _BLOCK_BYTES = 1 << 20
 
@@ -148,11 +154,17 @@ def _work_buffer(role, shape, dtype):
     return flat[:n].reshape(shape)
 
 
-def _channel_major_padded(x, pad):
-    """(B, C, H, W) -> zero-padded (C, B, H + 2 pad, W + 2 pad) copy."""
+def _channel_major_padded(x, pad, grid=None):
+    """(B, C, H, W) -> (C, B, Hp, Wp) in this thread's "x" work buffer, zero
+    but for x at row lead_h, column lead_w of every image: `grid` is (lead_h,
+    lead_w, Hp, Wp), by default `pad` zeros on every side. One fill of the
+    whole grid costs less than zeroing just the ring around x, whose
+    columns are one or two values per row."""
     bsz, c, h, w = x.shape
-    xp = np.zeros((c, bsz, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
-    xp[:, :, pad : pad + h, pad : pad + w] = x.transpose(1, 0, 2, 3)
+    lead_h, lead_w, hp, wp = grid or (pad, pad, h + 2 * pad, w + 2 * pad)
+    xp = _work_buffer("x", (c, bsz, hp, wp), x.dtype)
+    xp[...] = 0.0
+    xp[:, :, lead_h : lead_h + h, lead_w : lead_w + w] = x.transpose(1, 0, 2, 3)
     return xp
 
 
@@ -365,14 +377,11 @@ def _correlate(x, wt, plan, ho, wo):
     """Forward of a conv `plan` with the (k, k, C_out, C_in) tap stack `wt`:
     pads x onto the plan's grid and runs each phase's taps over its window
     (`_shifted_gemms`), or every phase's at once where the plan's `stack`
-    allows and the products fit. Returns the (B, C_out, Ho, Wo) output and
-    the flattened padded input."""
-    (lead_h, lead_w, hp, wp), step, phases, stack = plan
-    bsz, cin, h, wd = x.shape
+    allows and the products fit. Returns the (B, C_out, Ho, Wo) output."""
+    (_, _, hp, wp), step, phases, stack = plan
+    bsz, cin = x.shape[:2]
     cout = wt.shape[2]
-    xp = np.zeros((cin, bsz, hp, wp), dtype=x.dtype)
-    xp[:, :, lead_h : lead_h + h, lead_w : lead_w + wd] = x.transpose(1, 0, 2, 3)
-    flat = xp.reshape(cin, -1)
+    flat = _channel_major_padded(x, 0, plan[0]).reshape(cin, -1)
     y = np.empty((bsz, cout, ho, wo), dtype=np.promote_types(x.dtype, wt.dtype))
     if stack and cout > 1:
         # every stride phase in one product, interleaved into y by one copy;
@@ -388,7 +397,7 @@ def _correlate(x, wt, plan, ho, wo):
             _shifted_gemms(taps, win, y_flat)
             grid = y_flat.reshape(s, s, cout, bsz, hp, wp)[..., : ho // s, : wo // s]
             y.reshape(bsz, cout, ho // s, s, wo // s, s)[...] = grid.transpose(3, 2, 4, 0, 5, 1)
-            return y, flat
+            return y
     y_flat = _work_buffer("out", (cout, flat.shape[1]), y.dtype)
     y_grid = y_flat.reshape(cout, bsz, hp, wp)
     for ys, rows, cols, ts, tu, tv, base, n, offs, _ in phases:
@@ -397,16 +406,19 @@ def _correlate(x, wt, plan, ho, wo):
             continue
         _shifted_gemms(wt[ts], _tap_window(flat, base, tu, tv, wp, n, step), y_flat)
         y[ys] = y_grid[:, :, :rows, :cols].transpose(1, 0, 2, 3)
-    return y, flat
+    return y
 
 
-def _correlate_backward(dy, flat, wt, dwt, plan, x_shape):
-    """Backward of `_correlate` from its flattened padded input `flat`:
-    writes each tap's weight gradient into `dwt`, the (k, k, C_out, C_in)
-    view of dw, and returns the input gradient, of the dtype of `dwt`."""
-    (lead_h, lead_w, hp, wp), _, phases, _ = plan
-    bsz, cin, h, wd = x_shape
+def _correlate_backward(dy, x, wt, dwt, plan):
+    """Backward of `_correlate` from its input x, padded again onto the
+    plan's grid: writes each tap's weight gradient into `dwt`, the (k, k,
+    C_out, C_in) view of dw, and returns the input gradient, of the dtype of
+    `dwt`."""
+    grid, _, phases, _ = plan
+    lead_h, lead_w, hp, wp = grid
+    bsz, cin, h, wd = x.shape
     cout = wt.shape[2]
+    flat = _channel_major_padded(x, 0, grid).reshape(cin, -1)
     dflat = _work_buffer("in", flat.shape, dwt.dtype)
     dflat[...] = 0.0
     dy_flat = _work_buffer("out", (cout, flat.shape[1]), dy.dtype)
@@ -433,9 +445,9 @@ def _tap_stack(w, transposed):
 
 
 def _conv_forward(x, w, b, stride, pad, transposed):
-    """A conv, or with `transposed` a transpose conv. Its cache holds the
-    flattened padded input, or a strided conv's column matrix, and the
-    correlation plan's arguments after the input shape."""
+    """A conv, or with `transposed` a transpose conv. Its cache holds x
+    itself, which the backward pads again, with w, whether there is a bias
+    and the correlation plan's arguments after the input shape."""
     op = "conv_transpose2d" if transposed else "conv2d"
     bsz, cin, h, wd = x.shape
     k = w.shape[2]
@@ -452,29 +464,30 @@ def _conv_forward(x, w, b, stride, pad, transposed):
     geometry = (k, stride, pad, ho, wo, transposed)
     if transposed or stride == 1:
         plan = _correlation_plan(x.shape, *geometry)
-        y, data = _correlate(x, _tap_stack(w, transposed), plan, ho, wo)
+        y = _correlate(x, _tap_stack(w, transposed), plan, ho, wo)
     else:  # a strided conv2d: one GEMM over a column matrix (ROADMAP.md, item 6)
-        data = _im2col(_channel_major_padded(x, pad), k, stride, ho, wo)
-        y_mat = (w.reshape(cout, -1) @ data).reshape(cout, bsz, ho, wo)
+        cols = _im2col(_channel_major_padded(x, pad), k, stride, ho, wo)
+        y_mat = (w.reshape(cout, -1) @ cols).reshape(cout, bsz, ho, wo)
         y = np.ascontiguousarray(y_mat.transpose(1, 0, 2, 3))
     if b is not None:
         y += b[:, None, None]
-    return y, (x.shape, data, w, b is not None, geometry)
+    return y, (x, w, b is not None, geometry)
 
 
 def _conv_backward(dy, cache):
-    x_shape, data, w, has_bias, geometry = cache
+    x, w, has_bias, geometry = cache
     k, stride, pad, ho, wo, transposed = geometry
     db = dy.sum(axis=(0, 2, 3)) if has_bias else None
-    if transposed or stride == 1:  # `data` is the flattened padded input
-        dw = np.zeros(w.shape, dtype=np.result_type(data, w, dy))
+    if transposed or stride == 1:
+        dw = np.zeros(w.shape, dtype=np.result_type(x, w, dy))
         wt, dwt = _tap_stack(w, transposed), _tap_stack(dw, transposed)
-        plan = _correlation_plan(x_shape, *geometry)
-        return _correlate_backward(dy, data, wt, dwt, plan, x_shape), dw, db
-    bsz, cin, h, wd = x_shape
+        plan = _correlation_plan(x.shape, *geometry)
+        return _correlate_backward(dy, x, wt, dwt, plan), dw, db
+    bsz, cin, h, wd = x.shape
     cout = w.shape[0]
     dy_mat = np.ascontiguousarray(dy.transpose(1, 0, 2, 3)).reshape(cout, -1)
-    dw = (dy_mat @ data.T).reshape(w.shape)
+    cols = _im2col(_channel_major_padded(x, pad), k, stride, ho, wo)
+    dw = (dy_mat @ cols.T).reshape(w.shape)
     dcols = w.reshape(cout, -1).T @ dy_mat
     dxp = _col2im(dcols, (cin, bsz, h + 2 * pad, wd + 2 * pad), k, stride, ho, wo)
     return dxp[:, :, pad : pad + h, pad : pad + wd].transpose(1, 0, 2, 3).copy(), dw, db

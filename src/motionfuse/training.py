@@ -212,11 +212,14 @@ class Trainer:
             w.l3 * g for g in losses.content_consistency_loss_grad(res.refined, target_pyramid)
         ]
         del target_pyramid  # the backward reads only its gradient
+        d_x_next = w.l4 * losses.l2_loss_grad(res.x_next, x_next)
+        # nor does it read the refined maps or the kernel fields
+        res.motion.refined = res.motion.kernels = None
         kg_mean, kg_logvar = losses.kl_to_standard_normal_grad(res.q_m)
         model.backward_next_frame(
             self.bundle,
             res,
-            d_x_next=w.l4 * losses.l2_loss_grad(res.x_next, x_next),
+            d_x_next=d_x_next,
             d_refined=d_refined,
             d_q_m=(lam5 * kg_mean, lam5 * kg_logvar),
             content=False,

@@ -477,6 +477,21 @@ class TestCacheLifetime:
         with pytest.raises(ValueError, match="frozen"):
             cp.backward(bundle, d_pyramid=[np.ones_like(p) for p in cp.pyramid])
 
+    def test_a_subnets_three_heads_cache_one_input(self):
+        # the wv, wh and mask heads read the same trunk output, and each
+        # conv caches its input itself: three references to one array
+        bundle = micro_bundle()
+        x, _, eta_c, eta_m, labels = micro_batch()
+        onehot = model.one_hot(labels, MICRO.classes, x.dtype)
+        e_m, _, _ = model.lstm_embed(bundle, eta_m)
+        _, _, (_, subnets) = model.motion_fields(bundle, eta_c, e_m, onehot)
+        assert len(subnets) == MICRO.scales
+        for chain in subnets:
+            heads, branches = chain[-1]
+            assert isinstance(heads, model._Heads) and len(branches) == 3
+            inputs = [branch[0][1][0] for branch in branches]
+            assert all(a is inputs[0] for a in inputs)
+
     def test_second_backward_over_a_consumed_step_raises(self):
         bundle = micro_bundle()
         res = self._forward(bundle)

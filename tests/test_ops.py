@@ -456,6 +456,42 @@ class TestWorkBuffers:
         assert peak <= 1.25 * dx.nbytes
 
 
+class TestConvCaches:
+    """A conv's cache holds the caller's input array itself, not a padded
+    or unrolled copy: the backward pads x, and unrolls a strided conv's
+    columns, again in work buffers. A backward after the caller dropped its
+    own reference, and after other convs reused every work buffer, gives
+    the gradients of a backward run at once, bit for bit."""
+
+    CASES = [
+        # transpose, batch, c_in, c_out, size, k, stride, pad
+        (False, 3, 4, 5, 9, 3, 1, 1),
+        (False, 3, 4, 5, 9, 3, 2, 1),
+        (True, 3, 4, 5, 5, 4, 2, 1),
+    ]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", CASES)
+    def test_cache_holds_the_input_and_backward_rebuilds_the_rest(self, case, dtype):
+        transpose, bsz, cin, cout, size, k, stride, pad = case
+        fwd, bwd = _conv_ops(transpose)
+        rng = SeededRng(bsz + 7 * cin + 3 * cout + stride)
+        x = rng.normals((bsz, cin, size, size + 2), dtype=dtype)
+        w = rng.normals((cin, cout, k, k) if transpose else (cout, cin, k, k), dtype=dtype)
+        b = rng.normals((cout,), dtype=dtype)
+        y, cache = fwd(x.copy(), w, b, stride, pad)
+        dy = SeededRng(1).normals(y.shape, dtype=dtype)
+        want = bwd(dy, cache)
+        y, cache = fwd(x, w, b, stride, pad)
+        assert cache[0] is x
+        del x
+        for big in [(False, 4, 6, 5, 12, 3, 1, 1), (False, 4, 6, 5, 12, 3, 2, 1),
+                    (True, 4, 6, 5, 8, 4, 2, 1)]:
+            _run_conv(big[0], *TestWorkBuffers._inputs(*big, dtype=dtype, seed=2), 3)
+        for g, ref in zip(bwd(dy, cache), want):
+            assert _same_bits(g, ref)
+
+
 def per_tap_shifted_gemms(mats, flat, offs, y_flat):
     """The forward tap loop from before tap stacks, kept as an oracle: per
     column block, one product and one sum for each kernel tap in turn, into
